@@ -7,6 +7,7 @@ simplicity criterion for highest-weight modules on exact character data.
 from .padic import (
     INF,
     DomainError,
+    InternalError,
     PadicError,
     PadicScalar,
     PrecisionError,

@@ -3,7 +3,7 @@
 Every subcommand emits machine-readable JSON on stdout (or into --json
 DIR) with exact values only: rationals as "a/b" strings and p-adic
 scalars as digit expansions.  Exit codes: 0 success, 1 check failures,
-2 parameter-gate or usage errors.
+2 parameter-gate or usage errors, 3 a failed internal self-check (a bug).
 
 Defaults can be overridden with environment variables prefixed IWAHORI_,
 e.g. IWAHORI_P=11 iwahori basis --group sl2.
@@ -25,7 +25,7 @@ from .axioms import (
     check_pvaluation_axioms,
 )
 from .groups import ChevalleyGroup, GateError, MembershipError
-from .padic import PadicScalar, ScalarRing, padic_exp, padic_log
+from .padic import InternalError, PadicScalar, ScalarRing, padic_exp, padic_log
 from .roots import get_root_datum
 from .series import (
     Character,
@@ -551,6 +551,9 @@ def main(argv=None) -> int:
     except (MembershipError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except InternalError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -33,6 +33,25 @@ factor is then peeled into root-group parameters in the fixed batch
 order; reading parameters off matrix entries is exact because the batch
 order is height-monotone, and any product of two or more batch roots has
 strictly larger weight than a single one.
+
+Self-checks
+-----------
+Every call of ``iwahori_factorize`` runs these checks; a failed input
+check raises ``GateError`` or ``MembershipError``, a failed invariant
+raises ``InternalError``:
+
+    the parameter gate p - 1 > h;
+    membership in I: the group relation (g^T J g = J on Sp4, det g = 1
+      on SL_n, see ``satisfies_group_relation``), unit diagonal congruent
+      to 1 and upper entries divisible by p;
+    distinct adapted-cocharacter weights and unit LDU pivots;
+    weight-monotone batch orders (checked once per (w, tie_break) and
+      cached, since w fixes them);
+    in each unipotent strip, agreement of the paired entries of a root
+      and an identity remainder;
+    a torus diagonal rebuilt exactly from its cocharacter coordinates,
+      congruent to 1 mod p;
+    upper root parameters divisible by p.
 """
 
 from __future__ import annotations
@@ -40,7 +59,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import INF, PadicError, PadicScalar, PrecisionError, ScalarRing, padic_exp, padic_log
+from .padic import (INF, InternalError, PadicScalar, PrecisionError, ScalarRing, padic_exp,
+                    padic_log)
 from .roots import RootDatum, WeylElement, get_root_datum
 
 
@@ -157,7 +177,10 @@ class ChevalleyGroup:
         else:
             self.dirs = _sl_dirs(self.n)
         self.torus_recipe = _TORUS_RECIPES[self.name]
+        # ring constants for the relation check, built once
+        self._one, self._zero = ring.one(), ring.zero()
         self._basis_cache = {}
+        self._factor_batch_cache = {}
 
     # -- gates ---------------------------------------------------------
 
@@ -358,19 +381,6 @@ class ChevalleyGroup:
                         return False
         return True
 
-    def in_torus1(self, g: "GroupElement") -> bool:
-        for i in range(self.n):
-            for j in range(self.n):
-                e = g.mat[i][j]
-                if i != j:
-                    if not (e.is_exact_zero or e.pival() is None):
-                        return False
-                else:
-                    d = e - 1
-                    if not (d.is_exact_zero or d.pival() is None or d.pival() >= 1):
-                        return False
-        return True
-
     # -- factorization ------------------------------------------------------
 
     def iwahori_factorize(self, g: "GroupElement", w: WeylElement | None = None,
@@ -383,7 +393,7 @@ class ChevalleyGroup:
         mu, _a = self.datum.adapted_cocharacter(w)
         exps = self.exponents(mu)
         if len(set(exps)) != self.n:
-            raise PadicError("internal: adapted cocharacter weights are not distinct")
+            raise InternalError("adapted cocharacter weights are not distinct")
         order = sorted(range(self.n), key=lambda i: -exps[i])
         gs = [[g.mat[order[i]][order[j]] for j in range(self.n)] for i in range(self.n)]
         lmat, diag_sorted, umat = _ldu(gs, self.n, self.ring)
@@ -395,28 +405,40 @@ class ChevalleyGroup:
         n2 = [[umat[inv_order[i]][inv_order[j]] for j in range(self.n)] for i in range(self.n)]
         diag = [diag_sorted[inv_order[i]] for i in range(self.n)]
 
-        neg_batch, pos_batch = self.batches(w, tie_break)
-        neg = self._strip_unipotent(n1, neg_batch, mu)
-        pos = self._strip_unipotent(n2, pos_batch, mu)
+        neg_batch, pos_batch = self._factor_batches(w, tie_break, mu)
+        neg = self._strip_unipotent(n1, neg_batch)
+        pos = self._strip_unipotent(n2, pos_batch)
         torus_coords = self._torus_coords_from_diag(diag)
         for i in range(self.n):
             d = diag[i] - 1
             if not (d.is_exact_zero or d.pival() is None or d.pival() >= 1):
-                raise PadicError("internal: torus part is not pro-p")
+                raise InternalError("torus part is not pro-p")
         for root, x in neg + pos:
             if self.datum.height(root) < 0:
                 wv = x.pival()
                 if not (wv is INF or wv is None or wv >= 1):
-                    raise PadicError("internal: upper root parameter not divisible by p")
+                    raise InternalError("upper root parameter not divisible by p")
         return Factorization(self, w, neg, torus_coords, diag, pos)
 
-    def _strip_unipotent(self, mat, batch_roots, mu):
-        last = None
-        for r in batch_roots:
-            wgt = abs(self.datum.pairing(r, mu))
-            if last is not None and wgt < last:
-                raise PadicError("internal: batch order is not weight-monotone")
-            last = wgt
+    def _factor_batches(self, w, tie_break, mu):
+        """The batches for w, checked once per (w, tie_break) to be
+        weight-monotone under the adapted cocharacter mu, which w fixes."""
+        key = (w.matrix, tie_break)
+        cached = self._factor_batch_cache.get(key)
+        if cached is not None:
+            return cached
+        batches = self.batches(w, tie_break)
+        for batch_roots in batches:
+            last = None
+            for r in batch_roots:
+                wgt = abs(self.datum.pairing(r, mu))
+                if last is not None and wgt < last:
+                    raise InternalError("batch order is not weight-monotone")
+                last = wgt
+        self._factor_batch_cache[key] = batches
+        return batches
+
+    def _strip_unipotent(self, mat, batch_roots):
         params = []
         cur = [list(row) for row in mat]
         for root in batch_roots:
@@ -426,15 +448,16 @@ class ChevalleyGroup:
             for (i, j, s) in dirs[1:]:
                 expect = x if s == 1 else -x
                 if not cur[i][j] == expect:
-                    raise PadicError(
-                        f"internal: paired entries for root {root} disagree")
+                    raise InternalError(f"paired entries for root {root} disagree")
             params.append((root, x))
             self._lmul_root_inplace(cur, root, -x)
+        # int targets, not ring constants: an entry known beyond the ring
+        # precision is checked at its own precision
         for i in range(self.n):
             for j in range(self.n):
                 target = 1 if i == j else 0
                 if not cur[i][j] == target:
-                    raise PadicError("internal: unipotent strip left a remainder")
+                    raise InternalError("unipotent strip left a remainder")
         return params
 
     def _torus_coords_from_diag(self, diag):
@@ -444,13 +467,14 @@ class ChevalleyGroup:
             for idx, e in recipe:
                 s = s * (diag[idx] if e == 1 else diag[idx].inv() ** (-e))
             coords.append(s)
-        # consistency: the recipe must reconstruct the whole diagonal
-        rebuilt = self.identity()
-        for mu_i, s in zip(self.datum.cochar_basis, coords):
-            rebuilt = rebuilt * self.torus_element(mu_i, s)
+        # consistency: the recipe must reconstruct the whole diagonal.  The
+        # comparison is at the least precision of the coordinates, to which
+        # every entry of the product of the torus elements mu_i(s_i) is known.
+        cap = min(s.prec for s in coords)
+        rebuilt = self.torus_diagonal(coords)
         for i in range(self.n):
-            if not rebuilt.mat[i][i] == diag[i]:
-                raise PadicError("internal: torus diagonal is not in the cocharacter lattice")
+            if not rebuilt[i].truncate(cap) == diag[i]:
+                raise InternalError("torus diagonal is not in the cocharacter lattice")
         return coords
 
     def from_parameters(self, neg, torus_coords, pos, check: bool = False) -> "GroupElement":
@@ -715,11 +739,18 @@ class Factorization:
 
 
 def _matmul(a, b, n):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                  start=a[i][0].ring.zero(exact=True))
-              for j in range(n))
-        for i in range(n))
+    out = []
+    for i in range(n):
+        ai = a[i]
+        zero = ai[0].ring.zero(exact=True)
+        row = []
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc + ai[k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _det_recursive(mat, idx_rows, idx_cols, ring):
@@ -763,7 +794,7 @@ def _ldu(mat, n, ring):
     for k in range(n):
         piv = a[k][k]
         if not piv.is_unit():
-            raise PadicError(f"elimination pivot {k} is not a unit: {piv!r}")
+            raise InternalError(f"elimination pivot {k} is not a unit: {piv!r}")
         pivinv = piv.inv()
         for i in range(k + 1, n):
             f = a[i][k] * pivinv
@@ -834,22 +865,25 @@ class GroupElement:
             tuple(adj[i][j] * dinv for j in range(n)) for i in range(n)))
 
     def det(self) -> PadicScalar:
-        _, d = _adjugate_det(self.mat, self.group.n, self.group.ring)
-        return d
+        idx = tuple(range(self.group.n))
+        return _det_recursive(self.mat, idx, idx, self.group.ring)
 
     def satisfies_group_relation(self) -> bool:
-        n = self.group.n
         if self.group.name == "sp4":
-            jm = _SP4_GRAM
-            for i in range(n):
-                for j in range(n):
-                    acc = self.group.ring.zero(exact=True)
-                    for k in range(n):
-                        for l in range(n):
-                            if jm[k][l]:
-                                term = self.mat[k][i] * self.mat[l][j]
-                                acc = acc + (term if jm[k][l] == 1 else -term)
-                    if not acc == jm[i][j]:
+            # g^T J g = J for the antidiagonal Gram matrix J, whose nonzero
+            # entries are J[0][3] = J[1][2] = 1 and J[2][1] = J[3][0] = -1.
+            # Entry (i, j) of g^T J g is g0i g3j + g1i g2j - g2i g1j - g3i g0j;
+            # scalar products commute, so this is antisymmetric in (i, j) term
+            # by term, as is J.  The diagonal and the lower triangle therefore
+            # hold exactly when the six upper entries do, also in truncated
+            # arithmetic.  Ring constants keep the comparison at most at the
+            # ring precision.
+            g0, g1, g2, g3 = self.mat
+            one, zero = self.group._one, self.group._zero
+            for i in range(3):
+                for j in range(i + 1, 4):
+                    entry = g0[i] * g3[j] + g1[i] * g2[j] - g2[i] * g1[j] - g3[i] * g0[j]
+                    if not entry == (one if i + j == 3 else zero):
                         return False
             return True
         return self.det() == 1

@@ -23,6 +23,13 @@ class PadicError(ValueError):
     pass
 
 
+class InternalError(RuntimeError):
+    """A self-check of the library failed: a bug, never bad input.
+
+    Deliberately not a ValueError, so that callers and the command line
+    tell it apart from usage errors."""
+
+
 class DomainError(PadicError):
     """Argument outside the convergence domain of exp or log."""
 
@@ -89,9 +96,10 @@ class ScalarRing:
         self._pp = {0: 1, 1: p}
 
     def ppow(self, k: int) -> int:
+        """p**k, read as 1 for k <= 0: the modulus of a value with k digits."""
         pp = self._pp
         if k not in pp:
-            pp[k] = self.p ** k
+            pp[k] = self.p ** k if k > 0 else 1
         return pp[k]
 
     def coeff_mod(self, j: int, prec: int) -> int:
@@ -114,8 +122,7 @@ class ScalarRing:
     def canonical(self, coeffs, prec: int, exact: bool = False) -> "PadicScalar":
         raw = tuple(coeffs)
         if self.m == 1:
-            k = prec if prec > 0 else 0
-            co = (raw[0] % self.ppow(k),) if k else (0,)
+            co = (raw[0] % self.ppow(prec),)
         else:
             co = tuple(c % self.coeff_mod(j, prec) for j, c in enumerate(raw))
         return PadicScalar(self, co, prec, exact and co == raw)
@@ -211,30 +218,51 @@ class PadicScalar:
 
     # -- arithmetic ---------------------------------------------------
 
+    # The m = 1 branches below give the same (co, prec, exact) as the generic
+    # route through canonical(); they only skip its tuple bookkeeping.  An
+    # exact zero operand (exact and co[0] == 0) takes the generic route.
+
     def __add__(self, other):
         if type(other) is not PadicScalar:
             other = self._other(other)
+        ring = self.ring
+        if ring.m == 1 and (self.co[0] or not self.exact) and (other.co[0] or not other.exact):
+            prec = self.prec if self.prec < other.prec else other.prec
+            raw = self.co[0] + other.co[0]
+            red = raw % ring.ppow(prec)
+            return PadicScalar(ring, (red,), prec, self.exact and other.exact and red == raw)
         if self.is_exact_zero:
             return other if other.prec <= self.prec else other.truncate(self.prec)
         if other.is_exact_zero:
             return self if self.prec <= other.prec else self.truncate(other.prec)
         prec = min(self.prec, other.prec)
         co = tuple(a + b for a, b in zip(self.co, other.co))
-        return self.ring.canonical(co, prec, self.exact and other.exact)
+        return ring.canonical(co, prec, self.exact and other.exact)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ring.canonical(tuple(-c for c in self.co), self.prec, self.exact)
+        ring = self.ring
+        if ring.m == 1:
+            raw = -self.co[0]
+            red = raw % ring.ppow(self.prec)
+            return PadicScalar(ring, (red,), self.prec, self.exact and red == raw)
+        return ring.canonical(tuple(-c for c in self.co), self.prec, self.exact)
 
     def __sub__(self, other):
         if type(other) is not PadicScalar:
             other = self._other(other)
+        ring = self.ring
+        if ring.m == 1 and (other.co[0] or not other.exact):
+            prec = self.prec if self.prec < other.prec else other.prec
+            raw = self.co[0] - other.co[0]
+            red = raw % ring.ppow(prec)
+            return PadicScalar(ring, (red,), prec, self.exact and other.exact and red == raw)
         if other.is_exact_zero:
             return self if self.prec <= other.prec else self.truncate(other.prec)
         prec = min(self.prec, other.prec)
         co = tuple(a - b for a, b in zip(self.co, other.co))
-        return self.ring.canonical(co, prec, self.exact and other.exact)
+        return ring.canonical(co, prec, self.exact and other.exact)
 
     def __rsub__(self, other):
         return self._other(other) - self
@@ -242,26 +270,27 @@ class PadicScalar:
     def __mul__(self, other):
         if type(other) is not PadicScalar:
             other = self._other(other)
+        ring = self.ring
+        if ring.m == 1 and (self.co[0] or not self.exact) and (other.co[0] or not other.exact):
+            prec = self.prec if self.prec < other.prec else other.prec
+            raw = self.co[0] * other.co[0]
+            red = raw % ring.ppow(prec)
+            return PadicScalar(ring, (red,), prec, self.exact and other.exact and red == raw)
         if self.is_exact_zero or other.is_exact_zero:
-            return self.ring.zero(min(self.prec, other.prec), exact=True)
+            return ring.zero(min(self.prec, other.prec), exact=True)
         prec = min(self.prec, other.prec)
         exact = self.exact and other.exact
-        m = self.ring.m
-        if m == 1:
-            raw = self.co[0] * other.co[0]
-            mod = self.ring.coeff_mod(0, prec)
-            red = raw % mod
-            return PadicScalar(self.ring, (red,), prec, exact and red == raw)
+        m = ring.m
         conv = [0] * (2 * m - 1)
         for j, a in enumerate(self.co):
             if a:
                 for k, b in enumerate(other.co):
                     if b:
                         conv[j + k] += a * b
-        p = self.ring.p
+        p = ring.p
         co = tuple(conv[i] + p * conv[i + m] if i + m < 2 * m - 1 else conv[i]
                    for i in range(m))
-        return self.ring.canonical(co, prec, exact)
+        return ring.canonical(co, prec, exact)
 
     __rmul__ = __mul__
 
@@ -391,6 +420,14 @@ class PadicScalar:
         return f"{body} + O({sym}^{self.prec})"
 
     def __eq__(self, other):
+        ring = self.ring
+        if ring.m == 1:
+            # the generic route below, read off the single coefficient
+            if type(other) is int:
+                return (self.co[0] - other) % ring.ppow(self.prec) == 0
+            if type(other) is PadicScalar and other.ring.m == 1 and other.ring.p == ring.p:
+                mod = ring.ppow(min(self.prec, other.prec))
+                return self.co[0] % mod == other.co[0] % mod
         try:
             other = self._other(other)
         except PadicError:

@@ -11,6 +11,7 @@ i.e. delta(t_{a,b}) = a^2 b on the diagonal torus chart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -195,7 +196,7 @@ class RootDatum:
         # minimal a clears the denominators in cocharacter-basis coordinates
         a = 1
         for q in coeffs:
-            a = a * q.denominator // _gcd(a, q.denominator)
+            a = a * q.denominator // math.gcd(a, q.denominator)
         return self._hvec, a
 
     def adapted_cocharacter(self, w: WeylElement):
@@ -204,12 +205,6 @@ class RootDatum:
         mu0, a = self.height_cocharacter()
         amu0 = tuple(int(a * q) for q in mu0)
         return w.act(amu0), a
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def solve_exact(matrix, rhs):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import ChevalleyGroup, PValue, pv_combine_min
-from .padic import INF, PadicScalar, padic_exp, padic_log, vp_fraction, vp_int
+from .padic import INF, InternalError, PadicScalar, padic_exp, padic_log, vp_fraction, vp_int
 from .roots import WeylElement, solve_exact
 
 
@@ -42,12 +42,6 @@ def coeff_is_zero(c) -> bool:
     if isinstance(c, PadicScalar):
         return c.is_exact_zero
     return c == 0
-
-
-def coeff_eq(a, b) -> bool:
-    if isinstance(a, PadicScalar) or isinstance(b, PadicScalar):
-        return a == b  # PadicScalar coerces rationals at its precision
-    return a == b
 
 
 class SeriesContext:
@@ -188,9 +182,6 @@ class TruncatedSeries:
     def monomial(cls, ctx, index, c=1, degree=None):
         return cls(ctx, {tuple(index): c}, degree)
 
-    def with_degree(self, degree):
-        return TruncatedSeries(self.ctx, self.coeffs, degree)
-
     # -- structure ---------------------------------------------------------
 
     def support(self):
@@ -289,7 +280,7 @@ class TruncatedSeries:
             return NotImplemented
         keys = set(self.coeffs) | set(other.coeffs)
         zero = Fraction(0)
-        return all(coeff_eq(self.coeffs.get(k, zero), other.coeffs.get(k, zero))
+        return all(self.coeffs.get(k, zero) == other.coeffs.get(k, zero)
                    for k in keys)
 
     def __repr__(self):
@@ -441,14 +432,14 @@ def coordinate_change_polys(ctx: SeriesContext, shift_coords):
         for (i, j, s) in dirs[1:]:
             expect = xpoly if s == 1 else -xpoly
             if not rows[i][j] == expect:
-                raise SeriesError("internal: paired symbolic entries disagree")
+                raise InternalError("paired symbolic entries disagree")
         scale = group.filtration_scale(root)
         if scale != 1:
             divided = {}
             for idx, c in xpoly.coeffs.items():
                 q = c / scale
                 if vp_fraction(q, p) is not INF and vp_fraction(q, p) < 0:
-                    raise SeriesError("internal: symbolic coordinate not integral")
+                    raise InternalError("symbolic coordinate not integral")
                 divided[idx] = q
             coord = TruncatedSeries(ctx, divided)
         else:
@@ -459,7 +450,7 @@ def coordinate_change_polys(ctx: SeriesContext, shift_coords):
         for j in range(n):
             target = one if i == j else zero
             if not rows[i][j] == target:
-                raise SeriesError("internal: symbolic strip left a remainder")
+                raise InternalError("symbolic strip left a remainder")
     return out
 
 

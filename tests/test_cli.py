@@ -131,3 +131,19 @@ def test_verify_all_reports_are_deterministic(tmp_path, capsys):
     a = (tmp_path / "a" / "verify-all-sl2.json").read_bytes()
     b = (tmp_path / "b" / "verify-all-sl2.json").read_bytes()
     assert a == b
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # a strip that eliminates nothing must trip the remainder self-check,
+    # which is a bug in the library, not bad input: exit 3, not 2
+    from iwahori.groups import ChevalleyGroup
+    from iwahori.padic import InternalError
+    assert not issubclass(InternalError, ValueError)
+    monkeypatch.setattr(ChevalleyGroup, "_lmul_root_inplace", lambda self, rows, root, x: None)
+    element = ("[[8310042483, 11069826243, 11969879208],"
+               " [13417612307, 11596260964, 3897042877],"
+               " [4957614081, 4178002876, 1291752323]]")
+    code = main(["factorize", "--group", "sl3", "--element", element])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: unipotent strip left a remainder")
