@@ -30,6 +30,7 @@ from .roots import get_root_datum
 from .series import (
     Character,
     SeriesContext,
+    SeriesError,
     TruncatedSeries,
     character_expand,
     constants_limit_check,
@@ -239,13 +240,22 @@ def cmd_slope(args) -> int:
         }
     else:
         _, atleast = slope_split(f, args.slope)
-        projected = hida_projector(atleast, args.slope, args.iterations)
+        try:
+            projected = hida_projector(atleast, args.slope, args.iterations)
+            projected_json = _series_to_json(projected)
+        except ValueError as err:
+            # the exponent cap, or str() of an int beyond the interpreter's
+            # digit limit
+            reason = err if isinstance(err, SeriesError) else (
+                "an exact coefficient has too many digits to print")
+            print(f"error: {reason}; use fewer --iterations", file=sys.stderr)
+            return 2
         target = slope_exact(f, args.slope)
         payload = {
             "schema": "iwahori.slope-project/1",
             "s": args.slope,
             "iterations": args.iterations,
-            "projected": _series_to_json(projected),
+            "projected": projected_json,
             "distance_to_exact": (projected - target).gauss_valuation().as_json(),
         }
     _emit(args, f"slope-{args.action}", payload)

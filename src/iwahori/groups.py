@@ -45,19 +45,35 @@ raises ``InternalError``:
       on SL_n, see ``satisfies_group_relation``), unit diagonal congruent
       to 1 and upper entries divisible by p;
     distinct adapted-cocharacter weights and unit LDU pivots;
-    weight-monotone batch orders (checked once per (w, tie_break) and
-      cached, since w fixes them);
+    weight-monotone batch orders, with every batch root inside its strict
+      LDU triangle (checked once per (w, tie_break) and cached, since w
+      fixes them);
     in each unipotent strip, agreement of the paired entries of a root
       and an identity remainder;
     a torus diagonal rebuilt exactly from its cocharacter coordinates,
       congruent to 1 mod p;
     upper root parameters divisible by p.
+
+Integer path
+------------
+Over Z_p (m = 1), an element whose entries are all inexact and all at the
+ring precision N is read once into plain ints modulo p^N and cached on the
+element.  For such elements the group relation, the membership test, the
+LDU elimination, both unipotent strips, the torus rebuild, products and
+inverses run on those ints, and each result scalar is wrapped once at
+precision N.  The path is picked from that input property alone.  It gives
+the same (co, prec, exact) as the scalar route, runs the same self-checks
+and raises the same exceptions; its outputs are again inexact at N, so
+chained products stay on it.  Exact or mixed-precision entries (user
+matrices, the identity, root generators) and ramified rings (m > 1) take
+the scalar route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .padic import (INF, InternalError, PadicScalar, PrecisionError, ScalarRing, padic_exp,
                     padic_log)
@@ -158,6 +174,10 @@ _TORUS_RECIPES = {
 
 _MATRIX_SIZE = {"sl2": 2, "sl3": 3, "sp4": 4}
 
+# g^-1 = -J g^T J on Sp4 reads entry (i, j) off g[3-j][3-i] with this sign
+_SP4_INV_SIGN = tuple(tuple(-_SP4_GRAM[i][3 - i] * _SP4_GRAM[3 - j][j] for j in range(4))
+                      for i in range(4))
+
 
 class ChevalleyGroup:
     """One of the supported matrix groups over a fixed scalar ring."""
@@ -179,6 +199,7 @@ class ChevalleyGroup:
         self.torus_recipe = _TORUS_RECIPES[self.name]
         # ring constants for the relation check, built once
         self._one, self._zero = ring.one(), ring.zero()
+        self._mod = ring.ppow(ring.prec)  # the int path works modulo p^N
         self._basis_cache = {}
         self._factor_batch_cache = {}
 
@@ -351,6 +372,12 @@ class ChevalleyGroup:
             raise ValueError("element of a different group")
         if not g.satisfies_group_relation():
             return False
+        ints = g._int_rows()
+        if ints is not None:
+            # diagonal congruent to 1 and upper entries to 0 mod p
+            p = self.ring.p
+            return all((row[j] - (i == j)) % p == 0
+                       for i, row in enumerate(ints) for j in range(i, self.n))
         for i in range(self.n):
             for j in range(self.n):
                 e = g.mat[i][j]
@@ -395,17 +422,21 @@ class ChevalleyGroup:
         if len(set(exps)) != self.n:
             raise InternalError("adapted cocharacter weights are not distinct")
         order = sorted(range(self.n), key=lambda i: -exps[i])
-        gs = [[g.mat[order[i]][order[j]] for j in range(self.n)] for i in range(self.n)]
-        lmat, diag_sorted, umat = _ldu(gs, self.n, self.ring)
-        # back to the original basis
-        inv_order = [0] * self.n
-        for k, idx in enumerate(order):
-            inv_order[idx] = k
-        n1 = [[lmat[inv_order[i]][inv_order[j]] for j in range(self.n)] for i in range(self.n)]
-        n2 = [[umat[inv_order[i]][inv_order[j]] for j in range(self.n)] for i in range(self.n)]
-        diag = [diag_sorted[inv_order[i]] for i in range(self.n)]
+        neg_batch, pos_batch = self._factor_batches(w, tie_break, mu, exps)
+        ints = g._int_rows()
+        if ints is not None:
+            parts = self._factor_ints(ints, order, neg_batch, pos_batch)
+        else:
+            parts = self._factor_scalars(g.mat, order, neg_batch, pos_batch)
+        return Factorization(self, w, *parts)
 
-        neg_batch, pos_batch = self._factor_batches(w, tie_break, mu)
+    def _factor_scalars(self, mat, order, neg_batch, pos_batch):
+        """(negative params, torus coordinates, torus diagonal, positive
+        params) of an element of I, on PadicScalar entries."""
+        lmat, diag_sorted, umat = _ldu(_permuted(mat, order), self.n, self.ring)
+        inv_order = _inverse_order(order)
+        n1, n2 = _permuted(lmat, inv_order), _permuted(umat, inv_order)
+        diag = [diag_sorted[k] for k in inv_order]
         neg = self._strip_unipotent(n1, neg_batch)
         pos = self._strip_unipotent(n2, pos_batch)
         torus_coords = self._torus_coords_from_diag(diag)
@@ -418,23 +449,52 @@ class ChevalleyGroup:
                 wv = x.pival()
                 if not (wv is INF or wv is None or wv >= 1):
                     raise InternalError("upper root parameter not divisible by p")
-        return Factorization(self, w, neg, torus_coords, diag, pos)
+        return neg, torus_coords, diag, pos
 
-    def _factor_batches(self, w, tie_break, mu):
-        """The batches for w, checked once per (w, tie_break) to be
-        weight-monotone under the adapted cocharacter mu, which w fixes."""
+    def _factor_ints(self, ints, order, neg_batch, pos_batch):
+        """``_factor_scalars`` on the int rows of a flat element: the same
+        steps and checks modulo p^N, each output wrapped once.  The LDU
+        factors carry exact 0 and 1 outside their strict triangles, where
+        the batch roots never lie (``_factor_batches``), so every output
+        is inexact at N, as on the scalar route."""
+        p, mod = self.ring.p, self._mod
+        lmat, diag_sorted, umat = _ldu_ints(_permuted(ints, order), self.n, self.ring)
+        inv_order = _inverse_order(order)
+        neg = self._strip_ints(_permuted(lmat, inv_order), neg_batch)
+        pos = self._strip_ints(_permuted(umat, inv_order), pos_batch)
+        diag = [diag_sorted[k] for k in inv_order]
+        torus_coords = self._torus_coords_ints(diag)
+        if any((d - 1) % p for d in diag):
+            raise InternalError("torus part is not pro-p")
+        for root, x in neg + pos:
+            if x % p and self.datum.height(root) < 0:
+                raise InternalError("upper root parameter not divisible by p")
+        wrap = self._wrap
+        return ([(root, wrap(x)) for root, x in neg], [wrap(s) for s in torus_coords],
+                [wrap(d) for d in diag], [(root, wrap(x)) for root, x in pos])
+
+    def _wrap(self, v: int) -> PadicScalar:
+        return PadicScalar(self.ring, (v,), self.ring.prec, False)
+
+    def _factor_batches(self, w, tie_break, mu, exps):
+        """The batches for w, checked once per (w, tie_break): weight-monotone
+        under the adapted cocharacter mu, which w fixes, and with every root
+        inside the strict lower (negative batch) or upper (positive batch)
+        triangle of the basis sorted by the weights exps."""
         key = (w.matrix, tie_break)
         cached = self._factor_batch_cache.get(key)
         if cached is not None:
             return cached
         batches = self.batches(w, tie_break)
-        for batch_roots in batches:
+        for sign, batch_roots in zip((1, -1), batches):
             last = None
             for r in batch_roots:
                 wgt = abs(self.datum.pairing(r, mu))
                 if last is not None and wgt < last:
                     raise InternalError("batch order is not weight-monotone")
                 last = wgt
+                if any(sign * (exps[j] - exps[i]) <= 0 for i, j, _s in self.dirs[r]):
+                    raise InternalError(f"batch root {r} lies outside its LDU triangle")
         self._factor_batch_cache[key] = batches
         return batches
 
@@ -459,6 +519,47 @@ class ChevalleyGroup:
                 if not cur[i][j] == target:
                     raise InternalError("unipotent strip left a remainder")
         return params
+
+    def _strip_ints(self, cur, batch_roots):
+        """``_strip_unipotent`` on int rows modulo p^N, in place."""
+        mod, params = self._mod, []
+        for root in batch_roots:
+            dirs = self.dirs[root]
+            i0, j0, s0 = dirs[0]
+            x = cur[i0][j0] if s0 == 1 else -cur[i0][j0] % mod
+            for (i, j, s) in dirs[1:]:
+                if (cur[i][j] - (x if s == 1 else -x)) % mod:
+                    raise InternalError(f"paired entries for root {root} disagree")
+            params.append((root, x))
+            # left multiplication by u_root(-x)
+            for (i, j, s) in dirs:
+                f = -x if s == 1 else x
+                dst = cur[i]
+                for k, c in enumerate(cur[j]):
+                    if c:
+                        dst[k] = (dst[k] + f * c) % mod
+        for i, row in enumerate(cur):
+            for j, e in enumerate(row):
+                if (e - (i == j)) % mod:
+                    raise InternalError("unipotent strip left a remainder")
+        return params
+
+    def _torus_coords_ints(self, diag):
+        """``_torus_coords_from_diag`` on int units modulo p^N."""
+        mod, coords = self._mod, []
+        for recipe in self.torus_recipe:
+            s = 1
+            for idx, e in recipe:
+                s = s * pow(diag[idx], e, mod) % mod
+            coords.append(s)
+        rebuilt = [1] * self.n
+        for mu_i, s in zip(self.datum.cochar_basis, coords):
+            for k, e in enumerate(self.exponents(mu_i)):
+                if e:
+                    rebuilt[k] = rebuilt[k] * pow(s, e, mod) % mod
+        if rebuilt != diag:
+            raise InternalError("torus diagonal is not in the cocharacter lattice")
+        return coords
 
     def _torus_coords_from_diag(self, diag):
         coords = []
@@ -753,35 +854,72 @@ def _matmul(a, b, n):
     return tuple(out)
 
 
-def _det_recursive(mat, idx_rows, idx_cols, ring):
+_UNREAD = object()  # GroupElement._ints before its entries are first read
+
+
+def _flat_int_rows(mat, ring):
+    """Int rows of mat if the ring is Z_p and every entry is an inexact
+    scalar of that ring at its precision N, else None."""
+    if ring.m != 1:
+        return None
+    prec = ring.prec
+    rows = []
+    for row in mat:
+        for e in row:
+            if e.exact or e.prec != prec or (e.ring is not ring and e.ring != ring):
+                return None
+        rows.append(tuple(e.co[0] for e in row))
+    return tuple(rows)
+
+
+def _matmul_ints(a, b, mod):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % mod for col in cols) for row in a)
+
+
+def _det_recursive(mat, idx_rows, idx_cols, zero):
+    """Cofactor expansion from the exact zero ``zero``: a ring zero for
+    scalars, 0 for ints (reduced by the caller)."""
     n = len(idx_rows)
     if n == 1:
         return mat[idx_rows[0]][idx_cols[0]]
     if n == 2:
         (r0, r1), (c0, c1) = idx_rows, idx_cols
         return mat[r0][c0] * mat[r1][c1] - mat[r0][c1] * mat[r1][c0]
-    acc = ring.zero(exact=True)
+    acc = zero
     r0 = idx_rows[0]
     rest = idx_rows[1:]
     for k, c in enumerate(idx_cols):
         cols = idx_cols[:k] + idx_cols[k + 1:]
-        term = mat[r0][c] * _det_recursive(mat, rest, cols, ring)
+        term = mat[r0][c] * _det_recursive(mat, rest, cols, zero)
         acc = acc + term if k % 2 == 0 else acc - term
     return acc
 
 
-def _adjugate_det(mat, n, ring):
+def _adjugate_det(mat, n, zero):
     """Division-free adjugate and determinant by cofactor expansion."""
     idx = tuple(range(n))
-    det = _det_recursive(mat, idx, idx, ring)
+    det = _det_recursive(mat, idx, idx, zero)
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         rows = idx[:i] + idx[i + 1:]
         for j in range(n):
             cols = idx[:j] + idx[j + 1:]
-            minor = _det_recursive(mat, rows, cols, ring)
+            minor = _det_recursive(mat, rows, cols, zero)
             adj[j][i] = minor if (i + j) % 2 == 0 else -minor
     return adj, det
+
+
+def _permuted(mat, order):
+    """Rows and columns of mat in the given order, as mutable lists."""
+    return [[mat[i][j] for j in order] for i in order]
+
+
+def _inverse_order(order):
+    inv = [0] * len(order)
+    for k, idx in enumerate(order):
+        inv[idx] = k
+    return inv
 
 
 def _ldu(mat, n, ring):
@@ -810,42 +948,105 @@ def _ldu(mat, n, ring):
     return lmat, diag, umat
 
 
+def _ldu_ints(a, n, ring):
+    """``_ldu`` on int rows modulo p^N (ring precision N), in place; the
+    same non-unit pivot error."""
+    p, mod = ring.p, ring.ppow(ring.prec)
+    lmat = [[int(i == j) for j in range(n)] for i in range(n)]
+    umat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        ak = a[k]
+        piv = ak[k]
+        if piv % p == 0:
+            shown = PadicScalar(ring, (piv,), ring.prec, False)
+            raise InternalError(f"elimination pivot {k} is not a unit: {shown!r}")
+        pivinv = pow(piv, -1, mod)
+        for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k] * pivinv % mod
+            lmat[i][k] = f
+            if f:
+                for j in range(k, n):
+                    ai[j] = (ai[j] - f * ak[j]) % mod
+        uk = umat[k]
+        for j in range(k + 1, n):
+            uk[j] = pivinv * ak[j] % mod
+    return lmat, [a[k][k] for k in range(n)], umat
+
+
 class GroupElement:
-    """Square matrix over the scalar ring tagged with its group."""
+    """Square matrix over the scalar ring tagged with its group.
 
-    __slots__ = ("group", "mat")
+    ``_ints`` caches the entries as int rows modulo p^N for the integer
+    path (see the module docstring), or None off it; it is read on first
+    use, or handed in by the integer path that built the element."""
 
-    def __init__(self, group: ChevalleyGroup, mat):
+    __slots__ = ("group", "mat", "_ints")
+
+    def __init__(self, group: ChevalleyGroup, mat, ints=_UNREAD):
         self.group = group
         self.mat = mat
+        self._ints = ints
+
+    @classmethod
+    def _from_ints(cls, group: ChevalleyGroup, rows) -> "GroupElement":
+        wrap = group._wrap
+        return cls(group, tuple(tuple(wrap(v) for v in row) for row in rows), rows)
+
+    def _int_rows(self):
+        """The entries as int rows modulo p^N when the ring is Z_p and every
+        entry is inexact at the ring precision N, else None."""
+        ints = self._ints
+        if ints is _UNREAD:
+            ints = self._ints = _flat_int_rows(self.mat, self.group.ring)
+        return ints
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.group is not self.group:
             raise ValueError("elements of different groups")
+        a, b = self._int_rows(), other._int_rows()
+        if a is not None and b is not None:
+            return GroupElement._from_ints(self.group, _matmul_ints(a, b, self.group._mod))
         return GroupElement(self.group, _matmul(self.mat, other.mat, self.group.n))
 
     def __pow__(self, k: int) -> "GroupElement":
         if k < 0:
             return self.inv() ** (-k)
-        result = self.group.identity()
+        # identity * base is base itself on the integer path, so the ladder
+        # starts from the base there
+        result = None if self._int_rows() is not None else self.group.identity()
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return self.group.identity() if result is None else result
 
     def inv(self) -> "GroupElement":
-        n = self.group.n
-        if self.group.name == "sp4":
+        n, group = self.group.n, self.group
+        ints = self._int_rows()
+        if ints is not None:
+            mod = group._mod
+            if group.name == "sp4":
+                rows = tuple(tuple(sign * ints[3 - j][3 - i] % mod
+                                   for j, sign in enumerate(signs))
+                             for i, signs in enumerate(_SP4_INV_SIGN))
+                return GroupElement._from_ints(group, rows)
+            adj, det = _adjugate_det(ints, n, 0)
+            # the scalar inverse raises the same UnitError on a non-unit
+            dinv = group._wrap(det % mod).inv().co[0]
+            return GroupElement._from_ints(
+                group, tuple(tuple(a * dinv % mod for a in row) for row in adj))
+        if group.name == "sp4":
             # g^-1 = -J g^T J for the antidiagonal Gram matrix
             jmat = _SP4_GRAM
             gt = [[self.mat[j][i] for j in range(n)] for i in range(n)]
             tmp = [[None] * n for _ in range(n)]
             for i in range(n):
                 for j in range(n):
-                    acc = self.group.ring.zero(exact=True)
+                    acc = group.ring.zero(exact=True)
                     for k in range(n):
                         if jmat[i][k]:
                             acc = acc + (gt[k][j] if jmat[i][k] == 1 else -gt[k][j])
@@ -853,23 +1054,25 @@ class GroupElement:
             out = [[None] * n for _ in range(n)]
             for i in range(n):
                 for j in range(n):
-                    acc = self.group.ring.zero(exact=True)
+                    acc = group.ring.zero(exact=True)
                     for k in range(n):
                         if jmat[k][j]:
                             acc = acc + (tmp[i][k] if jmat[k][j] == 1 else -tmp[i][k])
                     out[i][j] = -acc
-            return GroupElement(self.group, tuple(tuple(r) for r in out))
-        adj, det = _adjugate_det(self.mat, n, self.group.ring)
+            return GroupElement(group, tuple(tuple(r) for r in out))
+        adj, det = _adjugate_det(self.mat, n, group.ring.zero(exact=True))
         dinv = det.inv()
-        return GroupElement(self.group, tuple(
+        return GroupElement(group, tuple(
             tuple(adj[i][j] * dinv for j in range(n)) for i in range(n)))
 
     def det(self) -> PadicScalar:
         idx = tuple(range(self.group.n))
-        return _det_recursive(self.mat, idx, idx, self.group.ring)
+        return _det_recursive(self.mat, idx, idx, self.group.ring.zero(exact=True))
 
     def satisfies_group_relation(self) -> bool:
-        if self.group.name == "sp4":
+        group = self.group
+        ints = self._int_rows()
+        if group.name == "sp4":
             # g^T J g = J for the antidiagonal Gram matrix J, whose nonzero
             # entries are J[0][3] = J[1][2] = 1 and J[2][1] = J[3][0] = -1.
             # Entry (i, j) of g^T J g is g0i g3j + g1i g2j - g2i g1j - g3i g0j;
@@ -877,16 +1080,22 @@ class GroupElement:
             # by term, as is J.  The diagonal and the lower triangle therefore
             # hold exactly when the six upper entries do, also in truncated
             # arithmetic.  Ring constants keep the comparison at most at the
-            # ring precision.
-            g0, g1, g2, g3 = self.mat
-            one, zero = self.group._one, self.group._zero
+            # ring precision; the int rows are at that precision already.
+            g0, g1, g2, g3 = self.mat if ints is None else ints
+            one, zero, mod = group._one, group._zero, group._mod
             for i in range(3):
                 for j in range(i + 1, 4):
                     entry = g0[i] * g3[j] + g1[i] * g2[j] - g2[i] * g1[j] - g3[i] * g0[j]
-                    if not entry == (one if i + j == 3 else zero):
+                    if ints is None:
+                        if not entry == (one if i + j == 3 else zero):
+                            return False
+                    elif (entry - (i + j == 3)) % mod:
                         return False
             return True
-        return self.det() == 1
+        if ints is None:
+            return self.det() == 1
+        idx = tuple(range(group.n))
+        return (_det_recursive(ints, idx, idx, 0) - 1) % group._mod == 0
 
     def sub_identity_entry(self, i: int, j: int) -> PadicScalar:
         e = self.mat[i][j]

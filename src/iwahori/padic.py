@@ -466,7 +466,9 @@ def padic_exp(x: PadicScalar) -> "PadicScalar":
     """exp(x) = sum x^n/n!, defined for val(x) > 1/(p-1).
 
     The series is evaluated with guard digits covering the worst n!
-    denominator, so the result is exact at the precision of x.
+    denominator, so the result is exact at the precision of x.  Over Z_p
+    (m = 1) the loop runs on one int modulo p^buf and gives the same
+    result and errors as the scalar loop.
     """
     ring, p, m = x.ring, x.ring.p, x.ring.m
     if x.is_exact_zero:
@@ -476,9 +478,15 @@ def padic_exp(x: PadicScalar) -> "PadicScalar":
         return ring.one(x.prec)  # x = 0 + O(pi^prec) gives exp(x) = 1 + O(pi^prec)
     if Fraction(w, m) <= Fraction(1, p - 1):
         raise DomainError(f"exp requires val > 1/(p-1), got {Fraction(w, m)}")
-    prec = x.prec
-    nmax = _series_length(w, prec, ring)
-    buf = prec + m * _vp_factorial(nmax, p)
+    nmax = _series_length(w, x.prec, ring)
+    buf = x.prec + m * _vp_factorial(nmax, p)
+    return (_exp_series_int if m == 1 else _exp_series)(x, nmax, buf)
+
+
+def _exp_series(x, nmax, buf):
+    """sum_{n <= nmax} x^n/n! on scalars at the guard precision buf,
+    truncated to the precision of x."""
+    ring, p, m = x.ring, x.ring.p, x.ring.m
     rbuf = ring.at_prec(buf)
     xb = rbuf.canonical(x.co, buf)
     acc = rbuf.one(buf)
@@ -492,11 +500,42 @@ def padic_exp(x: PadicScalar) -> "PadicScalar":
         if v:
             term = term.shift(-m * v)._lift(buf)
         acc = acc + term
-    return ring.canonical(acc.co, prec)
+    return ring.canonical(acc.co, x.prec)
+
+
+def _exp_series_int(x, nmax, buf):
+    """``_exp_series`` for m = 1 on one int modulo p^buf."""
+    ring, p = x.ring, x.ring.p
+    mod, xi = ring.ppow(buf), x.co[0]
+    acc = term = 1
+    for n in range(1, nmax + 1):
+        term = term * xi % mod
+        v = vp_int(n, p)
+        unit = n // ring.ppow(v)
+        if unit != 1:
+            term = term * pow(unit, -1, mod) % mod
+        if v:
+            term = _divide_p_power_int(term, v, buf, p)
+        acc = (acc + term) % mod
+    return PadicScalar(ring, (acc % ring.ppow(x.prec),), x.prec, False)
+
+
+def _divide_p_power_int(c, v, prec, p):
+    """c / p^v for an int known modulo p^prec, with the errors of
+    ``PadicScalar.shift(-v)``."""
+    for step in range(v):
+        if prec - step < 1:
+            raise PrecisionError("no digits left to divide by the uniformizer")
+        if c % p:
+            raise PrecisionError("not divisible by the uniformizer")
+        c //= p
+    return c
 
 
 def padic_log(u: PadicScalar) -> "PadicScalar":
-    """log(u) = sum (-1)^(n-1) (u-1)^n / n, defined for val(u-1) > 1/(p-1)."""
+    """log(u) = sum (-1)^(n-1) (u-1)^n / n, defined for val(u-1) > 1/(p-1).
+
+    Over Z_p (m = 1) the loop runs on one int, as in ``padic_exp``."""
     ring, p, m = u.ring, u.ring.p, u.ring.m
     y = u - ring.one(u.prec)
     if y.is_exact_zero:
@@ -506,13 +545,19 @@ def padic_log(u: PadicScalar) -> "PadicScalar":
         return ring.zero(u.prec, exact=False)
     if Fraction(w, m) <= Fraction(1, p - 1):
         raise DomainError(f"log requires val(u-1) > 1/(p-1), got {Fraction(w, m)}")
-    prec = u.prec
-    nmax = _series_length(w, prec, ring)
+    nmax = _series_length(w, u.prec, ring)
     vmax, q = 0, p
     while q <= nmax:
         vmax += 1
         q *= p
-    buf = prec + m * vmax
+    buf = u.prec + m * vmax
+    return (_log_series_int if m == 1 else _log_series)(y, nmax, buf)
+
+
+def _log_series(y, nmax, buf):
+    """sum_{n <= nmax} (-1)^(n-1) y^n/n on scalars at the guard precision
+    buf, truncated to the precision of y."""
+    ring, p, m = y.ring, y.ring.p, y.ring.m
     rbuf = ring.at_prec(buf)
     yb = rbuf.canonical(y.co, buf)
     acc = rbuf.zero(buf, exact=True)
@@ -529,4 +574,22 @@ def padic_log(u: PadicScalar) -> "PadicScalar":
         if n % 2 == 0:
             term = -term
         acc = acc + term
-    return ring.canonical(acc.co, prec)
+    return ring.canonical(acc.co, y.prec)
+
+
+def _log_series_int(y, nmax, buf):
+    """``_log_series`` for m = 1 on one int modulo p^buf."""
+    ring, p = y.ring, y.ring.p
+    mod, yi = ring.ppow(buf), y.co[0]
+    acc, power = 0, 1
+    for n in range(1, nmax + 1):
+        power = power * yi % mod
+        v = vp_int(n, p)
+        unit = n // ring.ppow(v)
+        term = power
+        if unit != 1:
+            term = term * pow(unit, -1, mod) % mod
+        if v:
+            term = _divide_p_power_int(term, v, buf, p)
+        acc = (acc - term if n % 2 == 0 else acc + term) % mod
+    return PadicScalar(ring, (acc % ring.ppow(y.prec),), y.prec, False)

@@ -1,4 +1,5 @@
 import json
+import time
 
 from iwahori.cli import main
 
@@ -147,3 +148,30 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("internal error: unipotent strip left a remainder")
+
+
+def test_slope_project_rejects_a_huge_exponent_quickly(tmp_path, capsys):
+    # (p-1)*12! is about 2.9e9: the projector refuses before exponentiating
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([{"index": [1], "coeff": "1"}, {"index": [3], "coeff": "2"}]))
+    t0 = time.perf_counter()
+    code = main(["slope", "project", "--group", "sl2", "--s", "0", "--iterations", "12",
+                 "--series", str(path)])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == 2 and elapsed < 1
+    assert "exceeds" in err and "--iterations" in err
+
+
+def test_slope_project_names_iterations_when_the_report_is_too_large(tmp_path, capsys):
+    # at n = 7 the exponent is under the cap, but 3^30240 has more digits
+    # than the interpreter converts to text
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([{"index": [1], "coeff": "1"}, {"index": [3], "coeff": "2"}]))
+    code = main(["slope", "project", "--group", "sl2", "--s", "0", "--iterations", "7",
+                 "--series", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "digits" in err and "--iterations" in err
+    code = main(["slope", "project", "--group", "sl2", "--s", "0", "--iterations", "3",
+                 "--series", str(path)])
+    assert code == 0 and json.loads(capsys.readouterr().out)["iterations"] == 3

@@ -3,18 +3,25 @@
 * m = 1 scalar arithmetic against the generic route through
   ``ScalarRing.canonical``, written out here as a reference;
 * the six-entry Sp4 relation check against the full product g^T J g = J;
-* the scalar torus rebuild against the product of torus elements.
+* the scalar torus rebuild against the product of torus elements;
+* the integer path of ``groups`` and the m = 1 int loops of exp/log against
+  the PadicScalar route, which ``scalar_route()`` forces, and the closure
+  of the integer path under its own operations.
 
 Hypothesis runs with fixed seeds, so every run draws the same examples.
 """
 
+from contextlib import contextmanager
 from random import Random
 
-from hypothesis import given, seed, settings, strategies as st
+import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
+from iwahori import groups, padic
 from iwahori.axioms import sample_iwahori
-from iwahori.groups import ChevalleyGroup, GroupElement
-from iwahori.padic import InternalError, PadicScalar, ScalarRing
+from iwahori.groups import ChevalleyGroup, GroupElement, MembershipError
+from iwahori.padic import (DomainError, InternalError, PadicScalar, PrecisionError, ScalarRing,
+                           padic_exp, padic_log)
 
 P, N = 7, 12
 Zp = ScalarRing(P, 1, N)
@@ -260,3 +267,380 @@ def test_torus_rebuild_matches_matmul_rebuild(name, values, precs, in_lattice):
     assert new_ok == old_ok
     if in_lattice:
         assert new_ok
+
+
+# -- the integer path --------------------------------------------------------------
+
+
+@contextmanager
+def scalar_route():
+    """Inside, every group operation and exp/log takes the PadicScalar route:
+    no element is read as int rows and exp/log run their scalar loops.
+    Elements must be built inside, so that no int rows are cached yet."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_flat_int_rows", lambda mat, ring: None)
+        mp.setattr(padic, "_exp_series_int", padic._exp_series)
+        mp.setattr(padic, "_log_series_int", padic._log_series)
+        yield
+
+
+def fresh(g):
+    return GroupElement(g.group, g.mat)
+
+
+def mat_state(g):
+    return [[state(e) for e in row] for row in g.mat]
+
+
+def fact_state(fact):
+    return ([(r, state(x)) for r, x in fact.negative],
+            [state(s) for s in fact.torus_coordinates],
+            [state(d) for d in fact.torus_diagonal],
+            [(r, state(x)) for r, x in fact.positive])
+
+
+def outcome(fn, *args):
+    """A comparable result: the value's state, or the exception type and text."""
+    try:
+        value = fn(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+    if isinstance(value, GroupElement):
+        return mat_state(value)
+    if isinstance(value, groups.Factorization):
+        return fact_state(value)
+    if isinstance(value, PadicScalar):
+        return state(value)
+    return value
+
+
+def assert_flat(g):
+    """Every entry inexact at the ring precision, and the cached int rows
+    (when present) equal to the entries."""
+    ring = g.group.ring
+    assert all(not e.exact and e.prec == ring.prec and e.ring == ring
+               for row in g.mat for e in row)
+    rows = tuple(tuple(e.co[0] for e in row) for row in g.mat)
+    assert g._ints in (groups._UNREAD, rows)
+    assert g._int_rows() == rows
+
+
+CONFIGS = [(name, p, n) for name, ps in (("sl2", (5, 7, 11)), ("sl3", (5, 7, 11)),
+                                         ("sp4", (7, 11)))
+           for p in ps for n in (4, 12)]
+INT_GROUPS = {c: ChevalleyGroup(c[0], p=c[1], prec=c[2]) for c in CONFIGS}
+configs = st.sampled_from(CONFIGS)
+
+
+def draw_twist(G, index, tie_break):
+    weyl = G.datum.weyl_group()
+    return weyl[index % len(weyl)], tie_break
+
+
+@seed(20226)
+@settings(max_examples=160, deadline=None)
+@given(configs, member_seeds, member_seeds, st.integers(min_value=0, max_value=7),
+       st.sampled_from(("lex", "revlex")))
+def test_int_path_matches_scalar_route(config, seed_g, seed_h, w_index, tie_break):
+    G = INT_GROUPS[config]
+    p = G.ring.p
+    g, h = sample_iwahori(G, Random(seed_g)), sample_iwahori(G, Random(seed_h))
+    # a coordinate drawn as 0 can leave an exact entry; such elements take
+    # the scalar route on both sides
+    assume(g._int_rows() is not None and h._int_rows() is not None)
+    w, tb = draw_twist(G, w_index, tie_break)
+    ops = {
+        "factorize": lambda a, b: a.group.iwahori_factorize(a, w, tb),
+        "mul": lambda a, b: a * b,
+        "inv": lambda a, b: a.inv(),
+        "pow_p": lambda a, b: a ** p,
+        "commutator": lambda a, b: a.inv() * b.inv() * a * b,
+        "p_valuation": lambda a, b: a.group.p_valuation(a),
+        "coordinates": lambda a, b: [state(x) for x in a.group.coordinates(a, w)],
+    }
+    fast = {name: outcome(op, fresh(g), fresh(h)) for name, op in ops.items()}
+    with scalar_route():
+        ref = {name: outcome(op, fresh(g), fresh(h)) for name, op in ops.items()}
+    assert fast == ref
+
+
+@seed(20227)
+@settings(max_examples=160, deadline=None)
+@given(configs, member_seeds, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=11),
+       st.integers(min_value=1, max_value=10), st.booleans())
+def test_int_path_verdicts_match_on_members_and_bumps(config, sample_seed, i, j, k, c, bump):
+    G = INT_GROUPS[config]
+    i, j, k, c = i % G.n, j % G.n, k % G.ring.prec, c % G.ring.p or 1
+    g = sample_iwahori(G, Random(sample_seed))
+    rows = [list(row) for row in g.mat]
+    if bump:
+        rows[i][j] = rows[i][j] + c * G.ring.p ** k
+    h = GroupElement(G, tuple(tuple(row) for row in rows))
+    assume(h._int_rows() is not None)
+
+    def verdicts(x):
+        return (x.satisfies_group_relation(), G.in_iwahori(x),
+                outcome(G.iwahori_factorize, x))
+
+    fast = verdicts(fresh(h))
+    with scalar_route():
+        ref = verdicts(fresh(h))
+    assert fast == ref
+    if not bump:
+        assert fast[0] and fast[1]
+
+
+def test_int_path_bumps_are_rejected():
+    # the agreement above is not vacuous: a diagonal bump by p^k breaks
+    # membership on every group, and both routes raise MembershipError
+    for config in CONFIGS:
+        G = INT_GROUPS[config]
+        g = sample_iwahori(G, Random(5))
+        for k in range(G.ring.prec):
+            rows = [list(row) for row in g.mat]
+            rows[0][0] = rows[0][0] + G.ring.p ** k
+            h = GroupElement(G, tuple(tuple(row) for row in rows))
+            assert h._int_rows() is not None and not G.in_iwahori(h)
+            with pytest.raises(MembershipError):
+                G.iwahori_factorize(h)
+
+
+def flatten(g):
+    """g with every entry re-read as inexact at the ring precision."""
+    G = g.group
+    return GroupElement(G, tuple(tuple(G._wrap(e.co[0]) for e in row) for row in g.mat))
+
+
+def test_int_relation_checks_every_upper_entry():
+    # as test_sp4_relation_checks_every_upper_entry, on the integer path:
+    # I + p^k E_rc breaks exactly one upper entry of g^T J g
+    G = INT_GROUPS[("sp4", 7, 12)]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            r, c = 3 - b, a
+            for k in range(G.ring.prec):
+                rows = [list(row) for row in flatten(G.identity()).mat]
+                rows[r][c] = rows[r][c] + G.ring.p ** k
+                h = GroupElement(G, tuple(tuple(row) for row in rows))
+                assert h._int_rows() is not None
+                assert not h.satisfies_group_relation()
+                with scalar_route():
+                    assert not fresh(h).satisfies_group_relation()
+
+
+def relation_keeping_non_members(G):
+    """Flat group elements outside I: a torus point with a diagonal entry
+    not congruent to 1, and a root element u_r(1) for an upper root r."""
+    a = G.ring.from_int(2)
+    chart = {"sl2": (a,), "sl3": (a, a.inv(), G.ring.one()), "sp4": (a, G.ring.one())}
+    upper = min(G.datum.negative_roots, key=G.datum.height)
+    return [("torus part is not pro-p", flatten(G.torus_from_chart(*chart[G.name]))),
+            ("upper root parameter not divisible by p", flatten(G.root_element(upper, 1)))]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_int_membership_rejects_relation_keeping_non_members(config, monkeypatch):
+    G = INT_GROUPS[config]
+    for message, g in relation_keeping_non_members(G):
+        assert g._int_rows() is not None and g.satisfies_group_relation()
+        assert not G.in_iwahori(g)
+        with scalar_route():
+            assert not G.in_iwahori(fresh(g))
+        # past a forced membership test, the factorization's own checks
+        # raise the same InternalError on both routes
+        monkeypatch.setattr(G, "in_iwahori", lambda g: True)
+        fast = outcome(G.iwahori_factorize, fresh(g))
+        with scalar_route():
+            ref = outcome(G.iwahori_factorize, fresh(g))
+        monkeypatch.undo()
+        assert fast == ref == (InternalError, message)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_int_path_raises_on_a_forced_non_unit_pivot(config, monkeypatch):
+    G = INT_GROUPS[config]
+    monkeypatch.setattr(G, "in_iwahori", lambda g: True)
+    p = G.ring.p
+    flat = G.ring.from_int(p).truncate(G.ring.prec)  # p + O(p^N), exact flag kept
+    flat = PadicScalar(G.ring, flat.co, G.ring.prec, False)
+    g = GroupElement(G, tuple(tuple(flat for _ in range(G.n)) for _ in range(G.n)))
+    assert g._int_rows() is not None
+    fast = outcome(G.iwahori_factorize, g)
+    with scalar_route():
+        ref = outcome(G.iwahori_factorize, fresh(g))
+    assert fast == ref
+    assert fast[0] is InternalError and fast[1].startswith("elimination pivot 0 is not a unit")
+
+
+@seed(20228)
+@settings(max_examples=200, deadline=None)
+@given(configs, st.integers(min_value=0, max_value=7), st.sampled_from(("lex", "revlex")),
+       st.integers(min_value=0, max_value=1), st.data())
+def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data):
+    # unitriangular matrices with arbitrary (mostly non-unipotent-group)
+    # entries: the strips return the same parameters or raise the same
+    # InternalError, paired-entry and remainder checks alike
+    G = INT_GROUPS[config]
+    w, tb = draw_twist(G, w_index, tie_break)
+    mu, _a = G.datum.adapted_cocharacter(w)
+    exps = G.exponents(mu)
+    batch = G._factor_batches(w, tb, mu, exps)[which]
+    mod = G._mod
+    ints, scalars = [], []
+    for i in range(G.n):
+        irow, srow = [], []
+        for j in range(G.n):
+            inside = (exps[i] < exps[j]) if which == 0 else (exps[i] > exps[j])
+            if inside:
+                v = data.draw(st.one_of(st.integers(0, mod - 1), st.sampled_from((0, 1, mod - 1))))
+                irow.append(v)
+                srow.append(G._wrap(v))
+            elif i == j:
+                v = data.draw(st.sampled_from((1, 1, 1, 1 + G.ring.p ** (G.ring.prec - 1))))
+                irow.append(v)
+                srow.append(G.ring.one() if v == 1 else G._wrap(v))
+            else:
+                irow.append(0)
+                srow.append(G.ring.zero())
+        ints.append(irow)
+        scalars.append(srow)
+
+    def strip_ints():
+        return [(r, state(G._wrap(x))) for r, x in G._strip_ints(ints, batch)]
+
+    def strip_scalars():
+        return [(r, state(x)) for r, x in G._strip_unipotent(scalars, batch)]
+
+    assert outcome(strip_ints) == outcome(strip_scalars)
+
+
+@seed(20229)
+@settings(max_examples=200, deadline=None)
+@given(configs, st.lists(st.integers(min_value=0), min_size=4, max_size=4), st.booleans())
+def test_int_torus_rebuild_matches_scalar_rebuild(config, values, in_lattice):
+    G = INT_GROUPS[config]
+    p, mod = G.ring.p, G._mod
+    diag = [(1 + p * v) % mod for v in values[:G.n]]
+    if in_lattice:
+        # the rebuild of the recipe coordinates of some diagonal
+        diag = [d.co[0] for d in G.torus_diagonal([G._wrap(s) for s in recipe_ints(G, diag)])]
+    fast = outcome(lambda: [state(G._wrap(s)) for s in G._torus_coords_ints(diag)])
+    ref = outcome(lambda: [state(s) for s in
+                           G._torus_coords_from_diag([G._wrap(d) for d in diag])])
+    assert fast == ref
+    if in_lattice:
+        assert isinstance(fast, list)
+
+
+def recipe_ints(G, diag):
+    mod = G._mod
+    coords = []
+    for recipe in G.torus_recipe:
+        s = 1
+        for idx, e in recipe:
+            s = s * pow(diag[idx], e, mod) % mod
+        coords.append(s)
+    return coords
+
+
+@seed(20230)
+@settings(max_examples=100, deadline=None)
+@given(configs, member_seeds, member_seeds, st.integers(min_value=0, max_value=7))
+def test_int_path_outputs_stay_flat(config, seed_g, seed_h, w_index):
+    # flat inputs give flat outputs: what lets chained products (the
+    # commutator, g**p) stay on the integer path
+    G = INT_GROUPS[config]
+    g, h = sample_iwahori(G, Random(seed_g)), sample_iwahori(G, Random(seed_h))
+    assume(g._int_rows() is not None and h._int_rows() is not None)
+    assert_flat(g)
+    assert_flat(h)
+    w = G.datum.weyl_group()[w_index % len(G.datum.weyl_group())]
+    for out in (g * h, g.inv(), h ** G.ring.p, g.inv() * h.inv() * g * h, g ** 1):
+        assert out._ints is not groups._UNREAD  # built from int rows
+        assert_flat(out)
+    assert g ** 0 == G.identity()
+    fact = G.iwahori_factorize(g, w)
+    for x in ([x for _r, x in fact.negative + fact.positive]
+              + fact.torus_coordinates + fact.torus_diagonal):
+        assert not x.exact and x.prec == G.ring.prec and x.ring == G.ring
+    assert G.from_parameters(fact.negative, fact.torus_coordinates, fact.positive) == g
+
+
+def test_int_path_skips_non_flat_elements():
+    # exact entries, mixed precisions and ramified rings stay on the
+    # scalar route
+    G = INT_GROUPS[("sp4", 7, 12)]
+    g = sample_iwahori(G, Random(1))
+    assert G.identity()._int_rows() is None
+    assert G.root_element((1, -1), 7)._int_rows() is None
+    assert reprecise(g, [[12] * 4] * 3 + [[12, 12, 12, 11]])._int_rows() is None
+    ring_e = ScalarRing(7, 2, 24)
+    E = ChevalleyGroup("sl2", ring=ring_e)
+    u = PadicScalar(ring_e, (1, 0), 24, False)
+    z = PadicScalar(ring_e, (0, 0), 24, False)
+    assert GroupElement(E, ((u, z), (z, u)))._int_rows() is None
+
+
+# -- exp and log on one int -------------------------------------------------------
+
+
+@st.composite
+def exp_log_inputs(draw):
+    p = draw(st.sampled_from((5, 7, 11)))
+    prec = draw(st.sampled_from((1, 4, 12, 20)))
+    ring = ScalarRing(p, 1, prec)
+    kind = draw(st.sampled_from(("exact_zero", "cap_zero", "p_power", "unit", "exact", "any")))
+    mod = p ** prec
+    if kind == "exact_zero":
+        return PadicScalar(ring, (0,), prec, True)
+    if kind == "cap_zero":
+        return PadicScalar(ring, (0,), prec, False)
+    if kind == "p_power":
+        k = draw(st.integers(min_value=1, max_value=prec + 1))
+        return PadicScalar(ring, (p ** k * draw(st.integers(1, p - 1)) % mod,), prec, False)
+    if kind == "unit":
+        return PadicScalar(ring, (draw(st.integers(1, p - 1)),), prec, False)
+    co = draw(st.integers(min_value=0, max_value=mod - 1))
+    return PadicScalar(ring, (co,), prec, kind == "exact")
+
+
+@seed(20231)
+@settings(max_examples=400, deadline=None)
+@given(exp_log_inputs())
+def test_exp_log_int_loops_match_scalar_loops(x):
+    one = x.ring.one(x.prec)
+    fast = (outcome(padic_exp, x), outcome(padic_log, x), outcome(padic_log, one + x))
+    with scalar_route():
+        ref = (outcome(padic_exp, x), outcome(padic_log, x), outcome(padic_log, one + x))
+    assert fast == ref
+
+
+def test_exp_log_edge_cases_agree():
+    # exact zero, zero at the cap and the domain errors, on both loops
+    for prec in (1, 4, 12, 20):
+        ring = ScalarRing(7, 1, prec)
+        cases = [ring.zero(prec, exact=True), ring.zero(prec, exact=False),
+                 ring.from_int(3, prec), ring.one(prec), ring.from_int(7, prec)]
+        fast = [(outcome(padic_exp, x), outcome(padic_log, x)) for x in cases]
+        with scalar_route():
+            ref = [(outcome(padic_exp, x), outcome(padic_log, x)) for x in cases]
+        assert fast == ref
+        assert fast[2][0][0] is DomainError and fast[0][1][0] is DomainError
+
+
+@pytest.mark.parametrize("p,prec", [(5, 1), (5, 4), (7, 4), (7, 12), (11, 20)])
+def test_exp_log_loops_raise_the_same_precision_error(p, prec):
+    # with too few guard digits the division by p^v runs out of digits or
+    # meets a non-multiple of p: both loops raise the same PrecisionError
+    ring = ScalarRing(p, 1, prec)
+    x = ring.from_int(p * (p - 1), prec)
+    seen = set()
+    for nmax in (p, p * p, p * p * p):
+        for buf in (1, 2, prec):
+            for series in ((padic._exp_series_int, padic._exp_series),
+                           (padic._log_series_int, padic._log_series)):
+                fast = outcome(series[0], x, nmax, buf)
+                assert fast == outcome(series[1], x, nmax, buf)
+                seen.add(fast[0] if isinstance(fast[0], type) else "value")
+    assert PrecisionError in seen

@@ -301,3 +301,15 @@ def test_coordinate_change_is_exact_inverse():
         polys = coordinate_change_polys(ctx, b)
         vals = [poly.evaluate([Fraction(x) for x in a]) for poly in polys]
         assert vals == [Fraction(x) for x in ab]
+
+
+def test_hida_projector_exponent_cap():
+    ctx = ctx_for("sl2")
+    f = TruncatedSeries.monomial(ctx, (7,), 1)
+    # demo 03 runs n = 8 at p = 7: (p-1)*8! = 241920 is under the cap
+    assert hida_projector(f, 1, 8).coeffs[(7,)] == Fraction(2) ** 241920
+    for n in (9, 12, 10 ** 6):
+        with pytest.raises(SeriesError, match="exceeds"):
+            hida_projector(f, 1, n)
+    with pytest.raises(SeriesError):
+        hida_projector(f, 1, -1)
