@@ -364,6 +364,19 @@ def test_int_path_matches_scalar_route(config, seed_g, seed_h, w_index, tie_brea
     assert fast == ref
 
 
+@pytest.mark.parametrize("config", CONFIGS)
+def test_int_path_factorizations_match_for_every_twist(config):
+    G = INT_GROUPS[config]
+    g = sample_iwahori(G, Random(sum(config[1:])))
+    assert g._int_rows() is not None
+    for w in G.datum.weyl_group():
+        for tie_break in ("lex", "revlex"):
+            fast = outcome(G.iwahori_factorize, fresh(g), w, tie_break)
+            with scalar_route():
+                ref = outcome(G.iwahori_factorize, fresh(g), w, tie_break)
+            assert fast == ref and isinstance(fast, tuple) and len(fast) == 4
+
+
 @seed(20227)
 @settings(max_examples=160, deadline=None)
 @given(configs, member_seeds, st.integers(min_value=0, max_value=3),
