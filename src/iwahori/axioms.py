@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .groups import ChevalleyGroup, PValue, pv_combine_min
+from .groups import ChevalleyGroup, PValue
 
 
 @dataclass
@@ -83,6 +83,19 @@ class AxiomReport:
             }
         self.failures.append(entry)
 
+    def judge(self, axiom: str, sample_index: int, decision, detail: str,
+              elements=None):
+        """Count one sample's (verdict, margin); a None verdict (undecided at
+        the precision cap) is skipped, a False one also recorded as a failure."""
+        ok, margin = decision
+        c = self.counts(axiom)
+        if ok is None:
+            c.skip()
+            return
+        c.record(ok, margin)
+        if not ok:
+            self.record_failure(axiom, sample_index, detail, elements)
+
     def as_json(self):
         return {
             "schema": "iwahori.axiom-report/1",
@@ -109,40 +122,6 @@ def sample_iwahori(group: ChevalleyGroup, rng: Random, w=None):
     return group.from_coordinates(coords, w)
 
 
-def _pv_sum(a: PValue, b: PValue) -> PValue:
-    if a.kind == "infinite" or b.kind == "infinite":
-        return PValue.infinite()
-    kind = "finite" if a.kind == b.kind == "finite" else "at_least"
-    return PValue(kind, a.value + b.value)
-
-
-def _pv_min(a: PValue, b: PValue) -> PValue:
-    vals = [x.value for x in (a, b) if x.kind == "finite"]
-    caps = [x.value for x in (a, b) if x.kind == "at_least"]
-    return pv_combine_min(vals, caps)
-
-
-def _ge(lhs: PValue, rhs: PValue):
-    """Decide lhs >= rhs when the data allows; None means skip (cap-bound)."""
-    if rhs.kind == "infinite":
-        return (True, None) if lhs.kind == "infinite" else (None, None)
-    if lhs.kind == "infinite":
-        return True, None
-    if lhs.kind == "finite" and rhs.kind == "finite":
-        return lhs.value >= rhs.value, lhs.value - rhs.value
-    if lhs.kind == "at_least" and rhs.kind == "finite" and lhs.value >= rhs.value:
-        return True, lhs.value - rhs.value
-    return None, None
-
-
-def _eq(lhs: PValue, rhs: PValue):
-    if lhs.kind == "finite" and rhs.kind == "finite":
-        return lhs.value == rhs.value, min(lhs.value - rhs.value, rhs.value - lhs.value)
-    if lhs.kind == "infinite" and rhs.kind == "infinite":
-        return True, None
-    return None, None
-
-
 def check_pvaluation_axioms(group_name: str, p: int, precision: int,
                             n_samples: int, seed: int = 1) -> AxiomReport:
     """The four p-valuation axioms on sampled pairs, exact comparisons."""
@@ -157,52 +136,19 @@ def check_pvaluation_axioms(group_name: str, p: int, precision: int,
         wg = group.p_valuation(g)
         wh = group.p_valuation(h)
 
-        c = report.counts("lower_bound")
         if wg.kind == "finite":
-            ok = wg.value > lower_gate
-            c.record(ok, wg.value - lower_gate)
-            if not ok:
-                report.record_failure("lower_bound", k, f"omega={wg.as_json()}",
-                                      {"g": g})
-        elif wg.kind == "infinite":
-            c.record(True)
-        else:
-            c.skip()
-
-        c = report.counts("subadditive")
-        ok, margin = _ge(group.p_valuation(g * h), _pv_min(wg, wh))
-        if ok is None:
-            c.skip()
-        else:
-            c.record(ok, margin)
-            if not ok:
-                report.record_failure("subadditive", k, "omega(gh) < min",
-                                      {"g": g, "h": h})
-
-        c = report.counts("commutator")
+            lower = wg.value > lower_gate, wg.value - lower_gate
+        else:  # infinity passes; a cap marker is skipped, whatever its bound
+            lower = (True, None) if wg.kind == "infinite" else (None, None)
+        report.judge("lower_bound", k, lower, f"omega={wg.as_json()}", {"g": g})
+        report.judge("subadditive", k, group.p_valuation(g * h).ge(PValue.min((wg, wh))),
+                     "omega(gh) < min", {"g": g, "h": h})
         comm = g.inv() * h.inv() * g * h
-        ok, margin = _ge(group.p_valuation(comm), _pv_sum(wg, wh))
-        if ok is None:
-            c.skip()
-        else:
-            c.record(ok, margin)
-            if not ok:
-                report.record_failure("commutator", k,
-                                      "omega([g,h]) < omega(g)+omega(h)",
-                                      {"g": g, "h": h})
-
-        c = report.counts("p_power")
+        report.judge("commutator", k, group.p_valuation(comm).ge(wg + wh),
+                     "omega([g,h]) < omega(g)+omega(h)", {"g": g, "h": h})
         wp = group.p_valuation(g ** p)
-        ok, margin = _eq(wp, _pv_sum(wg, PValue.finite(1)))
-        if ok is None:
-            c.skip()
-        else:
-            c.record(ok, margin)
-            if not ok:
-                report.record_failure(
-                    "p_power", k,
-                    f"omega(g^p)={wp.as_json()} omega(g)={wg.as_json()}",
-                    {"g": g})
+        report.judge("p_power", k, wp.eq(wg + PValue.finite(1)),
+                     f"omega(g^p)={wp.as_json()} omega(g)={wg.as_json()}", {"g": g})
     return report
 
 
@@ -219,22 +165,10 @@ def check_compatibility_all_w(group_name: str, p: int, precision: int,
         g = sample_iwahori(group, rng)
         wg = group.p_valuation(g)
         for w in weyl:
-            c = report.counts(f"compatible[{w.name}]")
             fact = group.iwahori_factorize(g, w)
-            factor_vals = group.omega_of_factor_list(fact)
-            mins = pv_combine_min(
-                [v.value for v in factor_vals if v.kind == "finite"],
-                [v.value for v in factor_vals if v.kind == "at_least"])
-            ok, margin = _eq(wg, mins)
-            if ok is None:
-                c.skip()
-            else:
-                c.record(ok, margin)
-                if not ok:
-                    report.record_failure(
-                        f"compatible[{w.name}]", k,
-                        f"omega={wg.as_json()} factor-min={mins.as_json()}",
-                        {"g": g})
+            mins = PValue.min(group.omega_of_factor_list(fact))
+            report.judge(f"compatible[{w.name}]", k, wg.eq(mins),
+                         f"omega={wg.as_json()} factor-min={mins.as_json()}", {"g": g})
     return report
 
 
@@ -247,15 +181,9 @@ def check_oracle_agreement(group_name: str, p: int, precision: int,
     for k in range(n_samples):
         rng = Random(_sample_seed(seed, k))
         g = sample_iwahori(group, rng)
-        c = report.counts("oracle_agreement")
-        ok, margin = _eq(group.p_valuation(g), group.p_valuation_by_conjugation(g))
-        if ok is None:
-            c.skip()
-        else:
-            c.record(ok, margin)
-            if not ok:
-                report.record_failure("oracle_agreement", k, "formula != oracle",
-                                      {"g": g})
+        report.judge("oracle_agreement", k,
+                     group.p_valuation(g).eq(group.p_valuation_by_conjugation(g)),
+                     "formula != oracle", {"g": g})
     return report
 
 

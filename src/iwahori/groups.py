@@ -36,18 +36,20 @@ strictly larger weight than a single one.
 
 Self-checks
 -----------
-Every call of ``iwahori_factorize`` runs these checks; a failed input
-check raises ``GateError`` or ``MembershipError``, a failed invariant
-raises ``InternalError``:
+``iwahori_factorize`` runs these checks; a failed input check raises
+``GateError`` or ``MembershipError``, a failed invariant raises
+``InternalError``.  The checks on the twist alone run once per
+(w, tie_break), when its plan is built and cached, since w fixes them;
+the others run on every call:
 
     the parameter gate p - 1 > h;
     membership in I: the group relation (g^T J g = J on Sp4, det g = 1
       on SL_n, see ``satisfies_group_relation``), unit diagonal congruent
       to 1 and upper entries divisible by p;
-    distinct adapted-cocharacter weights and unit LDU pivots;
+    distinct adapted-cocharacter weights (once per twist) and unit LDU
+      pivots;
     weight-monotone batch orders, with every batch root inside its strict
-      LDU triangle (checked once per (w, tie_break) and cached, since w
-      fixes them);
+      LDU triangle (once per twist);
     in each unipotent strip, agreement of the paired entries of a root
       and an identity remainder;
     a torus diagonal rebuilt exactly from its cocharacter coordinates,
@@ -90,7 +92,9 @@ class MembershipError(ValueError):
 
 @dataclass(frozen=True)
 class PValue:
-    """An exact p-valuation value: a rational, a cap marker, or infinity."""
+    """An exact p-valuation value: a rational, a cap marker '>= value', or
+    infinity.  Comparisons (``ge``, ``eq``) return ``(verdict, margin)``,
+    or ``(None, None)`` when a cap marker leaves the answer open."""
 
     kind: str  # "finite" | "at_least" | "infinite"
     value: Fraction | None = None
@@ -105,11 +109,60 @@ class PValue:
 
     @classmethod
     def infinite(cls) -> "PValue":
-        return cls("infinite")
+        return _INFINITE
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
+    @classmethod
+    def of(cls, x: PadicScalar, offset=0) -> "PValue":
+        """val(x) + offset (an int or Fraction): infinity for an exact zero,
+        '>= prec/m + offset' when every tracked digit is zero."""
+        w = x.pival()
+        if w is INF:
+            return _INFINITE
+        kind = "finite"
+        if w is None:
+            kind, w = "at_least", x.prec
+        # one Fraction from ints: adding Fractions costs several times more
+        m, num, den = x.ring.m, offset.numerator, offset.denominator
+        return cls(kind, Fraction(w * den + num * m, m * den))
+
+    @staticmethod
+    def min(values) -> "PValue":
+        """The least value; a finite value wins a tie with a cap marker, and
+        no values give infinity."""
+        best = _INFINITE
+        for v in values:
+            if v.kind == "infinite":
+                continue
+            if best.kind == "infinite" or v.value < best.value or (
+                    v.kind == "finite" and best.kind == "at_least" and v.value == best.value):
+                best = v
+        return best
+
+    def __add__(self, other: "PValue") -> "PValue":
+        if self.kind == "infinite" or other.kind == "infinite":
+            return _INFINITE
+        kind = "finite" if self.kind == other.kind == "finite" else "at_least"
+        return PValue(kind, self.value + other.value)
+
+    def ge(self, other: "PValue"):
+        """Decide self >= other; the margin is self - other when both are known."""
+        if other.kind == "infinite":
+            return (True, None) if self.kind == "infinite" else (None, None)
+        if self.kind == "infinite":
+            return True, None
+        if self.kind == "finite" and other.kind == "finite":
+            return self.value >= other.value, self.value - other.value
+        if self.kind == "at_least" and other.kind == "finite" and self.value >= other.value:
+            return True, self.value - other.value
+        return None, None
+
+    def eq(self, other: "PValue"):
+        """Decide self == other; the margin is -|self - other|."""
+        if self.kind == "finite" and other.kind == "finite":
+            return self.value == other.value, -abs(self.value - other.value)
+        if self.kind == "infinite" and other.kind == "infinite":
+            return True, None
+        return None, None
 
     def __repr__(self):
         if self.kind == "finite":
@@ -126,16 +179,7 @@ class PValue:
         return "inf"
 
 
-def pv_combine_min(finite_vals, cap_bounds):
-    """Minimum over exact values and '>= bound' markers; None entries in
-    finite_vals are not allowed, INF values should be dropped by callers."""
-    if finite_vals:
-        lo = min(finite_vals)
-        if not cap_bounds or lo <= min(cap_bounds):
-            return PValue.finite(lo)
-    if cap_bounds:
-        return PValue.at_least(min(cap_bounds))
-    return PValue.infinite()
+_INFINITE = PValue("infinite")
 
 
 # -- realization tables -------------------------------------------------
@@ -200,8 +244,10 @@ class ChevalleyGroup:
         # ring constants for the relation check, built once
         self._one, self._zero = ring.one(), ring.zero()
         self._mod = ring.ppow(ring.prec)  # the int path works modulo p^N
+        h = self.datum.coxeter_number()  # omega offsets ht(root)/h of root factors
+        self._omega_offset = {r: Fraction(self.datum.height(r), h) for r in self.dirs}
         self._basis_cache = {}
-        self._factor_batch_cache = {}
+        self._factor_plan_cache = {}
 
     # -- gates ---------------------------------------------------------
 
@@ -291,9 +337,6 @@ class ChevalleyGroup:
                     for i in range(self.n))
         return GroupElement(self, mat)
 
-    def extension_group(self, ring: ScalarRing) -> "ChevalleyGroup":
-        return ChevalleyGroup(self.name, ring=ring)
-
     # sparse one-parameter multiplications: a root element touches at most
     # two entries, so row and column updates beat full matrix products
     def _lmul_root_inplace(self, rows, root, x):
@@ -361,10 +404,6 @@ class ChevalleyGroup:
         1 for positive (lower) roots, p for negative (upper) ones."""
         return self.ring.p if self.datum.height(root) < 0 else 1
 
-    def root_omega(self, root, x_val) -> Fraction:
-        """omega(u_root(x)) = val(x) + ht(root)/(e*h)."""
-        return x_val + Fraction(self.datum.height(root), self.coxeter_number)
-
     # -- memberships -------------------------------------------------------
 
     def in_iwahori(self, g: "GroupElement") -> bool:
@@ -378,51 +417,25 @@ class ChevalleyGroup:
             p = self.ring.p
             return all((row[j] - (i == j)) % p == 0
                        for i, row in enumerate(ints) for j in range(i, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                e = g.mat[i][j]
-                if i == j:
-                    d = e - 1
-                    if not (d.is_exact_zero or d.pival() is None or d.pival() >= 1):
-                        return False
-                elif i < j:
-                    w = e.pival()
-                    if not (w is INF or w is None or w >= 1):
-                        return False
-        return True
+        return all(g.sub_identity_entry(i, j).zero_mod(1)
+                   for i in range(self.n) for j in range(i, self.n))
 
     def in_full_iwahori(self, g: "GroupElement") -> bool:
         """The full Iwahori: integral, upper entries divisible by p, unit
         diagonal (not necessarily pro-p)."""
         if not g.satisfies_group_relation():
             return False
-        for i in range(self.n):
-            for j in range(self.n):
-                e = g.mat[i][j]
-                if i == j:
-                    if not e.is_unit():
-                        return False
-                elif i < j:
-                    w = e.pival()
-                    if not (w is INF or w is None or w >= 1):
-                        return False
-        return True
+        return all(g.mat[i][i].is_unit() for i in range(self.n)) and all(
+            g.mat[i][j].zero_mod(1) for i in range(self.n) for j in range(i + 1, self.n))
 
     # -- factorization ------------------------------------------------------
 
     def iwahori_factorize(self, g: "GroupElement", w: WeylElement | None = None,
                           tie_break: str = "lex") -> "Factorization":
         self.check_gate()
-        if w is None:
-            w = self.datum.identity_weyl()
         if not self.in_iwahori(g):
             raise MembershipError("factorization needs an element of the pro-p Iwahori")
-        mu, _a = self.datum.adapted_cocharacter(w)
-        exps = self.exponents(mu)
-        if len(set(exps)) != self.n:
-            raise InternalError("adapted cocharacter weights are not distinct")
-        order = sorted(range(self.n), key=lambda i: -exps[i])
-        neg_batch, pos_batch = self._factor_batches(w, tie_break, mu, exps)
+        w, order, neg_batch, pos_batch = self._factor_plan(w, tie_break)
         ints = g._int_rows()
         if ints is not None:
             parts = self._factor_ints(ints, order, neg_batch, pos_batch)
@@ -440,22 +453,18 @@ class ChevalleyGroup:
         neg = self._strip_unipotent(n1, neg_batch)
         pos = self._strip_unipotent(n2, pos_batch)
         torus_coords = self._torus_coords_from_diag(diag)
-        for i in range(self.n):
-            d = diag[i] - 1
-            if not (d.is_exact_zero or d.pival() is None or d.pival() >= 1):
-                raise InternalError("torus part is not pro-p")
+        if not all((d - 1).zero_mod(1) for d in diag):
+            raise InternalError("torus part is not pro-p")
         for root, x in neg + pos:
-            if self.datum.height(root) < 0:
-                wv = x.pival()
-                if not (wv is INF or wv is None or wv >= 1):
-                    raise InternalError("upper root parameter not divisible by p")
+            if self.datum.height(root) < 0 and not x.zero_mod(1):
+                raise InternalError("upper root parameter not divisible by p")
         return neg, torus_coords, diag, pos
 
     def _factor_ints(self, ints, order, neg_batch, pos_batch):
         """``_factor_scalars`` on the int rows of a flat element: the same
         steps and checks modulo p^N, each output wrapped once.  The LDU
         factors carry exact 0 and 1 outside their strict triangles, where
-        the batch roots never lie (``_factor_batches``), so every output
+        the batch roots never lie (``_factor_plan``), so every output
         is inexact at N, as on the scalar route."""
         p, mod = self.ring.p, self._mod
         lmat, diag_sorted, umat = _ldu_ints(_permuted(ints, order), self.n, self.ring)
@@ -476,15 +485,24 @@ class ChevalleyGroup:
     def _wrap(self, v: int) -> PadicScalar:
         return PadicScalar(self.ring, (v,), self.ring.prec, False)
 
-    def _factor_batches(self, w, tie_break, mu, exps):
-        """The batches for w, checked once per (w, tie_break): weight-monotone
-        under the adapted cocharacter mu, which w fixes, and with every root
-        inside the strict lower (negative batch) or upper (positive batch)
-        triangle of the basis sorted by the weights exps."""
-        key = (w.matrix, tie_break)
-        cached = self._factor_batch_cache.get(key)
+    def _factor_plan(self, w, tie_break):
+        """(w, basis order, negative batch, positive batch) for the twist w
+        (None for the identity), built and checked once per (w, tie_break):
+        distinct weights exps of the adapted cocharacter mu, which w fixes,
+        batches weight-monotone under mu, and every batch root inside the
+        strict lower (negative batch) or upper (positive batch) triangle of
+        the basis sorted by descending weight."""
+        key = (None if w is None else w.matrix, tie_break)
+        cached = self._factor_plan_cache.get(key)
         if cached is not None:
             return cached
+        if w is None:
+            w = self.datum.identity_weyl()
+        mu, _a = self.datum.adapted_cocharacter(w)
+        exps = self.exponents(mu)
+        if len(set(exps)) != self.n:
+            raise InternalError("adapted cocharacter weights are not distinct")
+        order = sorted(range(self.n), key=lambda i: -exps[i])
         batches = self.batches(w, tie_break)
         for sign, batch_roots in zip((1, -1), batches):
             last = None
@@ -495,8 +513,8 @@ class ChevalleyGroup:
                 last = wgt
                 if any(sign * (exps[j] - exps[i]) <= 0 for i, j, _s in self.dirs[r]):
                     raise InternalError(f"batch root {r} lies outside its LDU triangle")
-        self._factor_batch_cache[key] = batches
-        return batches
+        plan = self._factor_plan_cache[key] = (w, order, *batches)
+        return plan
 
     def _strip_unipotent(self, mat, batch_roots):
         params = []
@@ -670,46 +688,14 @@ class ChevalleyGroup:
         """omega via the Iwahori factorization at w = 1: the minimum of
         val(x) + ht(root)/h over root factors and of val(d_i - 1) over the
         torus diagonal."""
-        fact = self.iwahori_factorize(g)
-        h = self.coxeter_number
-        finite, caps = [], []
-        for root, x in fact.negative + fact.positive:
-            off = Fraction(self.datum.height(root), h)
-            v = x.val()
-            if v is INF:
-                continue
-            if v is None:
-                caps.append(x.val_cap() + off)
-            else:
-                finite.append(v + off)
-        for d in fact.torus_diagonal:
-            e = d - 1
-            v = e.val()
-            if v is INF:
-                continue
-            if v is None:
-                caps.append(e.val_cap())
-            else:
-                finite.append(v)
-        return pv_combine_min(finite, caps)
+        return PValue.min(self.omega_of_factor_list(self.iwahori_factorize(g)))
 
     def omega_of_factor_list(self, fact: "Factorization") -> list:
         """Per-factor omega values (PValue) in product order, torus as one factor."""
-        h = self.coxeter_number
-        out = []
-        for root, x in fact.negative:
-            out.append(_pv_of_scalar(x, Fraction(self.datum.height(root), h)))
-        finite, caps = [], []
-        for d in fact.torus_diagonal:
-            e = d - 1
-            v = e.val()
-            if v is INF:
-                continue
-            (caps if v is None else finite).append(e.val_cap() if v is None else v)
-        out.append(pv_combine_min(finite, caps))
-        for root, x in fact.positive:
-            out.append(_pv_of_scalar(x, Fraction(self.datum.height(root), h)))
-        return out
+        off = self._omega_offset
+        torus = PValue.min(PValue.of(d - 1) for d in fact.torus_diagonal)
+        return ([PValue.of(x, off[root]) for root, x in fact.negative] + [torus]
+                + [PValue.of(x, off[root]) for root, x in fact.positive])
 
     # -- the conjugation oracle ------------------------------------------------
 
@@ -727,30 +713,9 @@ class ChevalleyGroup:
     def p_valuation_by_conjugation(self, g: "GroupElement") -> PValue:
         """omega via conjugation into the principal congruence filtration of
         the ramified extension; the stated independent oracle."""
-        et = self.et_data()
-        conj = et.conjugate(g)
-        m = et.ring_e.m
-        finite, caps = [], []
-        for i in range(self.n):
-            for j in range(self.n):
-                e = conj[i][j] - 1 if i == j else conj[i][j]
-                wv = e.pival()
-                if wv is INF:
-                    continue
-                if wv is None:
-                    caps.append(Fraction(e.prec, m))
-                else:
-                    finite.append(Fraction(wv, m))
-        return pv_combine_min(finite, caps)
-
-
-def _pv_of_scalar(x, offset: Fraction) -> PValue:
-    v = x.val()
-    if v is INF:
-        return PValue.infinite()
-    if v is None:
-        return PValue.at_least(x.val_cap() + offset)
-    return PValue.finite(v + offset)
+        conj = self.et_data().conjugate(g)
+        return PValue.min(PValue.of(conj[i][j] - 1 if i == j else conj[i][j])
+                          for i in range(self.n) for j in range(self.n))
 
 
 @dataclass
@@ -787,8 +752,7 @@ class EtData:
                 e = conj[i][j] - 1 if i == j else conj[i][j]
                 if e.prec < r:
                     raise PrecisionError("not enough digits to test the congruence level")
-                wv = e.pival()
-                if not (wv is INF or wv is None or wv >= r):
+                if not e.zero_mod(r):
                     return False
         return True
 
@@ -1108,13 +1072,9 @@ class GroupElement:
         """Entrywise congruence to the identity modulo pi^r."""
         if r > self.min_entry_prec():
             raise PrecisionError(f"congruence level {r} exceeds the tracked precision")
-        for i in range(self.group.n):
-            for j in range(self.group.n):
-                e = self.sub_identity_entry(i, j)
-                wv = e.pival()
-                if not (wv is INF or wv is None or wv >= r):
-                    return False
-        return True
+        n = self.group.n
+        return all(self.sub_identity_entry(i, j).zero_mod(r)
+                   for i in range(n) for j in range(n))
 
     def is_exact_identity(self) -> bool:
         for i in range(self.group.n):

@@ -390,8 +390,10 @@ class PadicScalar:
     def is_unit(self) -> bool:
         return self.co[0] % self.ring.p != 0
 
-    def is_zero_at_prec(self) -> bool:
-        return not any(self.co)
+    def zero_mod(self, k: int) -> bool:
+        """x = 0 mod pi**k, or not ruled out: every tracked digit is zero."""
+        w = self.pival()
+        return w is None or w >= k
 
     def digits(self):
         """pi-adic digit list d_0..d_{prec-1}, each in 0..p-1."""

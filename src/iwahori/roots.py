@@ -53,10 +53,6 @@ class WeylElement:
     def name(self) -> str:
         return "e" if not self.word else "*".join(f"s{i + 1}" for i in self.word)
 
-    def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return self.matrix == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.matrix == other.matrix
 
@@ -101,9 +97,6 @@ class RootDatum:
 
     def roots(self):
         return self.positive_roots + self.negative_roots
-
-    def is_root(self, vec):
-        return tuple(vec) in self._height
 
     def height(self, root) -> int:
         return self._height[tuple(root)]

@@ -22,20 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import ChevalleyGroup, PValue, pv_combine_min
+from .groups import ChevalleyGroup, PValue
 from .padic import INF, InternalError, PadicScalar, padic_exp, padic_log, vp_fraction, vp_int
 from .roots import WeylElement
 
 
 class SeriesError(ValueError):
     pass
-
-
-def coeff_val(c, p: int):
-    """Valuation of a coefficient: Fraction/int exactly, scalar with cap."""
-    if isinstance(c, PadicScalar):
-        return c.val()
-    return vp_fraction(c, p)
 
 
 def coeff_is_zero(c) -> bool:
@@ -48,15 +41,12 @@ class SeriesContext:
     """Chart bookkeeping: group, Weyl twist, adapted cocharacter, weights."""
 
     def __init__(self, group: str | ChevalleyGroup, w: WeylElement | None = None,
-                 p: int = 7, prec: int = 12, block_dim: int = 1):
+                 p: int = 7, prec: int = 12):
         self.group = group if isinstance(group, ChevalleyGroup) else \
             ChevalleyGroup(group, p=p, prec=prec)
         self.datum = self.group.datum
         self.ring = self.group.ring
         self.w = w if w is not None else self.datum.identity_weyl()
-        if block_dim != 1:
-            raise SeriesError("only base-field block dimension 1 is implemented")
-        self.block_dim = block_dim
         self.mu, self.scale = self.datum.adapted_cocharacter(self.w)
         self.batch = [self.datum.act_root(self.w, r) for r in self.datum.positive_roots]
         self.weights = [self.datum.pairing(g, self.mu) for g in self.batch]
@@ -199,18 +189,11 @@ class TruncatedSeries:
         return max((sum(i) for i in self.coeffs), default=0)
 
     def gauss_valuation(self) -> PValue:
-        """Valuation form of the Gauss norm: min over coefficient valuations."""
-        finite, caps = [], []
+        """Valuation form of the Gauss norm: min over coefficient valuations,
+        exact for rational coefficients (never zero here), capped for scalars."""
         p = self.ctx.ring.p
-        for c in self.coeffs.values():
-            v = coeff_val(c, p)
-            if v is INF:
-                continue
-            if v is None:
-                caps.append(c.val_cap())
-            else:
-                finite.append(v)
-        return pv_combine_min(finite, caps)
+        return PValue.min(PValue.of(c) if isinstance(c, PadicScalar)
+                          else PValue.finite(vp_fraction(c, p)) for c in self.coeffs.values())
 
     # -- ring operations ------------------------------------------------------
 
@@ -296,10 +279,8 @@ def torus_action(f: TruncatedSeries, point, chi: Character | None = None) -> Tru
     """(t f)(z) = (w chi)(t) * f(alpha_1(t^-1) z_1, ..., alpha_N(t^-1) z_N)
     for the batch roots alpha_r; diagonal on monomials, degree preserved."""
     ctx = f.ctx
-    for a in point:
-        d = a - 1
-        if not (d.is_exact_zero or d.pival() is None or d.pival() >= 1):
-            raise SeriesError("torus point is not pro-p in the chart")
+    if not all((a - 1).zero_mod(1) for a in point):
+        raise SeriesError("torus point is not pro-p in the chart")
     if chi is not None:
         chi_w = chi.twisted(ctx.w)
         if not chi_w.is_rigid(ctx.ring.p):
@@ -529,9 +510,8 @@ def constants_limit_check(f: TruncatedSeries, s_max: int | None = None):
         _, tail = slope_split(f, s)
         diff_val = (tail - const).gauss_valuation()
         rows.append({"s": s, "distance_valuation": diff_val.as_json()})
-        if prev is not None and prev.kind == "finite" and diff_val.kind == "finite":
-            if diff_val.value < prev.value:
-                monotone = False
+        if prev is not None and diff_val.ge(prev)[0] is False:
+            monotone = False
         prev = diff_val
         if tail == const and exact_from is None:
             exact_from = s

@@ -175,3 +175,14 @@ def test_slope_project_names_iterations_when_the_report_is_too_large(tmp_path, c
     code = main(["slope", "project", "--group", "sl2", "--s", "0", "--iterations", "3",
                  "--series", str(path)])
     assert code == 0 and json.loads(capsys.readouterr().out)["iterations"] == 3
+
+
+def test_verify_all_at_two_digits(tmp_path, capsys):
+    # p^2 + p^3 reads as the cap marker >= 2 with two digits, which the
+    # p-adic self-test expects there
+    code = main(["verify-all", "--group", "sl2", "--p", "5", "--precision", "2",
+                 "--n-samples", "5", "--json", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    data = json.loads((tmp_path / "verify-all-sl2.json").read_text())
+    assert all(s["ok"] for s in data["suites"])

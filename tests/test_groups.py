@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from iwahori.groups import ChevalleyGroup, GateError, MembershipError, PValue
-from iwahori.padic import INF, padic_exp
+from iwahori.padic import INF, ScalarRing, padic_exp
 
 P, N = 7, 12
 
@@ -295,3 +295,112 @@ def test_group_inverse_and_power():
         assert (g * g.inv()).in_congruence(N)
         assert g ** 3 == g * g * g
         assert (g ** 0).is_exact_identity()
+
+
+# -- the PValue algebra, over every pair of kinds ------------------------------
+
+F, C, INFTY = PValue.finite, PValue.at_least, PValue.infinite()
+Q = Fraction
+
+
+@pytest.mark.parametrize("values, expected", [
+    ((F(1), F(2)), F(1)),
+    ((F(2), C(1)), C(1)),
+    ((F(1), C(2)), F(1)),
+    ((F(1), C(1)), F(1)),  # a finite value wins a tie with a cap marker
+    ((C(1), F(1)), F(1)),
+    ((C(1), C(2)), C(1)),
+    ((C(1), C(1)), C(1)),
+    ((F(1), INFTY), F(1)),
+    ((INFTY, C(1)), C(1)),
+    ((INFTY, INFTY), INFTY),
+    ((C(3), F(Q(5, 2)), C(Q(5, 2)), F(4)), F(Q(5, 2))),
+    ((), INFTY),
+])
+def test_pvalue_min(values, expected):
+    assert PValue.min(values) == expected
+    assert PValue.min(iter(values)) == expected
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (F(1), F(Q(1, 2)), F(Q(3, 2))),
+    (F(1), C(2), C(3)),
+    (C(1), F(2), C(3)),
+    (C(1), C(2), C(3)),
+    (F(1), INFTY, INFTY),
+    (INFTY, C(1), INFTY),
+    (INFTY, INFTY, INFTY),
+])
+def test_pvalue_sum(a, b, expected):
+    assert a + b == expected
+
+
+UNDECIDED = (None, None)
+
+
+@pytest.mark.parametrize("lhs, rhs, expected", [
+    (F(2), F(1), (True, 1)),
+    (F(1), F(2), (False, -1)),
+    (F(1), F(1), (True, 0)),
+    (C(2), F(1), (True, 1)),  # decided at the cap, with its margin
+    (C(1), F(1), (True, 0)),
+    (C(1), F(2), UNDECIDED),
+    (F(2), C(1), UNDECIDED),
+    (F(1), C(2), UNDECIDED),
+    (C(2), C(1), UNDECIDED),
+    (INFTY, F(1), (True, None)),
+    (INFTY, C(1), (True, None)),
+    (INFTY, INFTY, (True, None)),
+    (F(1), INFTY, UNDECIDED),
+    (C(1), INFTY, UNDECIDED),
+])
+def test_pvalue_ge(lhs, rhs, expected):
+    assert lhs.ge(rhs) == expected
+
+
+@pytest.mark.parametrize("lhs, rhs, expected", [
+    (F(1), F(1), (True, 0)),
+    (F(1), F(Q(3, 2)), (False, Q(-1, 2))),
+    (F(Q(3, 2)), F(1), (False, Q(-1, 2))),
+    (INFTY, INFTY, (True, None)),
+    (F(1), C(1), UNDECIDED),
+    (C(1), F(1), UNDECIDED),
+    (C(1), C(1), UNDECIDED),
+    (F(1), INFTY, UNDECIDED),
+    (INFTY, F(1), UNDECIDED),
+    (C(1), INFTY, UNDECIDED),
+    (INFTY, C(1), UNDECIDED),
+])
+def test_pvalue_eq(lhs, rhs, expected):
+    assert lhs.eq(rhs) == expected
+
+
+def test_pvalue_of_scalars():
+    zp = ScalarRing(7, 1, 12)
+    assert PValue.of(zp.zero(exact=True), Q(1, 2)) == INFTY
+    assert PValue.of(zp.zero(exact=False)) == C(12)
+    assert PValue.of(zp.zero(exact=False), Q(1, 2)) == C(Q(25, 2))
+    assert PValue.of(zp.from_int(49 * 3), Q(-1, 4)) == F(Q(7, 4))
+    assert PValue.of(zp.from_int(7 ** 12)) == C(12)  # zero at the cap
+    ram = ScalarRing(7, 4, 8)  # pi^4 = 7
+    pi = ram.uniformizer()
+    assert PValue.of(ram.zero(exact=True)) == INFTY
+    assert PValue.of(ram.zero(exact=False), 1) == C(3)
+    assert PValue.of(pi ** 3, Q(1, 2)) == F(Q(5, 4))
+    assert PValue.of(pi ** 8) == C(2)  # zero at the cap of 8 digits
+
+
+def test_zero_mod_matches_spelled_out_predicate():
+    zp = ScalarRing(7, 1, 6)
+    ram = ScalarRing(7, 4, 8)
+    scalars = [zp.zero(exact=True), zp.zero(exact=False), zp.from_int(3),
+               zp.from_int(7 * 5), zp.from_int(7 ** 3), zp.from_int(7 ** 6),
+               ram.zero(exact=True), ram.zero(exact=False), ram.uniformizer() ** 3,
+               ram.from_int(2) + ram.uniformizer() ** 5]
+    for x in scalars:
+        w = x.pival()
+        levels = {0, 1, x.prec, x.prec + 1}
+        if isinstance(w, int):
+            levels |= {w - 1, w, w + 1}
+        for k in levels:
+            assert x.zero_mod(k) == (x.pival() is None or x.pival() >= k), (x, k)
