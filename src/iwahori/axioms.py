@@ -1,4 +1,5 @@
-"""Property-test harness for the p-valuation and its factorizations.
+"""Property-test harness for the p-valuation and its factorizations, and the
+table of suites that ``iwahori verify`` and ``iwahori verify-all`` run.
 
 Samples are drawn by filling the ordered-basis coordinate grid uniformly
 at the working precision and assembling group elements from coordinates,
@@ -6,6 +7,9 @@ which guarantees membership and exercises the whole chart.  Comparisons
 are exact rational comparisons; a sample whose relevant values hit the
 precision cap is skipped and counted, never silently passed.  Sampling is
 deterministic: the per-sample generator is seeded by (seed, counter).
+
+Every check takes the ``ChevalleyGroup`` it checks and gates it itself, so
+it is safe to call alone; ``SUITES`` runs them all on one group.
 """
 
 from __future__ import annotations
@@ -15,6 +19,17 @@ from fractions import Fraction
 from random import Random
 
 from .groups import ChevalleyGroup, PValue
+from .padic import ScalarRing, padic_exp, padic_log
+from .series import (
+    SeriesContext,
+    TruncatedSeries,
+    constants_limit_check,
+    haar_obstruction,
+    hida_projector,
+    slope_exact,
+    slope_split,
+)
+from .verma import DerivedCharacter, bgg_simple, sp4_conditions, summand_inventory
 
 
 @dataclass
@@ -33,9 +48,6 @@ class AxiomCounts:
             if self.worst_margin is None or margin < self.worst_margin:
                 self.worst_margin = margin
 
-    def skip(self):
-        self.skipped += 1
-
     def as_json(self):
         return {
             "passed": self.passed,
@@ -47,9 +59,7 @@ class AxiomCounts:
 
 @dataclass
 class AxiomReport:
-    group: str
-    p: int
-    precision: int
+    group: ChevalleyGroup
     n_samples: int
     seed: int
     axioms: dict = field(default_factory=dict)
@@ -66,10 +76,19 @@ class AxiomReport:
     def total_skipped(self) -> int:
         return sum(c.skipped for c in self.axioms.values())
 
-    def record_failure(self, axiom: str, sample_index: int, detail: str,
-                       elements=None):
-        # a failing sample always carries its reproduction seed and the
-        # offending elements themselves
+    def judge(self, axiom: str, sample_index: int, decision, detail: str,
+              elements=None):
+        """Count one sample's (verdict, margin).  A None verdict (undecided at
+        the precision cap) is skipped; a False one is also recorded as a
+        failure, with its reproduction seed and the offending elements."""
+        ok, margin = decision
+        c = self.counts(axiom)
+        if ok is None:
+            c.skipped += 1
+            return
+        c.record(ok, margin)
+        if ok:
+            return
         entry = {
             "axiom": axiom,
             "sample": sample_index,
@@ -83,31 +102,35 @@ class AxiomReport:
             }
         self.failures.append(entry)
 
-    def judge(self, axiom: str, sample_index: int, decision, detail: str,
-              elements=None):
-        """Count one sample's (verdict, margin); a None verdict (undecided at
-        the precision cap) is skipped, a False one also recorded as a failure."""
-        ok, margin = decision
-        c = self.counts(axiom)
-        if ok is None:
-            c.skip()
-            return
-        c.record(ok, margin)
-        if not ok:
-            self.record_failure(axiom, sample_index, detail, elements)
-
     def as_json(self):
         return {
             "schema": "iwahori.axiom-report/1",
-            "group": self.group,
-            "p": self.p,
-            "precision": self.precision,
+            "group": self.group.name,
+            "p": self.group.ring.p,
+            "precision": self.group.ring.prec,
             "n_samples": self.n_samples,
             "seed": self.seed,
             "axioms": {k: v.as_json() for k, v in sorted(self.axioms.items())},
             "failures": self.failures,
             "ok": self.total_failures == 0,
         }
+
+
+@dataclass
+class SelfTestReport:
+    """The names of the failed cases of a fixed self-test."""
+    failures: list
+    total_failures = property(lambda self: len(self.failures))
+
+    def as_json(self):
+        return {"failures": self.failures}
+
+
+def _new_report(group: ChevalleyGroup, n_samples: int, seed: int) -> AxiomReport:
+    group.check_gate()  # raises GateError when p - 1 <= e*h, no false pass
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    return AxiomReport(group, n_samples, seed)
 
 
 def _sample_seed(seed: int, k: int) -> int:
@@ -122,12 +145,11 @@ def sample_iwahori(group: ChevalleyGroup, rng: Random, w=None):
     return group.from_coordinates(coords, w)
 
 
-def check_pvaluation_axioms(group_name: str, p: int, precision: int,
-                            n_samples: int, seed: int = 1) -> AxiomReport:
+def check_pvaluation_axioms(group: ChevalleyGroup, n_samples: int,
+                            seed: int = 1) -> AxiomReport:
     """The four p-valuation axioms on sampled pairs, exact comparisons."""
-    group = ChevalleyGroup(group_name, p=p, prec=precision)
-    group.check_gate()
-    report = AxiomReport(group_name, p, precision, n_samples, seed)
+    report = _new_report(group, n_samples, seed)
+    p = group.ring.p
     lower_gate = Fraction(1, p - 1)
     for k in range(n_samples):
         rng = Random(_sample_seed(seed, k))
@@ -152,13 +174,11 @@ def check_pvaluation_axioms(group_name: str, p: int, precision: int,
     return report
 
 
-def check_compatibility_all_w(group_name: str, p: int, precision: int,
-                              n_samples: int, seed: int = 1) -> AxiomReport:
+def check_compatibility_all_w(group: ChevalleyGroup, n_samples: int,
+                              seed: int = 1) -> AxiomReport:
     """omega(g) equals the factor minimum of the w-twisted factorization,
     for every Weyl element."""
-    group = ChevalleyGroup(group_name, p=p, prec=precision)
-    group.check_gate()
-    report = AxiomReport(group_name, p, precision, n_samples, seed)
+    report = _new_report(group, n_samples, seed)
     weyl = group.datum.weyl_group()
     for k in range(n_samples):
         rng = Random(_sample_seed(seed, k))
@@ -172,12 +192,10 @@ def check_compatibility_all_w(group_name: str, p: int, precision: int,
     return report
 
 
-def check_oracle_agreement(group_name: str, p: int, precision: int,
-                           n_samples: int, seed: int = 1) -> AxiomReport:
+def check_oracle_agreement(group: ChevalleyGroup, n_samples: int,
+                           seed: int = 1) -> AxiomReport:
     """Factorization formula versus the conjugation oracle, exact below cap."""
-    group = ChevalleyGroup(group_name, p=p, prec=precision)
-    group.check_gate()
-    report = AxiomReport(group_name, p, precision, n_samples, seed)
+    report = _new_report(group, n_samples, seed)
     for k in range(n_samples):
         rng = Random(_sample_seed(seed, k))
         g = sample_iwahori(group, rng)
@@ -187,28 +205,97 @@ def check_oracle_agreement(group_name: str, p: int, precision: int,
     return report
 
 
-def check_et_embedding(group_name: str, p: int, precision: int = 12,
-                       seed: int = 1) -> AxiomReport:
+def check_et_embedding(group: ChevalleyGroup, seed: int = 1) -> AxiomReport:
     """Exact interval checks for the conjugating pair and the congruence
     embedding of the ordered basis."""
-    group = ChevalleyGroup(group_name, p=p, prec=precision)
-    group.check_gate()  # raises GateError when p - 1 <= e*h, no false pass
-    report = AxiomReport(group_name, p, precision, 1, seed)
+    report = _new_report(group, 1, seed)
+    p = group.ring.p
     et = group.et_data()
     lo = Fraction(1, p - 1)
     hi = 1 - Fraction(1, p - 1)  # 1/e - 1/(p-1) with e = 1
-    c = report.counts("root_value_interval")
     for root, v in et.root_values().items():
-        ok = lo < v < hi
-        c.record(ok, min(v - lo, hi - v))
-        if not ok:
-            report.record_failure("root_value_interval", 0, f"{root}: {v}")
-    c = report.counts("torus_containment")
-    c.record(p - 1 > 1)  # m in m_E^r for the middle factor needs p-1 > e
-    c = report.counts("basis_in_congruence")
+        report.judge("root_value_interval", 0, (lo < v < hi, min(v - lo, hi - v)),
+                     f"{root}: {v}")
+    report.counts("torus_containment").record(p - 1 > 1)  # middle factor in m_E^r: p-1 > e
     for vec in group.ordered_basis().entries:
-        ok = et.conjugate_in_congruence(vec.generator)
-        c.record(ok)
-        if not ok:
-            report.record_failure("basis_in_congruence", 0, f"{vec.label}")
+        report.judge("basis_in_congruence", 0,
+                     (et.conjugate_in_congruence(vec.generator), None), f"{vec.label}")
     return report
+
+
+def check_padic(group: ChevalleyGroup) -> SelfTestReport:
+    """exp/log, the digit valuation and a uniformizer at the group's p and N."""
+    p, precision = group.ring.p, group.ring.prec
+    ring = ScalarRing(p, 1, precision)
+    failures = []
+    x = ring.from_int(p)
+    if not padic_log(padic_exp(x)) == x:
+        failures.append("exp/log round trip")
+    if not padic_exp(x) * padic_exp(x) == padic_exp(ring.from_int(2 * p)):
+        failures.append("exp additivity")
+    # p^2 + p^3 has valuation 2, read as the cap marker with N <= 2 digits
+    expected = PValue.finite(2) if precision > 2 else PValue.at_least(precision)
+    if PValue.of(ring.from_int(p ** 2 + p ** 3)) != expected:
+        failures.append("valuation by digits")
+    ext = ScalarRing(p, 4, 8 * precision)
+    if not ext.uniformizer() ** 4 == ext.from_int(p):
+        failures.append("uniformizer relation")
+    return SelfTestReport(failures)
+
+
+def check_series(group: ChevalleyGroup, seed: int = 1) -> SelfTestReport:
+    """Slope splits and the projector bound on seeded series, the Haar
+    obstruction and the constants limit, on the chart of the group."""
+    failures = []
+    ctx = SeriesContext(group)
+    rng = Random(seed)
+    for trial in range(10):
+        coeffs = {tuple(rng.randrange(6) for _ in range(ctx.nvars)):
+                  Fraction(rng.randrange(-20, 21)) for _ in range(8)}
+        f = TruncatedSeries(ctx, coeffs, 5 * ctx.nvars)
+        below, atleast = slope_split(f, 1)
+        if not (below + atleast == f and slope_split(atleast, 1)[0].is_zero()):
+            failures.append(f"slope split trial {trial}")
+            continue
+        if not atleast.is_zero():
+            approx = hida_projector(atleast, 1, 3)
+            err = (approx - slope_exact(f, 1)).gauss_valuation()
+            base = atleast.gauss_valuation()
+            if err.ge(base + PValue.finite(1))[0] is False:
+                failures.append(f"projector bound trial {trial}")
+    if not haar_obstruction(10)["ok"]:
+        failures.append("haar obstruction")
+    const = TruncatedSeries.constant(ctx, Fraction(1), 6)
+    p = Fraction(group.ring.p)
+    nonzero = const + TruncatedSeries.monomial(ctx, (1,) * ctx.nvars, p, 6)
+    if not constants_limit_check(nonzero)["ok"]:
+        failures.append("constants limit")
+    return SelfTestReport(failures)
+
+
+def check_verma(group: ChevalleyGroup) -> SelfTestReport:
+    """The summand count, and the golden conditions on Sp4."""
+    failures = []
+    if group.name == "sp4":
+        if sp4_conditions(0, 0) != (1, 1, 3, 2):
+            failures.append("golden conditions at zero")
+        simple, _ = bgg_simple(DerivedCharacter.of("sp4", 0, 0))
+        if simple:
+            failures.append("zero character must not be simple")
+    if summand_inventory(group.name)["count"] != len(group.datum.weyl_group()):
+        failures.append("summand count")
+    return SelfTestReport(failures)
+
+
+# verify choice: (verify-all report name, runner(group, n_samples, seed), divisor
+# that gives the suite its share of verify-all's samples, at least one).  Runners
+# look each check up here when called, so a wrapper put on this module sees it.
+SUITES = {
+    "padic": ("padic-self-tests", lambda g, n, s: check_padic(g), 1),
+    "axioms": ("pvaluation-axioms", lambda g, n, s: check_pvaluation_axioms(g, n, s), 1),
+    "compat": ("weyl-compatibility", lambda g, n, s: check_compatibility_all_w(g, n, s), 10),
+    "oracle": ("omega-oracle-agreement", lambda g, n, s: check_oracle_agreement(g, n, s), 5),
+    "et": ("congruence-embedding", lambda g, n, s: check_et_embedding(g, s), 1),
+    "series": ("series-invariants", lambda g, n, s: check_series(g, s), 1),
+    "verma": ("verma-golden", lambda g, n, s: check_verma(g), 1),
+}

@@ -12,20 +12,16 @@ e.g. IWAHORI_P=11 iwahori basis --group sl2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from fractions import Fraction
 
-from .axioms import (
-    check_compatibility_all_w,
-    check_et_embedding,
-    check_oracle_agreement,
-    check_pvaluation_axioms,
-)
-from .groups import ChevalleyGroup, GateError, MembershipError, PValue
-from .padic import InternalError, PadicScalar, ScalarRing, padic_exp, padic_log
+from .axioms import SUITES
+from .groups import ChevalleyGroup, GateError, MembershipError
+from .padic import InternalError, PadicScalar
 from .roots import get_root_datum
 from .series import (
     Character,
@@ -33,8 +29,6 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     character_expand,
-    constants_limit_check,
-    haar_obstruction,
     hida_projector,
     slope_exact,
     slope_split,
@@ -198,22 +192,17 @@ def cmd_basis(args) -> int:
     return 0
 
 
+def _verify_group(args) -> ChevalleyGroup:
+    """The gated group that a verify run checks."""
+    if args.n_samples < 1:
+        raise ValueError(f"--n-samples must be at least 1, got {args.n_samples}")
+    group = _group_from_args(args)
+    group.check_gate()
+    return group
+
+
 def cmd_verify(args) -> int:
-    try:
-        if args.suite == "axioms":
-            rep = check_pvaluation_axioms(args.group, args.p, args.precision,
-                                          args.n_samples, args.seed)
-        elif args.suite == "compat":
-            rep = check_compatibility_all_w(args.group, args.p, args.precision,
-                                            args.n_samples, args.seed)
-        elif args.suite == "oracle":
-            rep = check_oracle_agreement(args.group, args.p, args.precision,
-                                         args.n_samples, args.seed)
-        else:
-            rep = check_et_embedding(args.group, args.p, args.precision, args.seed)
-    except GateError as err:
-        print(f"gate error: {err}", file=sys.stderr)
-        return 2
+    rep = SUITES[args.suite][1](_verify_group(args), args.n_samples, args.seed)
     _emit(args, f"verify-{args.suite}-{args.group}", rep.as_json())
     return 0 if rep.total_failures == 0 else 1
 
@@ -309,103 +298,16 @@ def cmd_summands(args) -> int:
     return 0
 
 
-# -- aggregated suites -------------------------------------------------------
-
-
-def _suite_padic(p: int, precision: int):
-    ring = ScalarRing(p, 1, precision)
-    failures = []
-    x = ring.from_int(p)
-    if not padic_log(padic_exp(x)) == x:
-        failures.append("exp/log round trip")
-    if not padic_exp(x) * padic_exp(x) == padic_exp(ring.from_int(2 * p)):
-        failures.append("exp additivity")
-    # p^2 + p^3 has valuation 2, read as the cap marker with N <= 2 digits
-    expected = PValue.finite(2) if precision > 2 else PValue.at_least(precision)
-    if PValue.of(ring.from_int(p ** 2 + p ** 3)) != expected:
-        failures.append("valuation by digits")
-    ext = ScalarRing(p, 4, 8 * precision)
-    if not ext.uniformizer() ** 4 == ext.from_int(p):
-        failures.append("uniformizer relation")
-    return failures
-
-
-def _suite_series(group: str, p: int, precision: int, seed: int):
-    import random
-    failures = []
-    ctx = SeriesContext(group, p=p, prec=precision)
-    rng = random.Random(seed)
-    for trial in range(10):
-        coeffs = {tuple(rng.randrange(6) for _ in range(ctx.nvars)):
-                  Fraction(rng.randrange(-20, 21)) for _ in range(8)}
-        f = TruncatedSeries(ctx, coeffs, 5 * ctx.nvars)
-        below, atleast = slope_split(f, 1)
-        if not (below + atleast == f and slope_split(atleast, 1)[0].is_zero()):
-            failures.append(f"slope split trial {trial}")
-            continue
-        if not atleast.is_zero():
-            approx = hida_projector(atleast, 1, 3)
-            err = (approx - slope_exact(f, 1)).gauss_valuation()
-            base = atleast.gauss_valuation()
-            if err.ge(base + PValue.finite(1))[0] is False:
-                failures.append(f"projector bound trial {trial}")
-    if not haar_obstruction(10)["ok"]:
-        failures.append("haar obstruction")
-    const = TruncatedSeries.constant(ctx, Fraction(1), 6)
-    nonzero = const + TruncatedSeries.monomial(ctx, (1,) * ctx.nvars, Fraction(p), 6)
-    if not constants_limit_check(nonzero)["ok"]:
-        failures.append("constants limit")
-    return failures
-
-
-def _suite_verma(group: str):
-    failures = []
-    if group == "sp4":
-        if sp4_conditions(0, 0) != (1, 1, 3, 2):
-            failures.append("golden conditions at zero")
-        simple, _ = bgg_simple(DerivedCharacter.of("sp4", 0, 0))
-        if simple:
-            failures.append("zero character must not be simple")
-    inv = summand_inventory(group)
-    datum = get_root_datum(group)
-    if inv["count"] != len(datum.weyl_group()):
-        failures.append("summand count")
-    return failures
-
-
 def cmd_verify_all(args) -> int:
-    try:
-        get_root_datum(args.group)
-        ChevalleyGroup(args.group, p=args.p, prec=args.precision).check_gate()
-    except (GateError, ValueError) as err:
-        print(f"gate error: {err}", file=sys.stderr)
-        return 2
+    group = _verify_group(args)
     suites = []
     t0 = time.time()
-
-    def run(name, fn):
+    for name, run, divisor in SUITES.values():
         start = time.time()
-        result = fn()
-        elapsed = time.time() - start
-        if isinstance(result, list):
-            ok, detail = not result, {"failures": result}
-        else:
-            ok, detail = result.total_failures == 0, result.as_json()
-        suites.append({"suite": name, "ok": ok, "report": detail})
-        print(f"{name:<28} {'ok' if ok else 'FAIL'}  ({elapsed:.2f}s)")
-
-    run("padic-self-tests", lambda: _suite_padic(args.p, args.precision))
-    run("pvaluation-axioms", lambda: check_pvaluation_axioms(
-        args.group, args.p, args.precision, args.n_samples, args.seed))
-    run("weyl-compatibility", lambda: check_compatibility_all_w(
-        args.group, args.p, args.precision, max(1, args.n_samples // 10), args.seed))
-    run("omega-oracle-agreement", lambda: check_oracle_agreement(
-        args.group, args.p, args.precision, max(1, args.n_samples // 5), args.seed))
-    run("congruence-embedding", lambda: check_et_embedding(
-        args.group, args.p, args.precision, args.seed))
-    run("series-invariants", lambda: _suite_series(
-        args.group, args.p, args.precision, args.seed))
-    run("verma-golden", lambda: _suite_verma(args.group))
+        rep = run(group, max(1, args.n_samples // divisor), args.seed)
+        ok = rep.total_failures == 0
+        print(f"{name:<28} {'ok' if ok else 'FAIL'}  ({time.time() - start:.2f}s)")
+        suites.append({"suite": name, "ok": ok, "report": rep.as_json()})
 
     ok = all(s["ok"] for s in suites)
     print(f"total {'ok' if ok else 'FAIL'} ({time.time() - t0:.2f}s)")
@@ -463,7 +365,10 @@ def cmd_sp4_golden(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; the IWAHORI_* defaults
+    are read when it is built."""
     parser = argparse.ArgumentParser(
         prog="iwahori",
         description="Exact computations with pro-p Iwahori subgroups: "
@@ -505,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("verify", help="property suites with exact comparisons")
-    p.add_argument("suite", choices=("axioms", "compat", "oracle", "et"))
+    p.add_argument("suite", choices=tuple(SUITES))
     common(p)
     p.add_argument("--n-samples", type=int, default=200)
     p.set_defaults(fn=cmd_verify)

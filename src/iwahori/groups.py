@@ -283,8 +283,7 @@ class ChevalleyGroup:
         if root not in self.dirs:
             raise ValueError(f"{root} is not a root of {self.name}")
         x = self.ring.coerce(x)
-        rows = [[self.ring.one() if i == j else self.ring.zero() for j in range(self.n)]
-                for i in range(self.n)]
+        rows = [list(r) for r in self.identity().mat]
         for (i, j, s) in self.dirs[root]:
             rows[i][j] = x if s == 1 else -x
         return GroupElement(self, tuple(tuple(r) for r in rows))
@@ -598,8 +597,7 @@ class ChevalleyGroup:
 
     def from_parameters(self, neg, torus_coords, pos, check: bool = False) -> "GroupElement":
         """Multiply out (neg batch) * (torus) * (pos batch) in the given order."""
-        rows = [[self.ring.one() if i == j else self.ring.zero()
-                 for j in range(self.n)] for i in range(self.n)]
+        rows = [list(r) for r in self.identity().mat]
         for root, x in neg:
             self._rmul_root_inplace(rows, root, self.ring.coerce(x))
         self._rmul_diag_inplace(rows, self.torus_diagonal(torus_coords))
@@ -620,67 +618,46 @@ class ChevalleyGroup:
         if cached is not None:
             return cached
         h = self.coxeter_number
-        entries = []
+
+        def _root_vector(root):
+            scale = self.filtration_scale(root)
+            omega = Fraction(0 if scale == 1 else 1) + Fraction(self.datum.height(root), h)
+            return BasisVector(("root", root), self.root_element(root, scale), omega)
+
         neg_batch, pos_batch = self.batches(w)
-        for root in neg_batch:
-            scale = self.filtration_scale(root)
-            gen = self.root_element(root, scale)
-            omega = Fraction(0 if scale == 1 else 1) + Fraction(self.datum.height(root), h)
-            entries.append(BasisVector(("root", root), gen, omega))
         ep = padic_exp(self.ring.from_int(self.ring.p))
-        for mu_i in self.datum.cochar_basis:
-            entries.append(BasisVector(("cocharacter", tuple(mu_i)),
-                                       self.torus_element(mu_i, ep), Fraction(1)))
-        for root in pos_batch:
-            scale = self.filtration_scale(root)
-            gen = self.root_element(root, scale)
-            omega = Fraction(0 if scale == 1 else 1) + Fraction(self.datum.height(root), h)
-            entries.append(BasisVector(("root", root), gen, omega))
+        entries = ([_root_vector(root) for root in neg_batch]
+                   + [BasisVector(("cocharacter", tuple(mu_i)), self.torus_element(mu_i, ep),
+                                  Fraction(1)) for mu_i in self.datum.cochar_basis]
+                   + [_root_vector(root) for root in pos_batch])
         basis = OrderedBasis(self, w, entries)
         self._basis_cache[w.matrix] = basis
         return basis
 
+    def _chart_scaled(self, batch, shift: int):
+        """The values of (root, value) pairs, upper-root ones times p^shift:
+        an upper-root parameter is p times its chart coordinate."""
+        return [x.shift(shift) if self.datum.height(root) < 0 else x for root, x in batch]
+
     def coordinates(self, g: "GroupElement", w: WeylElement | None = None):
         """Coordinates of g in the ordered basis for w; exact Z_p scalars."""
         fact = self.iwahori_factorize(g, w)
-        coords = []
-        for root, x in fact.negative:
-            coords.append(x.shift(-1) if self.datum.height(root) < 0 else x)
-        for s in fact.torus_coordinates:
-            coords.append(padic_log(s).shift(-1))
-        for root, x in fact.positive:
-            coords.append(x.shift(-1) if self.datum.height(root) < 0 else x)
-        return coords
+        return (self._chart_scaled(fact.negative, -1)
+                + [padic_log(s).shift(-1) for s in fact.torus_coordinates]
+                + self._chart_scaled(fact.positive, -1))
 
     def from_coordinates(self, coords, w: WeylElement | None = None) -> "GroupElement":
         """Evaluate h_1^{x_1} ... h_d^{x_d} for the ordered basis of w."""
-        if w is None:
-            w = self.datum.identity_weyl()
-        neg_batch, pos_batch = self.batches(w)
-        rank = self.datum.rank
-        d = len(neg_batch) + rank + len(pos_batch)
+        neg_batch, pos_batch = self.batches(self.datum.identity_weyl() if w is None else w)
+        a, b = len(neg_batch), len(neg_batch) + self.datum.rank
+        d = b + len(pos_batch)
         if len(coords) != d:
             raise ValueError(f"need {d} coordinates, got {len(coords)}")
         coords = [self.ring.coerce(x) for x in coords]
-        k = 0
-        rows = [[self.ring.one() if i == j else self.ring.zero()
-                 for j in range(self.n)] for i in range(self.n)]
-        for root in neg_batch:
-            x = coords[k]; k += 1
-            if self.datum.height(root) < 0:
-                x = x.shift(1)
-            self._rmul_root_inplace(rows, root, x)
-        torus_coords = []
-        for _mu_i in self.datum.cochar_basis:
-            x = coords[k]; k += 1
-            torus_coords.append(padic_exp(x.shift(1)))
-        self._rmul_diag_inplace(rows, self.torus_diagonal(torus_coords))
-        for root in pos_batch:
-            x = coords[k]; k += 1
-            if self.datum.height(root) < 0:
-                x = x.shift(1)
-            self._rmul_root_inplace(rows, root, x)
-        return GroupElement(self, tuple(tuple(r) for r in rows))
+        return self.from_parameters(
+            zip(neg_batch, self._chart_scaled(zip(neg_batch, coords[:a]), 1)),
+            [padic_exp(x.shift(1)) for x in coords[a:b]],
+            zip(pos_batch, self._chart_scaled(zip(pos_batch, coords[b:]), 1)))
 
     # -- the p-valuation ------------------------------------------------------
 

@@ -120,7 +120,7 @@ def test_acceptance_01_fourth_expression_as_published():
 @pytest.mark.parametrize("group", ["sl2", "sl3", "sp4"])
 def test_acceptance_02_pvaluation_axioms(group):
     t0 = time.time()
-    rep = check_pvaluation_axioms(group, P, N, 1000, seed=1)
+    rep = check_pvaluation_axioms(ChevalleyGroup(group, p=P, prec=N), 1000, seed=1)
     elapsed = time.time() - t0
     assert rep.total_failures == 0, rep.failures[:3]
     total = sum(c.passed + c.failed + c.skipped for c in rep.axioms.values())
@@ -136,7 +136,7 @@ def test_acceptance_02_pvaluation_axioms(group):
 def test_acceptance_03_oracle_agreement():
     t0 = time.time()
     for group in ("sl2", "sl3", "sp4"):
-        rep = check_oracle_agreement(group, P, N, 200, seed=2)
+        rep = check_oracle_agreement(ChevalleyGroup(group, p=P, prec=N), 200, seed=2)
         assert rep.total_failures == 0, (group, rep.failures[:3])
     elapsed = time.time() - t0
     assert elapsed < 60
@@ -180,7 +180,7 @@ def test_acceptance_04_basis_round_trip_and_min_formula(group):
 @pytest.mark.parametrize("group", ["sl2", "sl3", "sp4"])
 def test_acceptance_05_weyl_compatibility(group):
     t0 = time.time()
-    rep = check_compatibility_all_w(group, P, N, 100, seed=5)
+    rep = check_compatibility_all_w(ChevalleyGroup(group, p=P, prec=N), 100, seed=5)
     elapsed = time.time() - t0
     assert rep.total_failures == 0, rep.failures[:3]
     for name, counts in rep.axioms.items():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 
 def test_axioms_small_run():
-    rep = check_pvaluation_axioms("sl2", 7, 12, 60, seed=1)
+    rep = check_pvaluation_axioms(ChevalleyGroup("sl2", p=7, prec=12), 60, seed=1)
     assert rep.total_failures == 0
     assert rep.counts("p_power").passed > 0
     data = rep.as_json()
@@ -19,8 +19,8 @@ def test_axioms_small_run():
 
 
 def test_axioms_reproducible():
-    a = check_pvaluation_axioms("sl3", 7, 12, 10, seed=9)
-    b = check_pvaluation_axioms("sl3", 7, 12, 10, seed=9)
+    a = check_pvaluation_axioms(ChevalleyGroup("sl3", p=7, prec=12), 10, seed=9)
+    b = check_pvaluation_axioms(ChevalleyGroup("sl3", p=7, prec=12), 10, seed=9)
     assert a.as_json() == b.as_json()
 
 
@@ -42,7 +42,7 @@ def test_identity_sample_vacuous():
 
 
 def test_compatibility_small_run():
-    rep = check_compatibility_all_w("sp4", 7, 12, 12, seed=2)
+    rep = check_compatibility_all_w(ChevalleyGroup("sp4", p=7, prec=12), 12, seed=2)
     assert rep.total_failures == 0
     assert len([k for k in rep.axioms if k.startswith("compatible")]) == 8
 
@@ -61,15 +61,15 @@ def test_single_factor_compatibility():
 
 
 def test_oracle_agreement_small_run():
-    rep = check_oracle_agreement("sl3", 7, 12, 25, seed=3)
+    rep = check_oracle_agreement(ChevalleyGroup("sl3", p=7, prec=12), 25, seed=3)
     assert rep.total_failures == 0
     assert rep.counts("oracle_agreement").passed + rep.counts("oracle_agreement").skipped == 25
 
 
 def test_et_embedding_values():
-    rep = check_et_embedding("sl2", 7)
+    rep = check_et_embedding(ChevalleyGroup("sl2", p=7, prec=12))
     assert rep.total_failures == 0
-    rep = check_et_embedding("sp4", 7)
+    rep = check_et_embedding(ChevalleyGroup("sp4", p=7, prec=12))
     assert rep.total_failures == 0
     # Sp4 at p = 7: root values {1/4, 1/2, 3/4} inside (1/6, 5/6)
     G = ChevalleyGroup("sp4", p=7, prec=12)
@@ -79,6 +79,6 @@ def test_et_embedding_values():
 
 def test_et_gate_violation():
     with pytest.raises(GateError):
-        check_et_embedding("sp4", 5)
+        check_et_embedding(ChevalleyGroup("sp4", p=5, prec=12))
     with pytest.raises(GateError):
-        check_pvaluation_axioms("sp4", 5, 8, 1)
+        check_pvaluation_axioms(ChevalleyGroup("sp4", p=5, prec=8), 1)

@@ -1,7 +1,16 @@
 import json
 import time
 
-from iwahori.cli import main
+import pytest
+
+from iwahori.axioms import (
+    SUITES,
+    check_compatibility_all_w,
+    check_oracle_agreement,
+    check_pvaluation_axioms,
+)
+from iwahori.cli import build_parser, main
+from iwahori.groups import ChevalleyGroup
 
 
 def run(capsys, *argv):
@@ -186,3 +195,64 @@ def test_verify_all_at_two_digits(tmp_path, capsys):
     assert code == 0
     data = json.loads((tmp_path / "verify-all-sl2.json").read_text())
     assert all(s["ok"] for s in data["suites"])
+
+
+@pytest.mark.parametrize("command", [["verify", "axioms"], ["verify-all"]])
+@pytest.mark.parametrize("n_samples", ["0", "-3"])
+def test_verify_without_samples_is_a_usage_error(command, n_samples, capsys):
+    # a run that checks nothing must not report ok
+    code = main(command + ["--group", "sl2", "--p", "5", "--n-samples", n_samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--n-samples" in captured.err
+
+
+def test_sampling_checks_reject_an_empty_sample():
+    group = ChevalleyGroup("sl2", p=5, prec=6)
+    for check in (check_pvaluation_axioms, check_compatibility_all_w, check_oracle_agreement):
+        with pytest.raises(ValueError):
+            check(group, 0)
+
+
+def test_verify_reports_match_verify_all(tmp_path, capsys):
+    config = ["--group", "sl2", "--p", "5", "--precision", "6", "--seed", "3"]
+    assert main(["verify-all", *config, "--n-samples", "20", "--json", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = json.loads((tmp_path / "verify-all-sl2.json").read_text())
+    reports = {s["suite"]: s["report"] for s in data["suites"]}
+    shares = {"compat": 2, "oracle": 4}
+    assert len(reports) == len(SUITES)
+    for key, (name, _run, _divisor) in SUITES.items():
+        n = str(shares.get(key, 20))
+        code = main(["verify", key, *config, "--n-samples", n, "--json", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0
+        assert json.loads((tmp_path / f"verify-{key}-sl2.json").read_text()) == reports[name]
+
+
+@pytest.mark.parametrize("suite", ["padic", "series", "verma"])
+def test_verify_self_test_suites(suite, capsys):
+    code, out = run(capsys, "verify", suite, "--group", "sp4", "--p", "7", "--precision", "6")
+    assert code == 0
+    assert json.loads(out) == {"failures": []}
+
+
+def test_verify_all_builds_one_group(monkeypatch, capsys):
+    built = []
+    init = ChevalleyGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChevalleyGroup, "__init__", counting_init)
+    code = main(["verify-all", "--group", "sp4", "--p", "7", "--precision", "6",
+                 "--n-samples", "10"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(built) == 1
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
