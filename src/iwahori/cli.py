@@ -43,6 +43,7 @@ from .verma import (
 )
 
 GROUPS = ("sl2", "sl3", "sp4")
+VERIFY_SAMPLES = 200
 
 
 def _env(name: str, fallback):
@@ -202,7 +203,12 @@ def _verify_group(args) -> ChevalleyGroup:
 
 
 def cmd_verify(args) -> int:
-    rep = SUITES[args.suite][1](_verify_group(args), args.n_samples, args.seed)
+    _name, run, divisor = SUITES[args.suite]
+    if args.n_samples is None:
+        args.n_samples = VERIFY_SAMPLES
+    elif divisor is None:
+        raise ValueError(f"verify {args.suite} takes no --n-samples")
+    rep = run(_verify_group(args), args.n_samples, args.seed)
     _emit(args, f"verify-{args.suite}-{args.group}", rep.as_json())
     return 0 if rep.total_failures == 0 else 1
 
@@ -304,7 +310,8 @@ def cmd_verify_all(args) -> int:
     t0 = time.time()
     for name, run, divisor in SUITES.values():
         start = time.time()
-        rep = run(group, max(1, args.n_samples // divisor), args.seed)
+        n_samples = max(1, args.n_samples // divisor) if divisor else None
+        rep = run(group, n_samples, args.seed)
         ok = rep.total_failures == 0
         print(f"{name:<28} {'ok' if ok else 'FAIL'}  ({time.time() - start:.2f}s)")
         suites.append({"suite": name, "ok": ok, "report": rep.as_json()})
@@ -412,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="property suites with exact comparisons")
     p.add_argument("suite", choices=tuple(SUITES))
     common(p)
-    p.add_argument("--n-samples", type=int, default=200)
+    sampling = ", ".join(key for key, row in SUITES.items() if row[2])
+    p.add_argument("--n-samples", type=int, default=None, help=f"samples, for {sampling} "
+                   f"only (default {VERIFY_SAMPLES}); the other suites draw none")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("slope", help="slope decompositions and the projector")
@@ -446,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="all suites, nonzero exit on failure")
     common(p)
-    p.add_argument("--n-samples", type=int, default=200)
+    p.add_argument("--n-samples", type=int, default=VERIFY_SAMPLES)
     p.set_defaults(fn=cmd_verify_all)
 
     p = sub.add_parser("sp4-golden", help="the explicit symplectic rank-two example")

@@ -87,11 +87,20 @@ class RootDatum:
                 raise ValueError(f"{r} is not a positive root for {name}")
             self._height[tuple(r)] = int(ht)
             self._height[tuple(-x for x in r)] = -int(ht)
+        self._scale = math.lcm(*(q.denominator for q in coeffs))
+        self._scaled_hvec = tuple(int(self._scale * q) for q in self._hvec)
         self.positive_roots = sorted(
             (tuple(r) for r in pos_roots), key=lambda r: (self._height[r], r))
         self.negative_roots = [tuple(-x for x in r) for r in self.positive_roots]
         self.delta = tuple(
             Fraction(sum(r[i] for r in self.positive_roots), 2) for i in range(dim))
+        # simple-root coordinates are read off the first rank chart coordinates,
+        # whose minor of the simple roots is invertible for every datum here
+        minor = [[r[k] for r in self.simple_roots] for k in range(self.rank)]
+        units = [[int(i == k) for i in range(self.rank)] for k in range(self.rank)]
+        self._minor_inverse = list(zip(*(solve_exact(minor, e) for e in units)))
+        self.nonsimple_coordinates = [self.simple_coordinates(r) for r in self.positive_roots
+                                      if r not in self.simple_roots]
 
     # -- basic queries --------------------------------------------------
 
@@ -103,6 +112,18 @@ class RootDatum:
 
     def coroot(self, root):
         return self._coroot[tuple(root)]
+
+    def simple_coordinates(self, vec):
+        """The integer coordinates of vec in the simple roots, or None when
+        vec is off the root lattice or (SL_n) off the span of the roots."""
+        coords = [_dot(row, vec) for row in self._minor_inverse]
+        if any(c.denominator != 1 for c in coords):
+            return None
+        coords = tuple(int(c) for c in coords)
+        # the minor rebuilds the first rank coordinates, but not the others
+        rebuilt = [sum(c * s[k] for c, s in zip(coords, self.simple_roots))
+                   for k in range(self.dim)]
+        return coords if rebuilt == list(vec) else None
 
     def coxeter_number(self) -> int:
         return 1 + max(self._height[r] for r in self.positive_roots)
@@ -166,9 +187,7 @@ class RootDatum:
 
     def intersection_nonempty(self, w: WeylElement, w2: WeylElement) -> bool:
         """Whether w*Phi+ and w2*Phi- share a root; true exactly for w != w2."""
-        plus = {self.act_root(w, r) for r in self.positive_roots}
-        minus = {self.act_root(w2, r) for r in self.negative_roots}
-        return bool(plus & minus)
+        return self.intersection_witness(w, w2) is not None
 
     def intersection_witness(self, w: WeylElement, w2: WeylElement):
         plus = {self.act_root(w, r) for r in self.positive_roots}
@@ -179,25 +198,11 @@ class RootDatum:
     # -- adapted cocharacters -----------------------------------------------
 
     @lru_cache(maxsize=None)
-    def height_cocharacter(self):
-        """The rational cocharacter mu0 with <alpha, mu0> = ht(alpha),
-        together with the least a >= 1 making a*mu0 integral in X_*."""
-        rank = self.rank
-        mat = [[Fraction(_dot(self.simple_roots[i], self.cochar_basis[j]))
-                for j in range(rank)] for i in range(rank)]
-        coeffs = solve_exact(mat, [Fraction(1)] * rank)
-        # minimal a clears the denominators in cocharacter-basis coordinates
-        a = 1
-        for q in coeffs:
-            a = a * q.denominator // math.gcd(a, q.denominator)
-        return self._hvec, a
-
     def adapted_cocharacter(self, w: WeylElement):
         """Integral cocharacter mu = w(a*mu0) with <w*alpha, mu> = a*ht(alpha) > 0
-        for every positive alpha, plus the scale a."""
-        mu0, a = self.height_cocharacter()
-        amu0 = tuple(int(a * q) for q in mu0)
-        return w.act(amu0), a
+        for every positive alpha, plus the scale a: the least a >= 1 making
+        a*mu0 integral in X_*, where <alpha, mu0> = ht(alpha)."""
+        return w.act(self._scaled_hvec), self._scale
 
 
 def solve_exact(matrix, rhs):

@@ -66,34 +66,33 @@ def weight_multiplicity(dchi: DerivedCharacter, lam, w: WeylElement | None = Non
     dchi - lam as a non-negative integer combination of the w-twisted
     positive roots.  Each root slot of a block of dimension ell contributes
     a composition factor C(m + ell - 1, ell - 1); the base field case is
-    ell = 1."""
+    ell = 1.  As w is linear, this counts w^-1(dchi - lam) over the
+    untwisted roots in simple-root coordinates (0 off the lattice, off the
+    span or outside the cone): a walk over the non-simple roots stops a slot
+    once a coordinate goes negative; the simple roots take what remains."""
     datum = dchi.datum
-    if w is None:
-        w = datum.identity_weyl()
     lam_coeffs = lam.coeffs if hasattr(lam, "coeffs") else tuple(Fraction(c) for c in lam)
     target = tuple(a - b for a, b in zip(dchi.coeffs, lam_coeffs))
-    roots = [datum.act_root(w, r) for r in datum.positive_roots]
-    # bound the search by pairing with the w-adapted cocharacter
-    mu, a = datum.adapted_cocharacter(w)
-    total = sum((t * m for t, m in zip(target, mu)), Fraction(0))
-    if total.denominator != 1 or total < 0:
+    if w is not None:
+        target = w.inverse().act(target)
+    coords = datum.simple_coordinates(target)
+    if coords is None or min(coords) < 0:
         return 0
-    total = int(total)
-    weights = [a * datum.height(r) for r in datum.positive_roots]
-    # depth-first count of lattice points; the pairing total bounds every slot
+    steps = datum.nonsimple_coordinates
     count = 0
-    stack = [(0, target, total, 1)]
+    stack = [(0, coords, 1)]
     while stack:
-        r, vec, tot, mult = stack.pop()
-        if r == len(roots):
-            if all(x == 0 for x in vec) and tot == 0:
-                count += mult
+        r, rest, mult = stack.pop()
+        if r == len(steps):
+            for m in rest:
+                mult *= comb(m + block_dim - 1, block_dim - 1)
+            count += mult
             continue
-        cap = tot // weights[r]
-        for m in range(cap + 1):
-            rest = tuple(x - m * c for x, c in zip(vec, roots[r]))
-            factor = comb(m + block_dim - 1, block_dim - 1)
-            stack.append((r + 1, rest, tot - m * weights[r], mult * factor))
+        m = 0
+        while min(rest) >= 0:
+            stack.append((r + 1, rest, mult * comb(m + block_dim - 1, block_dim - 1)))
+            rest = tuple(x - c for x, c in zip(rest, steps[r]))
+            m += 1
     return count
 
 

@@ -7,6 +7,7 @@ from iwahori.axioms import (
     SUITES,
     check_compatibility_all_w,
     check_oracle_agreement,
+    check_padic,
     check_pvaluation_axioms,
 )
 from iwahori.cli import build_parser, main
@@ -223,12 +224,32 @@ def test_verify_reports_match_verify_all(tmp_path, capsys):
     reports = {s["suite"]: s["report"] for s in data["suites"]}
     shares = {"compat": 2, "oracle": 4}
     assert len(reports) == len(SUITES)
-    for key, (name, _run, _divisor) in SUITES.items():
-        n = str(shares.get(key, 20))
-        code = main(["verify", key, *config, "--n-samples", n, "--json", str(tmp_path)])
+    for key, (name, _run, divisor) in SUITES.items():
+        samples = ["--n-samples", str(shares.get(key, 20))] if divisor else []
+        code = main(["verify", key, *config, *samples, "--json", str(tmp_path)])
         capsys.readouterr()
         assert code == 0
         assert json.loads((tmp_path / f"verify-{key}-sl2.json").read_text()) == reports[name]
+
+
+@pytest.mark.parametrize("suite", ["padic", "et", "series", "verma"])
+def test_verify_refuses_samples_for_a_suite_that_draws_none(suite, capsys):
+    assert SUITES[suite][2] is None
+    code = main(["verify", suite, "--group", "sl2", "--p", "5", "--n-samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: verify {suite} takes no --n-samples" in captured.err
+
+
+def test_verify_sampling_suites_default_to_200_samples(monkeypatch, capsys):
+    # the axioms row with a runner that records its sample count
+    seen = []
+    monkeypatch.setitem(SUITES, "axioms", (
+        "pvaluation-axioms", lambda g, n, s: seen.append(n) or check_padic(g), 1))
+    assert main(["verify", "axioms", "--group", "sl2", "--p", "5"]) == 0
+    capsys.readouterr()
+    assert seen == [200]
 
 
 @pytest.mark.parametrize("suite", ["padic", "series", "verma"])

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from iwahori.padic import (
     UnitError,
     padic_exp,
     padic_log,
+    vp_int,
 )
 
 Zp = ScalarRing(7, 1, 12)
@@ -25,6 +27,37 @@ def rational_series_mod(terms, p, k):
     assert den % p != 0
     mod = p ** k
     return (total.numerator * pow(den, -1, mod)) % mod
+
+
+def _vp_by_division(n, p):
+    """Reference valuation: divide by p one step at a time."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_vp_int_table(p):
+    rng = random.Random(p)
+    cases = []
+    # random ints on both sides of the machine-word switch, with a random
+    # power of p on top, and their negatives
+    for bits in (8, 40, 63, 64, 65, 100, 1000, 3000):
+        for _ in range(40):
+            n = rng.getrandbits(bits) + 1
+            n *= p ** rng.choice((0, 1, rng.randrange(40), rng.randrange(600)))
+            cases += [n, -n]
+    # exact powers p^(2^k), one on either side, and units times them
+    for k in range(11):
+        for e in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            for unit in (1, -1, p - 1, p + 1, 2 * p ** 2 + 1):
+                cases.append(unit * p ** e)
+    for n in cases:
+        assert vp_int(n, p) == _vp_by_division(n, p), (p, n)
+    assert any(abs(n) < 1 << 64 for n in cases) and any(abs(n) >= 1 << 64 for n in cases)
+    assert vp_int(0, p) is INF
 
 
 def test_val_normalisation():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 from iwahori.roots import get_root_datum
 from iwahori.verma import (
@@ -28,6 +29,100 @@ def brute_force_multiplicity(datum, dchi, lam, w, max_total=14):
         if all(Fraction(v) == t for v, t in zip(vec, target)):
             count += 1
     return count
+
+
+def _walk_multiplicity(dchi: DerivedCharacter, lam, w=None, block_dim: int = 1) -> int:
+    """The former ``weight_multiplicity``, kept as a differential reference:
+    a depth-first walk over every slot of every w-twisted positive root on
+    Fraction vectors, bounded by the pairing with the w-adapted cocharacter
+    and rejected only at the leaf."""
+    datum = dchi.datum
+    if w is None:
+        w = datum.identity_weyl()
+    lam_coeffs = lam.coeffs if hasattr(lam, "coeffs") else tuple(Fraction(c) for c in lam)
+    target = tuple(a - b for a, b in zip(dchi.coeffs, lam_coeffs))
+    roots = [datum.act_root(w, r) for r in datum.positive_roots]
+    # bound the search by pairing with the w-adapted cocharacter
+    mu, a = datum.adapted_cocharacter(w)
+    total = sum((t * m for t, m in zip(target, mu)), Fraction(0))
+    if total.denominator != 1 or total < 0:
+        return 0
+    total = int(total)
+    weights = [a * datum.height(r) for r in datum.positive_roots]
+    # depth-first count of lattice points; the pairing total bounds every slot
+    count = 0
+    stack = [(0, target, total, 1)]
+    while stack:
+        r, vec, tot, mult = stack.pop()
+        if r == len(roots):
+            if all(x == 0 for x in vec) and tot == 0:
+                count += mult
+            continue
+        cap = tot // weights[r]
+        for m in range(cap + 1):
+            rest = tuple(x - m * c for x, c in zip(vec, roots[r]))
+            factor = comb(m + block_dim - 1, block_dim - 1)
+            stack.append((r + 1, rest, tot - m * weights[r], mult * factor))
+    return count
+
+
+def _sweep_targets(datum, w, rng):
+    """Differences dchi - lam for the sweep: w-twisted cone weights of height
+    0..12, their half-integral shifts, their negatives, and (SL_n) shifts off
+    the root span."""
+    targets = []
+    for height in range(13):
+        ks = [0] * len(datum.positive_roots)
+        left = height
+        while left:
+            i = rng.choice([i for i, r in enumerate(datum.positive_roots)
+                            if datum.height(r) <= left])
+            ks[i] += 1
+            left -= datum.height(datum.positive_roots[i])
+        vec = [0] * datum.dim
+        for k, r in zip(ks, datum.positive_roots):
+            vec = [v + k * c for v, c in zip(vec, datum.act_root(w, r))]
+        targets.append(tuple(Fraction(v) for v in vec))
+        if height % 3 == 1:
+            targets.append(tuple(-Fraction(v) for v in vec))
+        if height % 4 == 2:
+            half = list(targets[-1])
+            half[rng.randrange(datum.dim)] += Fraction(1, 2)
+            targets.append(tuple(half))
+        if datum.dim > datum.rank and height % 4 == 3:
+            # adding 1 to one coordinate breaks the sum-zero condition
+            off = list(vec)
+            off[rng.randrange(datum.dim)] += 1
+            targets.append(tuple(Fraction(v) for v in off))
+    return targets
+
+
+def test_weight_multiplicity_matches_the_walk():
+    rng = random.Random(6)
+    cases = nonzero = 0
+    for name in ("sl2", "sl3", "sp4"):
+        datum = get_root_datum(name)
+        for w in datum.weyl_group():
+            for block_dim in (1, 2, 3):
+                cs = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                      for _ in range(datum.dim)]
+                dchi = DerivedCharacter.of(name, *cs)
+                for target in _sweep_targets(datum, w, rng):
+                    lam = WeightLabel(name, tuple(c - t for c, t in zip(dchi.coeffs, target)))
+                    want = _walk_multiplicity(dchi, lam, w, block_dim)
+                    assert weight_multiplicity(dchi, lam, w, block_dim) == want, (
+                        name, w.name, block_dim, target)
+                    cases += 1
+                    nonzero += want > 0
+    assert cases > 900 and 0 < nonzero < cases
+
+
+def test_weight_multiplicity_deep_weights():
+    # far beyond what the walk reaches in test time
+    sp4 = DerivedCharacter.of("sp4", 0, 0)
+    assert weight_multiplicity(sp4, WeightLabel.of("sp4", -100, -100)) == 2601
+    sl3 = DerivedCharacter.of("sl3", 0, 0, 0)
+    assert weight_multiplicity(sl3, WeightLabel.of("sl3", -100, 0, 100)) == 101
 
 
 def test_weyl_twist_basics():
