@@ -43,10 +43,9 @@ class PrecisionError(PadicError):
 
 
 def vp_int(n: int, p: int):
-    """p-adic valuation of an integer, INF for 0.  An int of up to a machine
-    word is divided by p while it can be.  A larger one is tested against p,
-    p^2, p^4, ... while they divide it, and the valuation is read off bit by
-    bit walking back down: about 2 log2(v) big divisions instead of v."""
+    """p-adic valuation of an integer, INF for 0.  An int of up to a machine word
+    is divided by p while it can be; a larger one is tested against p, p^2, p^4,
+    ... and its valuation read off walking back down, in about 2 log2(v) steps."""
     if n % p:
         return 0
     if n == 0:

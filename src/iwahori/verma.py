@@ -66,14 +66,15 @@ def weight_multiplicity(dchi: DerivedCharacter, lam, w: WeylElement | None = Non
     dchi - lam as a non-negative integer combination of the w-twisted
     positive roots.  Each root slot of a block of dimension ell contributes
     a composition factor C(m + ell - 1, ell - 1); the base field case is
-    ell = 1.  As w is linear, this counts w^-1(dchi - lam) over the
-    untwisted roots in simple-root coordinates (0 off the lattice, off the
-    span or outside the cone): a walk over the non-simple roots stops a slot
-    once a coordinate goes negative; the simple roots take what remains."""
+    ell = 1.  As w is linear, this counts w^-1(dchi - lam) in simple-root
+    coordinates (0 off the lattice, off the span or outside the cone): a walk
+    over the non-simple roots stops a slot once a coordinate goes negative."""
     datum = dchi.datum
     lam_coeffs = lam.coeffs if hasattr(lam, "coeffs") else tuple(Fraction(c) for c in lam)
     target = tuple(a - b for a, b in zip(dchi.coeffs, lam_coeffs))
     if w is not None:
+        for root in datum.positive_roots:
+            datum.act_root(w, root)  # raises for a w that does not permute the roots
         target = w.inverse().act(target)
     coords = datum.simple_coordinates(target)
     if coords is None or min(coords) < 0:

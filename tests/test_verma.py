@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from iwahori.roots import get_root_datum
 from iwahori.verma import (
     DerivedCharacter,
@@ -123,6 +125,12 @@ def test_weight_multiplicity_deep_weights():
     assert weight_multiplicity(sp4, WeightLabel.of("sp4", -100, -100)) == 2601
     sl3 = DerivedCharacter.of("sl3", 0, 0, 0)
     assert weight_multiplicity(sl3, WeightLabel.of("sl3", -100, 0, 100)) == 101
+
+
+def test_weight_multiplicity_rejects_a_foreign_weyl_element():
+    w = get_root_datum("sl3").simple_reflection(0)
+    with pytest.raises(ValueError, match="does not permute the roots"):
+        weight_multiplicity(DerivedCharacter.of("sp4", 0, 0), WeightLabel.of("sp4", -1, -1), w)
 
 
 def test_weyl_twist_basics():
