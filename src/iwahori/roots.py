@@ -77,18 +77,18 @@ class RootDatum:
         mat = [[Fraction(_dot(self.simple_roots[i], self.cochar_basis[j]))
                 for j in range(self.rank)] for i in range(self.rank)]
         coeffs = solve_exact(mat, [Fraction(1)] * self.rank)
-        self._hvec = tuple(
+        hvec = tuple(
             sum(coeffs[j] * Fraction(self.cochar_basis[j][i]) for j in range(self.rank))
             for i in range(dim))
         self._height = {}
         for r in pos_roots:
-            ht = _dot(r, self._hvec)
+            ht = _dot(r, hvec)
             if ht.denominator != 1 or ht < 1:
                 raise ValueError(f"{r} is not a positive root for {name}")
             self._height[tuple(r)] = int(ht)
             self._height[tuple(-x for x in r)] = -int(ht)
         self._scale = math.lcm(*(q.denominator for q in coeffs))
-        self._scaled_hvec = tuple(int(self._scale * q) for q in self._hvec)
+        self._scaled_hvec = tuple(int(self._scale * q) for q in hvec)
         self.positive_roots = sorted(
             (tuple(r) for r in pos_roots), key=lambda r: (self._height[r], r))
         self.negative_roots = [tuple(-x for x in r) for r in self.positive_roots]
