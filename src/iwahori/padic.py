@@ -43,19 +43,13 @@ class PrecisionError(PadicError):
 
 
 def vp_int(n: int, p: int):
-    """p-adic valuation of an integer, INF for 0.  An int of up to a machine word
-    is divided by p while it can be; a larger one is tested against p, p^2, p^4,
-    ... and its valuation read off walking back down, in about 2 log2(v) steps."""
+    """p-adic valuation of an integer, INF for 0.  A unit costs one modulus;
+    otherwise n is tested against p, p^2, p^4, ... and its valuation read off
+    walking back down, in about 2 log2(v) steps."""
     if n % p:
         return 0
     if n == 0:
         return INF
-    if n.bit_length() <= 64:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
     powers = [p]
     while n % (q := powers[-1] * powers[-1]) == 0:
         powers.append(q)
@@ -75,6 +69,17 @@ def vp_fraction(q, p: int):
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 class ScalarRing:
     """The truncated valuation ring O_E modulo pi**prec, E = Q_p(p^(1/m)).
 
@@ -87,7 +92,7 @@ class ScalarRing:
     __slots__ = ("p", "m", "prec", "_pp")
 
     def __init__(self, p: int, m: int = 1, prec: int = 24):
-        if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not _is_prime(p) or p <= 2:
             raise PadicError(f"p must be an odd prime, got {p}")
         if m < 1:
             raise PadicError(f"ramification m must be >= 1, got {m}")

@@ -71,6 +71,8 @@ def weight_multiplicity(dchi: DerivedCharacter, lam, w: WeylElement | None = Non
     over the non-simple roots stops a slot once a coordinate goes negative."""
     datum = dchi.datum
     lam_coeffs = lam.coeffs if hasattr(lam, "coeffs") else tuple(Fraction(c) for c in lam)
+    if len(lam_coeffs) != datum.dim:
+        raise ValueError(f"{datum.name} weights need {datum.dim} coordinates")
     target = tuple(a - b for a, b in zip(dchi.coeffs, lam_coeffs))
     if w is not None:
         for root in datum.positive_roots:

@@ -108,6 +108,15 @@ def test_verma_mult_cli(capsys):
     assert code == 0 and data["multiplicity"] == 1
 
 
+@pytest.mark.parametrize("weight", ["-3", "1,2,3"])
+def test_verma_mult_rejects_a_weight_of_the_wrong_length(weight, capsys):
+    code = main(["verma-mult", "--group", "sp4", "--c", "0,0", f"--lambda={weight}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "sp4 weights need 2 coordinates" in captured.err
+
+
 def test_summands_cli(capsys):
     code, out = run(capsys, "summands", "--group", "sp4")
     data = json.loads(out)

@@ -42,8 +42,8 @@ def _vp_by_division(n, p):
 def test_vp_int_table(p):
     rng = random.Random(p)
     cases = []
-    # random ints on both sides of the machine-word switch, with a random
-    # power of p on top, and their negatives
+    # random ints from a few bits to thousands, with a random power of p on
+    # top, and their negatives
     for bits in (8, 40, 63, 64, 65, 100, 1000, 3000):
         for _ in range(40):
             n = rng.getrandbits(bits) + 1
