@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .axioms import SUITES
+from .axioms import SUITES, check_verma
 from .groups import ChevalleyGroup, GateError, MembershipError
 from .padic import InternalError, PadicScalar
 from .roots import get_root_datum
@@ -344,8 +344,9 @@ def cmd_sp4_golden(args) -> int:
     checks["conditions_sample"] = vals == (
         Fraction(1, 3) - Fraction(1, 5) + 1, Fraction(1, 5) + 1,
         Fraction(1, 3) + Fraction(1, 5) + 3, Fraction(1, 3) + 2)
-    checks["zero_character_not_simple"] = not bgg_simple(DerivedCharacter.of("sp4", 0, 0))[0]
-    checks["eight_summands"] = summand_inventory("sp4")["count"] == 8
+    verma_failures = check_verma(group).failures
+    checks["zero_character_not_simple"] = "zero character must not be simple" not in verma_failures
+    checks["eight_summands"] = "summand count" not in verma_failures
     _, conv = character_expand(Fraction(1, args.p), 3, args.p)
     checks["rigidity_rejects_1_over_p"] = not conv
     _, conv = character_expand(Fraction(1, 3), 3, args.p)
@@ -384,18 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
                "IWAHORI_SEED environment variables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True):
+    def common(p, group=True, ring=True, seed=False):
+        """--json, and of --group, --p/--precision and --seed only what the
+        command reads, so that a setting with no effect is a usage error."""
         if group:
             p.add_argument("--group", choices=GROUPS, default=_env("group", "sp4"))
-        p.add_argument("--p", type=int, default=int(_env("p", 7)))
-        p.add_argument("--precision", "--n", type=int, default=int(_env("precision", 12)))
-        p.add_argument("--seed", type=int, default=int(_env("seed", 1)))
+        if ring:
+            p.add_argument("--p", type=int, default=int(_env("p", 7)))
+            p.add_argument("--precision", "--n", type=int, default=int(_env("precision", 12)))
+        if seed:
+            p.add_argument("--seed", type=int, default=int(_env("seed", 1)))
         p.add_argument("--json", dest="json_dir", default=None,
                        help="write reports into this directory instead of stdout")
 
     p = sub.add_parser("rootdata", help="roots, heights, Coxeter number, delta pairings")
     p.add_argument("topic", nargs="?", choices=("info",), default="info")
-    common(p)
+    common(p, ring=False)
     p.set_defaults(fn=cmd_rootdata)
 
     p = sub.add_parser("omega", help="p-valuation of a matrix element")
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="property suites with exact comparisons")
     p.add_argument("suite", choices=tuple(SUITES))
-    common(p)
+    common(p, seed=True)
     sampling = ", ".join(key for key, row in SUITES.items() if row[2])
     p.add_argument("--n-samples", type=int, default=None, help=f"samples, for {sampling} "
                    f"only (default {VERIFY_SAMPLES}); the other suites draw none")
@@ -437,24 +442,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_slope)
 
     p = sub.add_parser("bgg", help="simplicity criterion on exact character data")
-    common(p)
+    common(p, ring=False)
     p.add_argument("--c", dest="characters", required=True,
                    help="comma separated rationals, e.g. 1/3,1/5")
     p.set_defaults(fn=cmd_bgg)
 
     p = sub.add_parser("verma-mult", help="weight multiplicity")
-    common(p)
+    common(p, ring=False)
     p.add_argument("--c", dest="characters", required=True)
     p.add_argument("--lambda", dest="weight", required=True)
     p.add_argument("--w", default="e")
     p.set_defaults(fn=cmd_verma_mult)
 
     p = sub.add_parser("summands", help="Weyl-indexed summand inventory")
-    common(p)
+    common(p, ring=False)
     p.set_defaults(fn=cmd_summands)
 
     p = sub.add_parser("verify-all", help="all suites, nonzero exit on failure")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--n-samples", type=int, default=VERIFY_SAMPLES)
     p.set_defaults(fn=cmd_verify_all)
 

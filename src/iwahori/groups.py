@@ -298,16 +298,7 @@ class ChevalleyGroup:
     def torus_element(self, mu, c) -> "GroupElement":
         """The point mu(c) of the torus, for a unit c."""
         c = self.ring.coerce(c)
-        exps = self.exponents(mu)
-        cinv = None
-        diag = []
-        for e in exps:
-            if e >= 0:
-                diag.append(c ** e)
-            else:
-                if cinv is None:
-                    cinv = c.inv()
-                diag.append(cinv ** (-e))
+        diag = [c ** e for e in self.exponents(mu)]
         zero = self.ring.zero()
         mat = tuple(tuple(diag[i] if i == j else zero for j in range(self.n))
                     for i in range(self.n))
@@ -370,15 +361,9 @@ class ChevalleyGroup:
         diag = [self.ring.one() for _ in range(self.n)]
         for mu_i, s in zip(self.datum.cochar_basis, torus_coords):
             s = self.ring.coerce(s)
-            exps = self.exponents(mu_i)
-            sinv = None
-            for k, e in enumerate(exps):
-                if e > 0:
-                    diag[k] = diag[k] * (s if e == 1 else s ** e)
-                elif e < 0:
-                    if sinv is None:
-                        sinv = s.inv()
-                    diag[k] = diag[k] * (sinv if e == -1 else sinv ** (-e))
+            for k, e in enumerate(self.exponents(mu_i)):
+                if e:
+                    diag[k] = diag[k] * s ** e
         return diag
 
     # -- batches and bases ------------------------------------------------
@@ -516,6 +501,8 @@ class ChevalleyGroup:
         return plan
 
     def _strip_unipotent(self, mat, batch_roots):
+        """(root, parameter) pairs stripped in batch order off a unipotent
+        matrix of scalars, or of series (``series.coordinate_change_polys``)."""
         params = []
         cur = [list(row) for row in mat]
         for root in batch_roots:
@@ -583,7 +570,7 @@ class ChevalleyGroup:
         for recipe in self.torus_recipe:
             s = self.ring.one()
             for idx, e in recipe:
-                s = s * (diag[idx] if e == 1 else diag[idx].inv() ** (-e))
+                s = s * diag[idx] ** e
             coords.append(s)
         # consistency: the recipe must reconstruct the whole diagonal.  The
         # comparison is at the least precision of the coordinates, to which
@@ -981,26 +968,13 @@ class GroupElement:
             return GroupElement._from_ints(
                 group, tuple(tuple(a * dinv % mod for a in row) for row in adj))
         if group.name == "sp4":
-            # g^-1 = -J g^T J for the antidiagonal Gram matrix
-            jmat = _SP4_GRAM
-            gt = [[self.mat[j][i] for j in range(n)] for i in range(n)]
-            tmp = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    acc = group.ring.zero(exact=True)
-                    for k in range(n):
-                        if jmat[i][k]:
-                            acc = acc + (gt[k][j] if jmat[i][k] == 1 else -gt[k][j])
-                    tmp[i][j] = acc
-            out = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    acc = group.ring.zero(exact=True)
-                    for k in range(n):
-                        if jmat[k][j]:
-                            acc = acc + (tmp[i][k] if jmat[k][j] == 1 else -tmp[i][k])
-                    out[i][j] = -acc
-            return GroupElement(group, tuple(tuple(r) for r in out))
+            # every entry is read at most at the ring precision and negated
+            # at least once, so a nonzero exact entry comes out inexact
+            zero, mat = group.ring.zero(), self.mat
+            return GroupElement(group, tuple(
+                tuple(-(zero - mat[3 - j][3 - i]) if sign > 0 else -(zero + mat[3 - j][3 - i])
+                      for j, sign in enumerate(signs))
+                for i, signs in enumerate(_SP4_INV_SIGN)))
         adj, det = _adjugate_det(self.mat, n, group.ring.zero(exact=True))
         dinv = det.inv()
         return GroupElement(group, tuple(

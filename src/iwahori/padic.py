@@ -326,14 +326,15 @@ class PadicScalar:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        result = self.ring.one(self.prec)
-        base = self
+        # one(prec) * x has the state of x, so the ladder starts from the base
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.ring.one(self.prec) if result is None else result
 
     def shift(self, k: int) -> "PadicScalar":
         """Multiply by pi**k.  Negative k divides and must be exact;
@@ -349,10 +350,7 @@ class PadicScalar:
 
     def _shift_up(self):
         m, p = self.ring.m, self.ring.p
-        if m == 1:
-            co = (p * self.co[0],)
-        else:
-            co = (p * self.co[m - 1],) + self.co[:m - 1]
+        co = (p * self.co[m - 1],) + self.co[:m - 1]
         return self.ring.canonical(co, self.prec + 1, self.exact)
 
     def _shift_down(self):
@@ -361,10 +359,7 @@ class PadicScalar:
             raise PrecisionError("no digits left to divide by the uniformizer")
         if self.co[0] % p:
             raise PrecisionError("not divisible by the uniformizer")
-        if m == 1:
-            co = (self.co[0] // p,)
-        else:
-            co = self.co[1:] + (self.co[0] // p,)
+        co = self.co[1:] + (self.co[0] // p,)
         return self.ring.canonical(co, self.prec - 1, self.exact)
 
     # -- queries ------------------------------------------------------

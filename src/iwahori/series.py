@@ -67,28 +67,14 @@ class SeriesContext:
 
     def point_from_cocharacter(self, mu_vec, c: PadicScalar):
         """Coordinate values of the torus point mu(c): a_i = c^<eps_i, mu>."""
-        cinv = None
-        vals = []
-        for e in mu_vec:
-            if e >= 0:
-                vals.append(c ** e)
-            else:
-                if cinv is None:
-                    cinv = c.inv()
-                vals.append(cinv ** (-e))
-        return tuple(vals)
+        return tuple(c ** e for e in mu_vec)
 
     def root_value(self, root, point):
         """Value of a root character at a torus point given by chart values."""
         out = self.ring.one()
-        invs = {}
         for i, e in enumerate(root):
-            if e > 0:
+            if e:
                 out = out * point[i] ** e
-            elif e < 0:
-                if i not in invs:
-                    invs[i] = point[i].inv()
-                out = out * invs[i] ** (-e)
         return out
 
 
@@ -259,7 +245,9 @@ class TruncatedSeries:
         return Fraction(0) if total is None else total
 
     def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
+        if isinstance(other, (int, Fraction)):
+            other = TruncatedSeries.constant(self.ctx, other)
+        elif not isinstance(other, TruncatedSeries):
             return NotImplemented
         keys = set(self.coeffs) | set(other.coeffs)
         zero = Fraction(0)
@@ -422,34 +410,15 @@ def coordinate_change_polys(ctx: SeriesContext, shift_coords):
         c = shift_coords[r]
         c = Fraction(c) if isinstance(c, int) else c
         group._rmul_root_inplace(rows, root, const(scale * c))
-    # symbolic strip in the fixed batch order
+    # strip in the fixed batch order, then undo the chart scaling
     out = []
-    for root in ctx.batch:
-        dirs = group.dirs[root]
-        i0, j0, s0 = dirs[0]
-        xpoly = rows[i0][j0] if s0 == 1 else -rows[i0][j0]
-        for (i, j, s) in dirs[1:]:
-            expect = xpoly if s == 1 else -xpoly
-            if not rows[i][j] == expect:
-                raise InternalError("paired symbolic entries disagree")
+    for root, xpoly in group._strip_unipotent(rows, ctx.batch):
         scale = group.filtration_scale(root)
         if scale != 1:
-            divided = {}
-            for idx, c in xpoly.coeffs.items():
-                q = c / scale
-                if vp_fraction(q, p) is not INF and vp_fraction(q, p) < 0:
-                    raise InternalError("symbolic coordinate not integral")
-                divided[idx] = q
-            coord = TruncatedSeries(ctx, divided)
-        else:
-            coord = xpoly
-        out.append(coord)
-        group._lmul_root_inplace(rows, root, -xpoly)
-    for i in range(n):
-        for j in range(n):
-            target = one if i == j else zero
-            if not rows[i][j] == target:
-                raise InternalError("symbolic strip left a remainder")
+            xpoly = TruncatedSeries(ctx, {idx: c / scale for idx, c in xpoly.coeffs.items()})
+            if any(vp_fraction(c, p) < 0 for c in xpoly.coeffs.values()):
+                raise InternalError("symbolic coordinate not integral")
+        out.append(xpoly)
     return out
 
 

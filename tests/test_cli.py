@@ -142,6 +142,46 @@ def test_sp4_golden_cli(capsys):
     assert all(data["checks"].values())
 
 
+def test_sp4_golden_reads_the_verma_self_test(monkeypatch, capsys):
+    # the two verma checks of sp4-golden are the verdicts of check_verma,
+    # so a failure there shows in both
+    from iwahori import axioms
+    monkeypatch.setattr(axioms, "bgg_simple", lambda dchi: (True, []))
+    monkeypatch.setattr(axioms, "summand_inventory", lambda name: {"count": 7})
+    code, out = run(capsys, "sp4-golden")
+    checks = json.loads(out)["checks"]
+    assert code == 1
+    assert [k for k, ok in checks.items() if not ok] == ["eight_summands",
+                                                          "zero_character_not_simple"]
+
+
+# each command takes only the options it reads; these settings had no effect
+UNREAD_OPTIONS = ([(cmd, opt) for cmd in ("rootdata", "bgg", "verma-mult", "summands")
+                   for opt in ("--p", "--precision", "--seed")]
+                  + [(cmd, "--seed") for cmd in ("omega", "factorize", "basis", "slope",
+                                                  "sp4-golden")])
+COMMAND_ARGS = {
+    "rootdata": ["rootdata", "--group", "sp4"],
+    "bgg": ["bgg", "--c", "1/3,1/5"],
+    "verma-mult": ["verma-mult", "--c", "0,0", "--lambda=-1,-1"],
+    "summands": ["summands"],
+    "omega": ["omega", "--element", '[["1","0"],["7","1"]]'],
+    "factorize": ["factorize", "--element", '[["1","0"],["7","1"]]'],
+    "basis": ["basis"],
+    "slope": ["slope", "split", "--series", "f.json"],
+    "sp4-golden": ["sp4-golden"],
+}
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+def test_an_option_the_command_does_not_read_is_a_usage_error(command, option, capsys):
+    assert len(UNREAD_OPTIONS) == 17
+    with pytest.raises(SystemExit) as exit_info:
+        main(COMMAND_ARGS[command] + [f"{option}=3"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {option}=3" in capsys.readouterr().err
+
+
 def test_verify_all_reports_are_deterministic(tmp_path, capsys):
     for d in ("a", "b"):
         code = main(["verify-all", "--group", "sl2", "--n-samples", "20",

@@ -6,7 +6,11 @@
 * the scalar torus rebuild against the product of torus elements;
 * the integer path of ``groups`` and the m = 1 int loops of exp/log against
   the PadicScalar route, which ``scalar_route()`` forces, and the closure
-  of the integer path under its own operations.
+  of the integer path under its own operations;
+* the scalar Sp4 inverse read off the sign table against the two products
+  with the Gram matrix it replaced, and ``PadicScalar.__pow__`` and the
+  torus helpers that call it against the former ladder and the hand-kept
+  inverse caches.
 
 Hypothesis runs with fixed seeds, so every run draws the same examples.
 """
@@ -22,6 +26,7 @@ from iwahori.axioms import sample_iwahori
 from iwahori.groups import ChevalleyGroup, GroupElement, MembershipError
 from iwahori.padic import (DomainError, InternalError, PadicScalar, PrecisionError, ScalarRing,
                            padic_exp, padic_log)
+from iwahori.series import SeriesContext
 
 P, N = 7, 12
 Zp = ScalarRing(P, 1, N)
@@ -226,11 +231,13 @@ def matmul_rebuild_ref(G, coords):
 
 
 def recipe_coords(G, diag):
+    """The former recipe of ``_torus_coords_from_diag``, with its
+    inverses taken by hand."""
     coords = []
     for recipe in G.torus_recipe:
         s = G.ring.one()
         for idx, e in recipe:
-            s = s * (diag[idx] if e == 1 else diag[idx].inv() ** (-e))
+            s = s * (diag[idx] if e == 1 else pow_ref(diag[idx].inv(), -e))
         coords.append(s)
     return coords
 
@@ -657,3 +664,210 @@ def test_exp_log_loops_raise_the_same_precision_error(p, prec):
                 assert fast == outcome(series[1], x, nmax, buf)
                 seen.add(fast[0] if isinstance(fast[0], type) else "value")
     assert PrecisionError in seen
+
+
+# -- the scalar Sp4 inverse -------------------------------------------------------
+
+
+def sp4_inv_ref(g):
+    """The former scalar route of ``GroupElement.inv`` on Sp4, kept as a
+    differential reference: -J g^T J as two products with the Gram matrix,
+    each entry accumulated from an exact ring zero."""
+    group = g.group
+    n = group.n
+    jmat = GRAM
+    gt = [[g.mat[j][i] for j in range(n)] for i in range(n)]
+    tmp = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = group.ring.zero(exact=True)
+            for k in range(n):
+                if jmat[i][k]:
+                    acc = acc + (gt[k][j] if jmat[i][k] == 1 else -gt[k][j])
+            tmp[i][j] = acc
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = group.ring.zero(exact=True)
+            for k in range(n):
+                if jmat[k][j]:
+                    acc = acc + (tmp[i][k] if jmat[k][j] == 1 else -tmp[i][k])
+            out[i][j] = -acc
+    return [[state(e) for e in row] for row in out]
+
+
+def root_products(G, rng):
+    """A product of up to six root elements with parameters 0, +-1, p or a
+    random value; its entries are exact, or inexact at the ring precision
+    where a negative value was reduced."""
+    p, prec = G.ring.p, G.ring.prec
+    g = G.identity()
+    for _ in range(rng.randint(1, 6)):
+        x = rng.choice((0, 1, -1, p, rng.randrange(-p ** (prec + 1), p ** (prec + 1))))
+        g = g * G.root_element(rng.choice(sorted(G.dirs)), x)
+    return g
+
+
+def reread(e, how, rng):
+    """e truncated below the ring precision, made inexact, or rebuilt with
+    its digits claimed above it (exact entries stay exact there)."""
+    prec = e.ring.prec
+    if how == "truncated":
+        return e.truncate(rng.randint(1, max(1, min(e.prec, prec - 1))))
+    if how == "inexact":
+        return PadicScalar(e.ring, e.co, e.prec, False)
+    return PadicScalar(e.ring, e.co, prec + rng.randint(1, 3), e.exact)
+
+
+@pytest.mark.parametrize("p,prec", [(7, 12), (7, 3), (11, 5)])
+def test_sp4_scalar_inverse_matches_the_gram_products(p, prec):
+    G = ChevalleyGroup("sp4", p=p, prec=prec)
+    rng = Random(p * 100 + prec)
+    exact_in = inexact_out = 0
+    for k in range(300):
+        g = root_products(G, rng)
+        how = ("as_is", "truncated", "inexact", "above")[k % 4]
+        rows = [list(row) for row in g.mat]
+        if how != "as_is":
+            for _ in range(rng.randint(1, 8)):
+                i, j = rng.randrange(4), rng.randrange(4)
+                rows[i][j] = reread(rows[i][j], how, rng)
+        # no int rows, so inv takes the scalar route whatever the entries
+        h = GroupElement(G, tuple(tuple(row) for row in rows), None)
+        got = mat_state(h.inv())
+        assert got == sp4_inv_ref(h), (how, mat_state(h))
+        exact_in += any(e.exact and any(e.co) for row in h.mat for e in row)
+        inexact_out += all(not e[2] for row in got for e in row if any(e[0]))
+    assert exact_in > 100 and inexact_out == 300
+
+
+# -- signed powers ------------------------------------------------------------------
+
+
+def pow_ref(x, n):
+    """The former ``PadicScalar.__pow__``, kept as a differential reference:
+    the ladder starts from one(prec) and squares after every bit."""
+    if n < 0:
+        return pow_ref(x.inv(), -n)
+    result = x.ring.one(x.prec)
+    base = x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def torus_element_ref(G, mu, c):
+    """The former ``ChevalleyGroup.torus_element`` diagonal, with its
+    inverse kept by hand."""
+    c = G.ring.coerce(c)
+    exps = G.exponents(mu)
+    cinv = None
+    diag = []
+    for e in exps:
+        if e >= 0:
+            diag.append(pow_ref(c, e))
+        else:
+            if cinv is None:
+                cinv = c.inv()
+            diag.append(pow_ref(cinv, -e))
+    return diag
+
+
+def torus_diagonal_ref(G, torus_coords):
+    """The former ``ChevalleyGroup.torus_diagonal``."""
+    diag = [G.ring.one() for _ in range(G.n)]
+    for mu_i, s in zip(G.datum.cochar_basis, torus_coords):
+        s = G.ring.coerce(s)
+        exps = G.exponents(mu_i)
+        sinv = None
+        for k, e in enumerate(exps):
+            if e > 0:
+                diag[k] = diag[k] * (s if e == 1 else pow_ref(s, e))
+            elif e < 0:
+                if sinv is None:
+                    sinv = s.inv()
+                diag[k] = diag[k] * (sinv if e == -1 else pow_ref(sinv, -e))
+    return diag
+
+
+def point_from_cocharacter_ref(mu_vec, c):
+    """The former ``SeriesContext.point_from_cocharacter``."""
+    cinv = None
+    vals = []
+    for e in mu_vec:
+        if e >= 0:
+            vals.append(pow_ref(c, e))
+        else:
+            if cinv is None:
+                cinv = c.inv()
+            vals.append(pow_ref(cinv, -e))
+    return tuple(vals)
+
+
+def root_value_ref(ring, root, point):
+    """The former ``SeriesContext.root_value``."""
+    out = ring.one()
+    invs = {}
+    for i, e in enumerate(root):
+        if e > 0:
+            out = out * pow_ref(point[i], e)
+        elif e < 0:
+            if i not in invs:
+                invs[i] = point[i].inv()
+            out = out * pow_ref(invs[i], -e)
+    return out
+
+
+POWER_RINGS = [ScalarRing(P, 1, N), ScalarRing(P, 1, 3), ScalarRing(P, 4, N)]
+EXPONENTS = range(-4, 10)
+
+
+def draw_scalar(ring, rng, kind):
+    """An exact unit, an inexact unit, a non-unit or a zero, at a precision
+    below, at or above the ring precision."""
+    prec = rng.randint(1, ring.prec + 2)
+    if kind in ("exact_zero", "cap_zero"):
+        return ring.zero(prec, exact=kind == "exact_zero")
+    co = [rng.randrange(ring.coeff_mod(j, prec)) for j in range(ring.m)]
+    co[0] -= co[0] % P
+    if kind != "non_unit":
+        co[0] += rng.randint(1, P - 1)
+    return PadicScalar(ring, tuple(co), prec, kind == "exact")
+
+
+@pytest.mark.parametrize("ring", POWER_RINGS, ids=lambda r: f"m{r.m}-N{r.prec}")
+def test_pow_matches_the_former_ladder(ring):
+    rng = Random(ring.m * 100 + ring.prec)
+    for k in range(200):
+        kind = ("exact", "inexact", "non_unit", "exact_zero", "cap_zero")[k % 5]
+        x = draw_scalar(ring, rng, kind)
+        for e in EXPONENTS:
+            got = outcome(lambda: x ** e)
+            assert got == outcome(pow_ref, x, e), (kind, state(x), e)
+
+
+@pytest.mark.parametrize("ring", POWER_RINGS, ids=lambda r: f"m{r.m}-N{r.prec}")
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sp4"])
+def test_torus_helpers_match_the_hand_kept_inverses(name, ring):
+    G = ChevalleyGroup(name, ring=ring)
+    ctx = SeriesContext(G)
+    rng = Random(f"{name}-{ring.m}-{ring.prec}")
+    dim = len(G.datum.cochar_basis[0])
+    for k in range(40):
+        units = [draw_scalar(ring, rng, ("exact", "inexact")[(k + i) % 2]) for i in range(dim)]
+        c = units[0]
+        mu = tuple(rng.choice(EXPONENTS) for _ in range(dim))
+        t = G.torus_element(mu, c)
+        got = [state(t.mat[i][i]) for i in range(G.n)]
+        assert got == [state(d) for d in torus_element_ref(G, mu, c)]
+        diag = G.torus_diagonal(units[:G.datum.rank])
+        assert [state(d) for d in diag] == [state(d) for d in
+                                            torus_diagonal_ref(G, units[:G.datum.rank])]
+        got = [state(s) for s in G._torus_coords_from_diag(diag)]
+        assert got == [state(s) for s in recipe_coords(G, diag)]
+        point = ctx.point_from_cocharacter(mu, c)
+        assert [state(a) for a in point] == [state(a) for a in point_from_cocharacter_ref(mu, c)]
+        assert state(ctx.root_value(mu, units)) == state(root_value_ref(ring, mu, units))

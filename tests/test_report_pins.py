@@ -69,3 +69,11 @@ def test_cap_report_bytes(config, digest, tmp_path, capsys):
     assert code == 0
     data = (tmp_path / f"verify-{check}-{group}.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_sp4_golden_report_bytes(capsys):
+    # computed before sp4-golden read its verma checks off axioms.check_verma
+    assert main(["sp4-golden", "--p", "7", "--precision", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "028c96a5245dc9368f267bbd7588ace64a1d60ac11934867376a3629b6245bd2")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from iwahori.padic import INF, padic_exp, vp_fraction
+from iwahori.padic import INF, InternalError, padic_exp, vp_fraction
 from iwahori.series import (
     Character,
     SeriesContext,
@@ -301,6 +301,93 @@ def test_coordinate_change_is_exact_inverse():
         polys = coordinate_change_polys(ctx, b)
         vals = [poly.evaluate([Fraction(x) for x in a]) for poly in polys]
         assert vals == [Fraction(x) for x in ab]
+
+
+def _coordinate_change_polys_ref(ctx, shift_coords):
+    """The former ``coordinate_change_polys``, kept as a differential
+    reference: the symbolic strip written out on TruncatedSeries entries,
+    each upper-root parameter divided by p as it is stripped."""
+    group = ctx.group
+    n = group.n
+    p = ctx.ring.p
+
+    def const(c):
+        return TruncatedSeries.constant(ctx, Fraction(c))
+
+    one, zero = const(1), const(0)
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    # u(z): coordinates scale by p on the upper (negative) batch roots
+    for r, root in enumerate(ctx.batch):
+        scale = Fraction(group.filtration_scale(root))
+        zpoly = TruncatedSeries.monomial(ctx, tuple(int(k == r) for k in range(ctx.nvars)),
+                                         scale)
+        group._rmul_root_inplace(rows, root, zpoly)
+    # times the constant element u0
+    for r, root in enumerate(ctx.batch):
+        scale = Fraction(group.filtration_scale(root))
+        c = shift_coords[r]
+        c = Fraction(c) if isinstance(c, int) else c
+        group._rmul_root_inplace(rows, root, const(scale * c))
+    # symbolic strip in the fixed batch order
+    out = []
+    for root in ctx.batch:
+        dirs = group.dirs[root]
+        i0, j0, s0 = dirs[0]
+        xpoly = rows[i0][j0] if s0 == 1 else -rows[i0][j0]
+        for (i, j, s) in dirs[1:]:
+            expect = xpoly if s == 1 else -xpoly
+            if not rows[i][j] == expect:
+                raise InternalError("paired symbolic entries disagree")
+        scale = group.filtration_scale(root)
+        if scale != 1:
+            divided = {}
+            for idx, c in xpoly.coeffs.items():
+                q = c / scale
+                if vp_fraction(q, p) is not INF and vp_fraction(q, p) < 0:
+                    raise InternalError("symbolic coordinate not integral")
+                divided[idx] = q
+            coord = TruncatedSeries(ctx, divided)
+        else:
+            coord = xpoly
+        out.append(coord)
+        group._lmul_root_inplace(rows, root, -xpoly)
+    for i in range(n):
+        for j in range(n):
+            target = one if i == j else zero
+            if not rows[i][j] == target:
+                raise InternalError("symbolic strip left a remainder")
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sp4"])
+def test_coordinate_change_matches_the_written_out_strip(name):
+    # every Weyl twist, at integer shifts and at rational shifts with a unit
+    # denominator; same polynomials, coefficient for coefficient
+    rng = random.Random(17)
+    weyl = ctx_for(name).datum.weyl_group()
+    cases = 0
+    for w_index in range(len(weyl)):
+        ctx = ctx_for(name, w_index=w_index)
+        for k in range(6):
+            if k % 2:
+                shift = [Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 5, 8]))
+                         for _ in range(ctx.nvars)]
+            else:
+                shift = [rng.randrange(-9, 10) for _ in range(ctx.nvars)]
+            want = _coordinate_change_polys_ref(ctx, shift)
+            got = coordinate_change_polys(ctx, shift)
+            assert [(f.coeffs, f.degree) for f in got] == [(f.coeffs, f.degree) for f in want]
+            cases += 1
+    assert cases == 6 * len(weyl)
+
+
+def test_series_equals_a_rational_constant():
+    ctx = ctx_for("sl3")
+    assert TruncatedSeries(ctx, {}) == 0
+    assert TruncatedSeries.constant(ctx, Fraction(1, 3)) == Fraction(1, 3)
+    assert TruncatedSeries.constant(ctx, 2) == 2
+    assert not TruncatedSeries.constant(ctx, 2) == 1
+    assert not TruncatedSeries.monomial(ctx, (1, 0, 0)) == 1
 
 
 def test_hida_projector_exponent_cap():
