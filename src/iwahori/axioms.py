@@ -225,8 +225,8 @@ def check_et_embedding(group: ChevalleyGroup, seed: int = 1) -> AxiomReport:
 
 def check_padic(group: ChevalleyGroup) -> SelfTestReport:
     """exp/log, the digit valuation and a uniformizer at the group's p and N."""
-    p, precision = group.ring.p, group.ring.prec
-    ring = ScalarRing(p, 1, precision)
+    ring = group.ring
+    p, precision = ring.p, ring.prec
     failures = []
     x = ring.from_int(p)
     if not padic_log(padic_exp(x)) == x:

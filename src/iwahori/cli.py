@@ -107,8 +107,11 @@ def _series_to_json(f: TruncatedSeries):
 
 
 def _series_from_json(ctx: SeriesContext, data, degree):
-    if isinstance(data, dict):
-        data = data["terms"]
+    if not isinstance(data, list) or not all(
+            isinstance(t, dict) and "coeff" in t and isinstance(t.get("index"), list)
+            and all(isinstance(i, int) for i in t["index"]) for t in data):
+        raise ValueError('a series file holds a JSON list of '
+                         '{"index": [i1, ..., iN], "coeff": "a/b"} objects')
     coeffs = {tuple(term["index"]): _fraction(term["coeff"]) for term in data}
     return TruncatedSeries(ctx, coeffs, degree)
 
@@ -376,7 +379,9 @@ def cmd_sp4_golden(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; the IWAHORI_* defaults
-    are read when it is built."""
+    are read when it is built.  They stay strings until a command that reads
+    the option parses them, so a malformed one is that command's usage
+    error (exit 2) and no other command's."""
     parser = argparse.ArgumentParser(
         prog="iwahori",
         description="Exact computations with pro-p Iwahori subgroups: "
@@ -391,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
         if group:
             p.add_argument("--group", choices=GROUPS, default=_env("group", "sp4"))
         if ring:
-            p.add_argument("--p", type=int, default=int(_env("p", 7)))
-            p.add_argument("--precision", "--n", type=int, default=int(_env("precision", 12)))
+            p.add_argument("--p", type=int, default=_env("p", 7))
+            p.add_argument("--precision", "--n", type=int, default=_env("precision", 12))
         if seed:
-            p.add_argument("--seed", type=int, default=int(_env("seed", 1)))
+            p.add_argument("--seed", type=int, default=_env("seed", 1))
         p.add_argument("--json", dest="json_dir", default=None,
                        help="write reports into this directory instead of stdout")
 

@@ -58,17 +58,16 @@ the others run on every call:
 
 Integer path
 ------------
-Over Z_p (m = 1), an element whose entries are all inexact and all at the
-ring precision N is read once into plain ints modulo p^N and cached on the
-element.  For such elements the group relation, the membership test, the
-LDU elimination, both unipotent strips, the torus rebuild, products and
+An element whose entries are all inexact and all at the ring precision N
+is read once into plain ints modulo p^N and cached on the element.  For
+such elements the group relation, the membership test, the LDU
+elimination, both unipotent strips, the torus rebuild, products and
 inverses run on those ints, and each result scalar is wrapped once at
 precision N.  The path is picked from that input property alone.  It gives
 the same (co, prec, exact) as the scalar route, runs the same self-checks
 and raises the same exceptions; its outputs are again inexact at N, so
 chained products stay on it.  Exact or mixed-precision entries (user
-matrices, the identity, root generators) and ramified rings (m > 1) take
-the scalar route.
+matrices, the identity, root generators) take the scalar route.
 """
 
 from __future__ import annotations
@@ -224,17 +223,12 @@ _SP4_INV_SIGN = tuple(tuple(-_SP4_GRAM[i][3 - i] * _SP4_GRAM[3 - j][j] for j in 
 
 
 class ChevalleyGroup:
-    """One of the supported matrix groups over a fixed scalar ring."""
+    """One of the supported matrix groups over Z_p at precision prec."""
 
-    def __init__(self, name: str, p: int | None = None, prec: int = 12,
-                 ring: ScalarRing | None = None):
+    def __init__(self, name: str, p: int, prec: int = 12):
         self.datum: RootDatum = get_root_datum(name)
         self.name = self.datum.name
-        if ring is None:
-            if p is None:
-                raise ValueError("give a prime p or a scalar ring")
-            ring = ScalarRing(p, 1, prec)
-        self.ring = ring
+        self.ring = ring = ScalarRing(p, 1, prec)
         self.n = _MATRIX_SIZE[self.name]
         if self.name == "sp4":
             self.dirs = _SP4_DIRS
@@ -264,11 +258,13 @@ class ChevalleyGroup:
 
     # -- element constructors -------------------------------------------
 
+    def _diagonal(self, diag) -> "GroupElement":
+        zero = self.ring.zero()
+        return GroupElement(self, tuple(tuple(diag[i] if i == j else zero for j in range(self.n))
+                                        for i in range(self.n)))
+
     def identity(self) -> "GroupElement":
-        one, zero = self.ring.one(), self.ring.zero()
-        mat = tuple(tuple(one if i == j else zero for j in range(self.n))
-                    for i in range(self.n))
-        return GroupElement(self, mat)
+        return self._diagonal([self.ring.one()] * self.n)
 
     def element(self, rows, check: bool = True) -> "GroupElement":
         mat = tuple(tuple(self.ring.coerce(x) for x in row) for row in rows)
@@ -298,11 +294,7 @@ class ChevalleyGroup:
     def torus_element(self, mu, c) -> "GroupElement":
         """The point mu(c) of the torus, for a unit c."""
         c = self.ring.coerce(c)
-        diag = [c ** e for e in self.exponents(mu)]
-        zero = self.ring.zero()
-        mat = tuple(tuple(diag[i] if i == j else zero for j in range(self.n))
-                    for i in range(self.n))
-        return GroupElement(self, mat)
+        return self._diagonal([c ** e for e in self.exponents(mu)])
 
     def torus_from_chart(self, *values) -> "GroupElement":
         """Diagonal torus element in the natural chart: diag(a, a^-1) for
@@ -322,10 +314,7 @@ class ChevalleyGroup:
                 prod = prod * d
             if not prod == 1:
                 raise MembershipError("SL torus chart needs product 1")
-        zero = self.ring.zero()
-        mat = tuple(tuple(diag[i] if i == j else zero for j in range(self.n))
-                    for i in range(self.n))
-        return GroupElement(self, mat)
+        return self._diagonal(diag)
 
     # sparse one-parameter multiplications: a root element touches at most
     # two entries, so row and column updates beat full matrix products
@@ -582,7 +571,7 @@ class ChevalleyGroup:
                 raise InternalError("torus diagonal is not in the cocharacter lattice")
         return coords
 
-    def from_parameters(self, neg, torus_coords, pos, check: bool = False) -> "GroupElement":
+    def from_parameters(self, neg, torus_coords, pos) -> "GroupElement":
         """Multiply out (neg batch) * (torus) * (pos batch) in the given order."""
         rows = [list(r) for r in self.identity().mat]
         for root, x in neg:
@@ -590,10 +579,7 @@ class ChevalleyGroup:
         self._rmul_diag_inplace(rows, self.torus_diagonal(torus_coords))
         for root, x in pos:
             self._rmul_root_inplace(rows, root, self.ring.coerce(x))
-        g = GroupElement(self, tuple(tuple(r) for r in rows))
-        if check and not self.in_iwahori(g):
-            raise MembershipError("parameters do not land in the pro-p Iwahori")
-        return g
+        return GroupElement(self, tuple(tuple(r) for r in rows))
 
     # -- ordered basis and coordinates ---------------------------------------
 
@@ -604,11 +590,10 @@ class ChevalleyGroup:
         cached = self._basis_cache.get(w.matrix)
         if cached is not None:
             return cached
-        h = self.coxeter_number
 
         def _root_vector(root):
             scale = self.filtration_scale(root)
-            omega = Fraction(0 if scale == 1 else 1) + Fraction(self.datum.height(root), h)
+            omega = self._omega_offset[root] + (0 if scale == 1 else 1)
             return BasisVector(("root", root), self.root_element(root, scale), omega)
 
         neg_batch, pos_batch = self.batches(w)
@@ -722,9 +707,7 @@ class EtData:
 
     def root_values(self):
         """val(alpha(t)) = ht(alpha)/(e*h) for the positive roots, exact."""
-        h = self.group.coxeter_number
-        return {r: Fraction(self.group.datum.height(r), h)
-                for r in self.group.datum.positive_roots}
+        return {r: self.group._omega_offset[r] for r in self.group.datum.positive_roots}
 
 
 @dataclass
@@ -786,10 +769,8 @@ _UNREAD = object()  # GroupElement._ints before its entries are first read
 
 
 def _flat_int_rows(mat, ring):
-    """Int rows of mat if the ring is Z_p and every entry is an inexact
-    scalar of that ring at its precision N, else None."""
-    if ring.m != 1:
-        return None
+    """Int rows of mat if every entry is an inexact scalar of the ring at
+    its precision N, else None."""
     prec = ring.prec
     rows = []
     for row in mat:
@@ -922,8 +903,8 @@ class GroupElement:
         return cls(group, tuple(tuple(wrap(v) for v in row) for row in rows), rows)
 
     def _int_rows(self):
-        """The entries as int rows modulo p^N when the ring is Z_p and every
-        entry is inexact at the ring precision N, else None."""
+        """The entries as int rows modulo p^N when every entry is inexact at
+        the ring precision N, else None."""
         ints = self._ints
         if ints is _UNREAD:
             ints = self._ints = _flat_int_rows(self.mat, self.group.ring)

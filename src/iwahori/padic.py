@@ -69,17 +69,6 @@ def vp_fraction(q, p: int):
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class ScalarRing:
     """The truncated valuation ring O_E modulo pi**prec, E = Q_p(p^(1/m)).
 
@@ -92,7 +81,7 @@ class ScalarRing:
     __slots__ = ("p", "m", "prec", "_pp")
 
     def __init__(self, p: int, m: int = 1, prec: int = 24):
-        if not _is_prime(p) or p <= 2:
+        if p <= 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise PadicError(f"p must be an odd prime, got {p}")
         if m < 1:
             raise PadicError(f"ramification m must be >= 1, got {m}")
@@ -227,23 +216,19 @@ class PadicScalar:
     # -- arithmetic ---------------------------------------------------
 
     # The m = 1 branches below give the same (co, prec, exact) as the generic
-    # route through canonical(); they only skip its tuple bookkeeping.  An
-    # exact zero operand (exact and co[0] == 0) takes the generic route.
+    # route through canonical(); they only skip its tuple bookkeeping.  Only
+    # __mul__ sends an exact zero operand (exact and co[0] == 0) to the
+    # generic route, whose product of an exact zero is an exact zero.
 
     def __add__(self, other):
         if type(other) is not PadicScalar:
             other = self._other(other)
         ring = self.ring
-        if ring.m == 1 and (self.co[0] or not self.exact) and (other.co[0] or not other.exact):
-            prec = self.prec if self.prec < other.prec else other.prec
+        prec = self.prec if self.prec < other.prec else other.prec
+        if ring.m == 1:
             raw = self.co[0] + other.co[0]
             red = raw % ring.ppow(prec)
             return PadicScalar(ring, (red,), prec, self.exact and other.exact and red == raw)
-        if self.is_exact_zero:
-            return other if other.prec <= self.prec else other.truncate(self.prec)
-        if other.is_exact_zero:
-            return self if self.prec <= other.prec else self.truncate(other.prec)
-        prec = min(self.prec, other.prec)
         co = tuple(a + b for a, b in zip(self.co, other.co))
         return ring.canonical(co, prec, self.exact and other.exact)
 
@@ -261,14 +246,11 @@ class PadicScalar:
         if type(other) is not PadicScalar:
             other = self._other(other)
         ring = self.ring
-        if ring.m == 1 and (other.co[0] or not other.exact):
-            prec = self.prec if self.prec < other.prec else other.prec
+        prec = self.prec if self.prec < other.prec else other.prec
+        if ring.m == 1:
             raw = self.co[0] - other.co[0]
             red = raw % ring.ppow(prec)
             return PadicScalar(ring, (red,), prec, self.exact and other.exact and red == raw)
-        if other.is_exact_zero:
-            return self if self.prec <= other.prec else self.truncate(other.prec)
-        prec = min(self.prec, other.prec)
         co = tuple(a - b for a, b in zip(self.co, other.co))
         return ring.canonical(co, prec, self.exact and other.exact)
 

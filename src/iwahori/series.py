@@ -37,6 +37,20 @@ def coeff_is_zero(c) -> bool:
     return c == 0
 
 
+def _add_into(out: dict, terms) -> None:
+    """out[idx] += c on a coefficient map for each (idx, c) of terms,
+    dropping a sum that is zero."""
+    for idx, c in terms:
+        if idx in out:
+            s = out[idx] + c
+            if coeff_is_zero(s):
+                del out[idx]
+            else:
+                out[idx] = s
+        else:
+            out[idx] = c
+
+
 class SeriesContext:
     """Chart bookkeeping: group, Weyl twist, adapted cocharacter, weights."""
 
@@ -190,15 +204,7 @@ class TruncatedSeries:
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            if idx in out:
-                s = out[idx] + c
-                if coeff_is_zero(s):
-                    del out[idx]
-                else:
-                    out[idx] = s
-            else:
-                out[idx] = c
+        _add_into(out, other.coeffs.items())
         return TruncatedSeries(self.ctx, out, self._merged_degree(other))
 
     def __neg__(self):
@@ -219,18 +225,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         """Polynomial product; the output carries no truncation cap."""
         out = {}
-        for ia, ca in self.coeffs.items():
-            for ib, cb in other.coeffs.items():
-                idx = tuple(a + b for a, b in zip(ia, ib))
-                prod = ca * cb
-                if idx in out:
-                    s = out[idx] + prod
-                    if coeff_is_zero(s):
-                        del out[idx]
-                    else:
-                        out[idx] = s
-                else:
-                    out[idx] = prod
+        _add_into(out, ((tuple(a + b for a, b in zip(ia, ib)), ca * cb)
+                        for ia, ca in self.coeffs.items() for ib, cb in other.coeffs.items()))
         return TruncatedSeries(self.ctx, out, None)
 
     def evaluate(self, point):
@@ -246,13 +242,14 @@ class TruncatedSeries:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.ctx, other)
-        elif not isinstance(other, TruncatedSeries):
+            theirs = {self.ctx.zero_index(): other}  # a constant series
+        elif isinstance(other, TruncatedSeries):
+            theirs = other.coeffs
+        else:
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
         zero = Fraction(0)
-        return all(self.coeffs.get(k, zero) == other.coeffs.get(k, zero)
-                   for k in keys)
+        return all(self.coeffs.get(k, zero) == theirs.get(k, zero)
+                   for k in set(self.coeffs) | set(theirs))
 
     def __repr__(self):
         terms = ", ".join(f"{idx}: {c}" for idx, c in sorted(self.coeffs.items())[:6])
@@ -385,41 +382,34 @@ def hida_projector(f: TruncatedSeries, s: int, iterations: int) -> TruncatedSeri
 # -- translation --------------------------------------------------------------
 
 
+def _batch_product(ctx: SeriesContext, first, shift_coords):
+    """Chart coordinates of u(first) * u0 in the batch group, first a list of
+    one series per batch root, u0 at the rational chart coordinates shift_coords:
+    multiplied out on series entries and stripped in the fixed batch order; exact."""
+    group, n = ctx.group, ctx.group.n
+    one, zero = TruncatedSeries.constant(ctx, Fraction(1)), TruncatedSeries(ctx, {})
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    second = [TruncatedSeries.constant(ctx, Fraction(c)) for c in shift_coords]
+    # coordinates scale by p on the upper (negative) batch roots
+    for coords in (first, second):
+        for root, x in zip(ctx.batch, coords):
+            group._rmul_root_inplace(rows, root, x.scale(group.filtration_scale(root)))
+    # strip in the fixed batch order, then undo the chart scaling
+    return [x.scale(Fraction(1, group.filtration_scale(root)))
+            for root, x in group._strip_unipotent(rows, ctx.batch)]
+
+
 def coordinate_change_polys(ctx: SeriesContext, shift_coords):
     """Polynomials F_r with coords(u(z) * u0) = (F_1(z), ..., F_N(z)) where
-    u0 has chart coordinates shift_coords.  Computed by symbolic untwisted
-    elimination inside the unipotent batch group; exact."""
-    group = ctx.group
-    n = group.n
-    p = ctx.ring.p
-
-    def const(c):
-        return TruncatedSeries.constant(ctx, Fraction(c))
-
-    one, zero = const(1), const(0)
-    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    # u(z): coordinates scale by p on the upper (negative) batch roots
-    for r, root in enumerate(ctx.batch):
-        scale = Fraction(group.filtration_scale(root))
-        zpoly = TruncatedSeries.monomial(ctx, tuple(int(k == r) for k in range(ctx.nvars)),
-                                         scale)
-        group._rmul_root_inplace(rows, root, zpoly)
-    # times the constant element u0
-    for r, root in enumerate(ctx.batch):
-        scale = Fraction(group.filtration_scale(root))
-        c = shift_coords[r]
-        c = Fraction(c) if isinstance(c, int) else c
-        group._rmul_root_inplace(rows, root, const(scale * c))
-    # strip in the fixed batch order, then undo the chart scaling
-    out = []
-    for root, xpoly in group._strip_unipotent(rows, ctx.batch):
-        scale = group.filtration_scale(root)
-        if scale != 1:
-            xpoly = TruncatedSeries(ctx, {idx: c / scale for idx, c in xpoly.coeffs.items()})
-            if any(vp_fraction(c, p) < 0 for c in xpoly.coeffs.values()):
-                raise InternalError("symbolic coordinate not integral")
-        out.append(xpoly)
-    return out
+    u0 has chart coordinates shift_coords."""
+    z = [TruncatedSeries.monomial(ctx, tuple(int(k == r) for k in range(ctx.nvars)))
+         for r in range(ctx.nvars)]
+    polys = _batch_product(ctx, z, shift_coords)
+    for root, poly in zip(ctx.batch, polys):
+        if ctx.group.filtration_scale(root) != 1 and any(
+                vp_fraction(c, ctx.ring.p) < 0 for c in poly.coeffs.values()):
+            raise InternalError("symbolic coordinate not integral")
+    return polys
 
 
 def translate_action(f: TruncatedSeries, shift_coords) -> TruncatedSeries:
@@ -435,27 +425,28 @@ def translate_action(f: TruncatedSeries, shift_coords) -> TruncatedSeries:
             cache[k] = poly_pow(r, k - 1) * polys[r]
         return cache[k]
 
-    total = TruncatedSeries(ctx, {})
+    out = {}
     for idx, c in f.coeffs.items():
         term = TruncatedSeries.constant(ctx, c)
         for r, e in enumerate(idx):
             if e:
                 term = term * poly_pow(r, e)
-        total = total + term
-    return total
+        _add_into(out, term.coeffs.items())
+    return TruncatedSeries(ctx, out)
 
 
 def batch_coordinate_product(ctx: SeriesContext, coords_a, coords_b):
-    """Chart coordinates of u(a) * u(b) inside the batch group."""
-    polys = coordinate_change_polys(ctx, coords_b)
-    point = [Fraction(c) if isinstance(c, int) else c for c in coords_a]
-    return [poly.evaluate(point) for poly in polys]
+    """Chart coordinates of u(a) * u(b) inside the batch group for rational
+    a, b: ``coordinate_change_polys``'s product and strip on constants."""
+    zero = ctx.zero_index()
+    a = [TruncatedSeries.constant(ctx, Fraction(c)) for c in coords_a]
+    return [x.coeffs.get(zero, Fraction(0)) for x in _batch_product(ctx, a, coords_b)]
 
 
 # -- convergence reports -------------------------------------------------------
 
 
-def constants_limit_check(f: TruncatedSeries, s_max: int | None = None):
+def constants_limit_check(f: TruncatedSeries):
     """Truncated form of the constants-in-the-closure property: the tails
     f^{>=s} converge to the constant coefficient, exactly once
     p^s exceeds (total degree) * (largest batch weight)."""
@@ -469,13 +460,12 @@ def constants_limit_check(f: TruncatedSeries, s_max: int | None = None):
     s_star = 0
     while p ** s_star <= bound:
         s_star += 1
-    s_top = s_max if s_max is not None else s_star + 2
     const = TruncatedSeries.constant(ctx, c0, f.degree)
     rows = []
     prev = None
     monotone = True
     exact_from = None
-    for s in range(s_top + 1):
+    for s in range(s_star + 3):
         _, tail = slope_split(f, s)
         diff_val = (tail - const).gauss_valuation()
         rows.append({"s": s, "distance_valuation": diff_val.as_json()})

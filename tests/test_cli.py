@@ -135,6 +135,24 @@ def test_slope_cli(tmp_path, capsys):
     assert {"coeff": "3", "index": [0, 0, 0, 0]} in data["at_least"]
 
 
+@pytest.mark.parametrize("data", [
+    {"terms": [{"index": [1], "coeff": "1"}]},
+    [[1], "1"],
+    [{"index": 1, "coeff": "1"}],
+    [{"index": ["a"], "coeff": "1"}],
+    [{"coeff": "1"}],
+    [{"index": [1]}],
+    "1",
+])
+def test_slope_rejects_a_series_file_of_the_wrong_shape(data, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code = main(["slope", "split", "--group", "sl2", "--series", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: a series file holds a JSON list of") and '"index"' in err
+
+
 def test_sp4_golden_cli(capsys):
     code, out = run(capsys, "sp4-golden")
     data = json.loads(out)
@@ -326,3 +344,36 @@ def test_verify_all_builds_one_group(monkeypatch, capsys):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.fixture
+def fresh_parser():
+    """A parser built from the environment of the test, not of the session."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("var,argv,code", [
+    ("IWAHORI_P", ["bgg", "--group", "sp4", "--c", "1/3,1/5"], 0),
+    ("IWAHORI_P", ["rootdata", "--group", "sl2"], 0),
+    ("IWAHORI_P", ["basis", "--group", "sl2"], 2),
+    ("IWAHORI_P", ["basis", "--group", "sl2", "--p", "7"], 0),
+    ("IWAHORI_P", ["verify-all", "--group", "sl2", "--p", "5", "--precision", "3",
+                   "--n-samples", "1"], 0),
+    ("IWAHORI_PRECISION", ["summands", "--group", "sl2"], 0),
+    ("IWAHORI_PRECISION", ["sp4-golden"], 2),
+    ("IWAHORI_SEED", ["basis", "--group", "sl2"], 0),
+    ("IWAHORI_SEED", ["verify", "et", "--group", "sl2"], 2),
+])
+def test_a_malformed_env_default_fails_only_the_commands_that_read_it(
+        var, argv, code, monkeypatch, fresh_parser, capsys):
+    monkeypatch.setenv(var, "abc")
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+    else:
+        assert main(argv) == 0
+        capsys.readouterr()

@@ -1,7 +1,9 @@
 """Differential tests: each fast path against the route it replaced.
 
 * m = 1 scalar arithmetic against the generic route through
-  ``ScalarRing.canonical``, written out here as a reference;
+  ``ScalarRing.canonical``, written out here as a reference, and add and
+  sub with an exact-zero operand, for m = 1 and m = 4, against the former
+  shortcuts of the generic route;
 * the six-entry Sp4 relation check against the full product g^T J g = J;
 * the scalar torus rebuild against the product of torus elements;
 * the integer path of ``groups`` and the m = 1 int loops of exp/log against
@@ -588,18 +590,12 @@ def test_int_path_outputs_stay_flat(config, seed_g, seed_h, w_index):
 
 
 def test_int_path_skips_non_flat_elements():
-    # exact entries, mixed precisions and ramified rings stay on the
-    # scalar route
+    # exact entries and mixed precisions stay on the scalar route
     G = INT_GROUPS[("sp4", 7, 12)]
     g = sample_iwahori(G, Random(1))
     assert G.identity()._int_rows() is None
     assert G.root_element((1, -1), 7)._int_rows() is None
     assert reprecise(g, [[12] * 4] * 3 + [[12, 12, 12, 11]])._int_rows() is None
-    ring_e = ScalarRing(7, 2, 24)
-    E = ChevalleyGroup("sl2", ring=ring_e)
-    u = PadicScalar(ring_e, (1, 0), 24, False)
-    z = PadicScalar(ring_e, (0, 0), 24, False)
-    assert GroupElement(E, ((u, z), (z, u)))._int_rows() is None
 
 
 # -- exp and log on one int -------------------------------------------------------
@@ -825,17 +821,19 @@ POWER_RINGS = [ScalarRing(P, 1, N), ScalarRing(P, 1, 3), ScalarRing(P, 4, N)]
 EXPONENTS = range(-4, 10)
 
 
-def draw_scalar(ring, rng, kind):
-    """An exact unit, an inexact unit, a non-unit or a zero, at a precision
-    below, at or above the ring precision."""
-    prec = rng.randint(1, ring.prec + 2)
+def draw_scalar(ring, rng, kind, prec=None):
+    """An exact unit, an inexact unit, an exact or inexact non-unit or a
+    zero, at the given precision or at one drawn below, at or above the ring
+    precision."""
+    if prec is None:
+        prec = rng.randint(1, ring.prec + 2)
     if kind in ("exact_zero", "cap_zero"):
         return ring.zero(prec, exact=kind == "exact_zero")
     co = [rng.randrange(ring.coeff_mod(j, prec)) for j in range(ring.m)]
     co[0] -= co[0] % P
-    if kind != "non_unit":
+    if kind not in ("non_unit", "exact_non_unit"):
         co[0] += rng.randint(1, P - 1)
-    return PadicScalar(ring, tuple(co), prec, kind == "exact")
+    return PadicScalar(ring, tuple(co), prec, kind in ("exact", "exact_non_unit"))
 
 
 @pytest.mark.parametrize("ring", POWER_RINGS, ids=lambda r: f"m{r.m}-N{r.prec}")
@@ -849,10 +847,11 @@ def test_pow_matches_the_former_ladder(ring):
             assert got == outcome(pow_ref, x, e), (kind, state(x), e)
 
 
-@pytest.mark.parametrize("ring", POWER_RINGS, ids=lambda r: f"m{r.m}-N{r.prec}")
+@pytest.mark.parametrize("ring", [r for r in POWER_RINGS if r.m == 1],
+                         ids=lambda r: f"m{r.m}-N{r.prec}")
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sp4"])
 def test_torus_helpers_match_the_hand_kept_inverses(name, ring):
-    G = ChevalleyGroup(name, ring=ring)
+    G = ChevalleyGroup(name, P, ring.prec)
     ctx = SeriesContext(G)
     rng = Random(f"{name}-{ring.m}-{ring.prec}")
     dim = len(G.datum.cochar_basis[0])
@@ -871,3 +870,42 @@ def test_torus_helpers_match_the_hand_kept_inverses(name, ring):
         point = ctx.point_from_cocharacter(mu, c)
         assert [state(a) for a in point] == [state(a) for a in point_from_cocharacter_ref(mu, c)]
         assert state(ctx.root_value(mu, units)) == state(root_value_ref(ring, mu, units))
+
+
+# -- exact-zero operands of add and sub -------------------------------------------
+
+
+def add_shortcut_ref(self, other):
+    """The former generic route of ``PadicScalar.__add__``, whose exact-zero
+    shortcuts the m = 1 branch took over, kept verbatim as a reference."""
+    if self.is_exact_zero:
+        return other if other.prec <= self.prec else other.truncate(self.prec)
+    if other.is_exact_zero:
+        return self if self.prec <= other.prec else self.truncate(other.prec)
+    prec = min(self.prec, other.prec)
+    co = tuple(a + b for a, b in zip(self.co, other.co))
+    return self.ring.canonical(co, prec, self.exact and other.exact)
+
+
+def sub_shortcut_ref(self, other):
+    """The former generic route of ``PadicScalar.__sub__``, kept verbatim."""
+    if other.is_exact_zero:
+        return self if self.prec <= other.prec else self.truncate(other.prec)
+    prec = min(self.prec, other.prec)
+    co = tuple(a - b for a, b in zip(self.co, other.co))
+    return self.ring.canonical(co, prec, self.exact and other.exact)
+
+
+@pytest.mark.parametrize("ring", [ScalarRing(P, 1, N), ScalarRing(P, 4, N)],
+                         ids=lambda r: f"m{r.m}-N{r.prec}")
+def test_add_sub_with_zero_operands_match_the_former_shortcuts(ring):
+    rng = Random(ring.m)
+    precs = (N - 3, N, N + 2)  # below, at and above the ring precision
+    zeros = [ring.zero(prec, exact) for prec in precs for exact in (True, False)]
+    others = [draw_scalar(ring, rng, kind, prec) for prec in precs for _ in range(3)
+              for kind in ("exact", "inexact", "exact_non_unit", "non_unit")]
+    for z in zeros:
+        for x in zeros + others:
+            for a, b in ((z, x), (x, z)):
+                assert state(a + b) == state(add_shortcut_ref(a, b)), (state(a), state(b))
+                assert state(a - b) == state(sub_shortcut_ref(a, b)), (state(a), state(b))

@@ -291,16 +291,19 @@ def test_haar_obstruction():
 
 def test_coordinate_change_is_exact_inverse():
     # evaluating the symbolic coordinate change at a point agrees with the
-    # matrix-level product and strip
-    ctx = ctx_for("sp4", w_index=2)
+    # product and strip of the two constant batch elements, on every group
+    # and Weyl twist
     rng = random.Random(11)
-    for _ in range(5):
-        a = [rng.randrange(-5, 6) for _ in range(ctx.nvars)]
-        b = [rng.randrange(-5, 6) for _ in range(ctx.nvars)]
-        ab = batch_coordinate_product(ctx, a, b)
-        polys = coordinate_change_polys(ctx, b)
-        vals = [poly.evaluate([Fraction(x) for x in a]) for poly in polys]
-        assert vals == [Fraction(x) for x in ab]
+    for name in ("sl2", "sl3", "sp4"):
+        for w_index in range(len(SeriesContext(name, p=P).datum.weyl_group())):
+            ctx = ctx_for(name, w_index=w_index)
+            for _ in range(5):
+                a = [rng.randrange(-5, 6) for _ in range(ctx.nvars)]
+                b = [rng.randrange(-5, 6) for _ in range(ctx.nvars)]
+                ab = batch_coordinate_product(ctx, a, b)
+                polys = coordinate_change_polys(ctx, b)
+                vals = [poly.evaluate([Fraction(x) for x in a]) for poly in polys]
+                assert vals == ab and all(type(x) is Fraction for x in ab)
 
 
 def _coordinate_change_polys_ref(ctx, shift_coords):
@@ -388,6 +391,9 @@ def test_series_equals_a_rational_constant():
     assert TruncatedSeries.constant(ctx, 2) == 2
     assert not TruncatedSeries.constant(ctx, 2) == 1
     assert not TruncatedSeries.monomial(ctx, (1, 0, 0)) == 1
+    # a matching constant term does not hide a higher one
+    assert not TruncatedSeries(ctx, {(0, 0, 0): 2, (0, 1, 0): 5}) == 2
+    assert not TruncatedSeries.monomial(ctx, (0, 0, 1), 3) == 0
 
 
 def test_hida_projector_exponent_cap():

@@ -256,3 +256,12 @@ def test_summand_inventory():
     key = (datum.identity_weyl().name, datum.weyl_group()[1].name)
     assert inv2["witnesses"][key] == (1, -1)
     assert summand_inventory("sl3")["count"] == 6
+
+
+@pytest.mark.parametrize("group", ["sl2", "sl3", "sp4"])
+def test_summand_witnesses_match_the_intersection_witness(group):
+    datum = get_root_datum(group)
+    weyl = datum.weyl_group()
+    assert summand_inventory(group)["witnesses"] == {
+        (w.name, w2.name): datum.intersection_witness(w, w2)
+        for w in weyl for w2 in weyl if w != w2}
