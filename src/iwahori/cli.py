@@ -226,8 +226,8 @@ def cmd_slope(args) -> int:
             return 2
     with open(args.series) as fh:
         f = _series_from_json(ctx, json.load(fh), args.degree)
+    below, atleast = slope_split(f, args.slope)
     if args.action == "split":
-        below, atleast = slope_split(f, args.slope)
         payload = {
             "schema": "iwahori.slope-split/1",
             "s": args.slope,
@@ -237,7 +237,6 @@ def cmd_slope(args) -> int:
             "gauss_valuation_at_least": atleast.gauss_valuation().as_json(),
         }
     else:
-        _, atleast = slope_split(f, args.slope)
         try:
             projected = hida_projector(atleast, args.slope, args.iterations)
             projected_json = _series_to_json(projected)

@@ -175,9 +175,7 @@ class RootDatum:
 
     def weyl_length(self, w: WeylElement) -> int:
         """Length via the root-inversion count |Phi+ inter w*Phi-|."""
-        winv = w.inverse()
-        return sum(1 for r in self.positive_roots
-                   if self._height[winv.act(r)] < 0)
+        return sum(1 for r in self.positive_roots if r not in self.positive_image(w))
 
     def act_root(self, w: WeylElement, root):
         img = w.act(root)
@@ -189,11 +187,16 @@ class RootDatum:
         """Whether w*Phi+ and w2*Phi- share a root; true exactly for w != w2."""
         return self.intersection_witness(w, w2) is not None
 
+    @lru_cache(maxsize=None)
+    def positive_image(self, w: WeylElement):
+        """w*Phi+, built once per w."""
+        return frozenset(self.act_root(w, r) for r in self.positive_roots)
+
     def intersection_witness(self, w: WeylElement, w2: WeylElement):
-        plus = {self.act_root(w, r) for r in self.positive_roots}
-        minus = {self.act_root(w2, r) for r in self.negative_roots}
-        common = sorted(plus & minus)
-        return common[0] if common else None
+        """The least root of w*Phi+ inter w2*Phi-: w2*Phi- is -(w2*Phi+)."""
+        plus2 = self.positive_image(w2)
+        return min((r for r in self.positive_image(w) if tuple(-c for c in r) in plus2),
+                   default=None)
 
     # -- adapted cocharacters -----------------------------------------------
 

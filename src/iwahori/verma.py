@@ -185,14 +185,12 @@ def summand_inventory(group: str):
     intertwiner."""
     datum = get_root_datum(group)
     weyl = datum.weyl_group()
-    # w Phi+ for each w, built once; w' Phi- is its negative
-    plus = [{datum.act_root(w, r) for r in datum.positive_roots} for w in weyl]
     witnesses = {}
-    for w, plus_w in zip(weyl, plus):
-        for w2, plus_w2 in zip(weyl, plus):
+    for w in weyl:
+        for w2 in weyl:
             if w == w2:
                 continue
-            witness = min((r for r in plus_w if tuple(-c for c in r) in plus_w2), default=None)
+            witness = datum.intersection_witness(w, w2)
             if witness is None:
                 raise AssertionError(f"no witness root for {w.name} vs {w2.name}")
             witnesses[(w.name, w2.name)] = witness

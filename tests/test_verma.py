@@ -259,9 +259,11 @@ def test_summand_inventory():
 
 
 @pytest.mark.parametrize("group", ["sl2", "sl3", "sp4"])
-def test_summand_witnesses_match_the_intersection_witness(group):
+def test_summand_witnesses_are_the_least_common_root(group):
+    # the definition: the least root of w Phi+ inter w' Phi-, both sets built per pair
     datum = get_root_datum(group)
     weyl = datum.weyl_group()
     assert summand_inventory(group)["witnesses"] == {
-        (w.name, w2.name): datum.intersection_witness(w, w2)
+        (w.name, w2.name): min({w.act(r) for r in datum.positive_roots}
+                               & {w2.act(r) for r in datum.negative_roots})
         for w in weyl for w2 in weyl if w != w2}
