@@ -24,7 +24,6 @@ from .groups import ChevalleyGroup, GateError, MembershipError
 from .padic import InternalError, PadicScalar
 from .roots import get_root_datum
 from .series import (
-    Character,
     SeriesContext,
     SeriesError,
     TruncatedSeries,
@@ -90,7 +89,12 @@ def _parse_matrix(group: ChevalleyGroup, text: str):
         with open(text) as fh:
             data = json.load(fh)
     else:
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError:
+            raise ValueError(f"--element {text!r} is neither a file nor a JSON matrix") from None
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError(f"--element {text!r} is not a JSON list of rows")
     rows = [[group.ring.from_fraction(_fraction(x)) for x in row] for row in data]
     return group.element(rows)
 
@@ -219,11 +223,6 @@ def cmd_verify(args) -> int:
 def cmd_slope(args) -> int:
     ctx_group = ChevalleyGroup(args.group, p=args.p, prec=args.precision)
     ctx = SeriesContext(ctx_group, w=_parse_weyl(ctx_group.datum, args.w))
-    if args.characters:
-        chi = Character.from_rationals(*[_fraction(c) for c in args.characters.split(",")])
-        if not chi.is_rigid(args.p):
-            print("character is not rigid on the unit ball", file=sys.stderr)
-            return 2
     with open(args.series) as fh:
         f = _series_from_json(ctx, json.load(fh), args.degree)
     below, atleast = slope_split(f, args.slope)
@@ -440,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", dest="slope", type=int, default=0)
     p.add_argument("--degree", type=int, default=30)
     p.add_argument("--iterations", type=int, default=3)
-    p.add_argument("--char", dest="characters", default=None,
-                   help="character derivative c1,c2,... (validated for rigidity)")
     p.add_argument("--series", required=True, help="path to series JSON")
     p.set_defaults(fn=cmd_slope)
 
@@ -482,7 +479,7 @@ def main(argv=None) -> int:
     except GateError as err:
         print(f"gate error: {err}", file=sys.stderr)
         return 2
-    except (MembershipError, ValueError) as err:
+    except (MembershipError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except InternalError as err:

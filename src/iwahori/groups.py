@@ -266,10 +266,13 @@ class ChevalleyGroup:
     def identity(self) -> "GroupElement":
         return self._diagonal([self.ring.one()] * self.n)
 
-    def element(self, rows, check: bool = True) -> "GroupElement":
+    def element(self, rows) -> "GroupElement":
+        n = self.n
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"a {self.name} element is a {n} x {n} matrix")
         mat = tuple(tuple(self.ring.coerce(x) for x in row) for row in rows)
         g = GroupElement(self, mat)
-        if check and not g.satisfies_group_relation():
+        if not g.satisfies_group_relation():
             raise MembershipError(f"matrix does not satisfy the {self.name} relation")
         return g
 
@@ -465,12 +468,12 @@ class ChevalleyGroup:
         batches weight-monotone under mu, and every batch root inside the
         strict lower (negative batch) or upper (positive batch) triangle of
         the basis sorted by descending weight."""
-        key = (None if w is None else w.matrix, tie_break)
+        if w is None:
+            w = self.datum.identity_weyl()
+        key = (w.matrix, tie_break)
         cached = self._factor_plan_cache.get(key)
         if cached is not None:
             return cached
-        if w is None:
-            w = self.datum.identity_weyl()
         mu, _a = self.datum.adapted_cocharacter(w)
         exps = self.exponents(mu)
         if len(set(exps)) != self.n:
@@ -693,15 +696,14 @@ class EtData:
             out.append(row)
         return out
 
-    def conjugate_in_congruence(self, g: "GroupElement", r: int | None = None) -> bool:
-        r = self.r if r is None else r
+    def conjugate_in_congruence(self, g: "GroupElement") -> bool:
         conj = self.conjugate(g)
         for i in range(self.group.n):
             for j in range(self.group.n):
                 e = conj[i][j] - 1 if i == j else conj[i][j]
-                if e.prec < r:
+                if e.prec < self.r:
                     raise PrecisionError("not enough digits to test the congruence level")
-                if not e.zero_mod(r):
+                if not e.zero_mod(self.r):
                     return False
         return True
 

@@ -215,10 +215,15 @@ class PadicScalar:
 
     # -- arithmetic ---------------------------------------------------
 
-    # The m = 1 branches below give the same (co, prec, exact) as the generic
-    # route through canonical(); they only skip its tuple bookkeeping.  Only
-    # __mul__ sends an exact zero operand (exact and co[0] == 0) to the
-    # generic route, whose product of an exact zero is an exact zero.
+    # The m = 1 branches of __add__, __mul__ and inv give the same
+    # (co, prec, exact) as the generic route; they only skip its tuple
+    # bookkeeping.  Per verify-sp4 / exact-sp4 benchmark item, 336 / 0 adds
+    # and 491 / 178 muls take them, and verify-sp4 items ran 5% to 19%
+    # slower without the add and mul branches.  __sub__ (91 / 12 per item),
+    # __neg__ (16 / 0) and __eq__ (2 / 12) take the generic route, whose
+    # ScalarRing.canonical keeps its own m = 1 branch.  Only __mul__ sends an
+    # exact zero operand (exact and co[0] == 0) to the generic route, whose
+    # product of an exact zero is an exact zero.
 
     def __add__(self, other):
         if type(other) is not PadicScalar:
@@ -235,24 +240,13 @@ class PadicScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        ring = self.ring
-        if ring.m == 1:
-            raw = -self.co[0]
-            red = raw % ring.ppow(self.prec)
-            return PadicScalar(ring, (red,), self.prec, self.exact and red == raw)
-        return ring.canonical(tuple(-c for c in self.co), self.prec, self.exact)
+        return self.ring.canonical(tuple(-c for c in self.co), self.prec, self.exact)
 
     def __sub__(self, other):
         if type(other) is not PadicScalar:
             other = self._other(other)
-        ring = self.ring
-        prec = self.prec if self.prec < other.prec else other.prec
-        if ring.m == 1:
-            raw = self.co[0] - other.co[0]
-            red = raw % ring.ppow(prec)
-            return PadicScalar(ring, (red,), prec, self.exact and other.exact and red == raw)
         co = tuple(a - b for a, b in zip(self.co, other.co))
-        return ring.canonical(co, prec, self.exact and other.exact)
+        return self.ring.canonical(co, min(self.prec, other.prec), self.exact and other.exact)
 
     def __rsub__(self, other):
         return self._other(other) - self
@@ -319,30 +313,23 @@ class PadicScalar:
         return self.ring.one(self.prec) if result is None else result
 
     def shift(self, k: int) -> "PadicScalar":
-        """Multiply by pi**k.  Negative k divides and must be exact;
-        each division step costs one digit of precision."""
+        """Multiply by pi**k: digit j moves to j + k.  Negative k divides and
+        must be exact; each division step costs one digit of precision."""
+        ring = self.ring
         if self.is_exact_zero:
-            return self.ring.zero(max(1, self.prec + k), exact=True)
-        x = self
-        for _ in range(k):
-            x = x._shift_up()
-        for _ in range(-k):
-            x = x._shift_down()
-        return x
-
-    def _shift_up(self):
-        m, p = self.ring.m, self.ring.p
-        co = (p * self.co[m - 1],) + self.co[:m - 1]
-        return self.ring.canonical(co, self.prec + 1, self.exact)
-
-    def _shift_down(self):
-        m, p = self.ring.m, self.ring.p
-        if self.prec < 1:
-            raise PrecisionError("no digits left to divide by the uniformizer")
-        if self.co[0] % p:
-            raise PrecisionError("not divisible by the uniformizer")
-        co = self.co[1:] + (self.co[0] // p,)
-        return self.ring.canonical(co, self.prec - 1, self.exact)
+            return ring.zero(max(1, self.prec + k), exact=True)
+        if k < 0:
+            w = self.pival()
+            if w is None and self.prec < -k:
+                raise PrecisionError("no digits left to divide by the uniformizer")
+            if w is not None and w < -k:
+                raise PrecisionError("not divisible by the uniformizer")
+        m = ring.m
+        co = [0] * m
+        for j, c in enumerate(self.co):
+            q, i = divmod(j + k, m)
+            co[i] = c * ring.ppow(q) if q >= 0 else c // ring.ppow(-q)
+        return ring.canonical(co, self.prec + k, self.exact)
 
     # -- queries ------------------------------------------------------
 
@@ -407,14 +394,6 @@ class PadicScalar:
         return f"{body} + O({sym}^{self.prec})"
 
     def __eq__(self, other):
-        ring = self.ring
-        if ring.m == 1:
-            # the generic route below, read off the single coefficient
-            if type(other) is int:
-                return (self.co[0] - other) % ring.ppow(self.prec) == 0
-            if type(other) is PadicScalar and other.ring.m == 1 and other.ring.p == ring.p:
-                mod = ring.ppow(min(self.prec, other.prec))
-                return self.co[0] % mod == other.co[0] % mod
         try:
             other = self._other(other)
         except PadicError:

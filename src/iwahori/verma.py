@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .roots import RootDatum, WeylElement, get_root_datum
 
@@ -60,15 +59,13 @@ class WeightLabel:
         return cls(get_root_datum(group).name, tuple(Fraction(c) for c in cs))
 
 
-def weight_multiplicity(dchi: DerivedCharacter, lam, w: WeylElement | None = None,
-                        block_dim: int = 1) -> int:
+def weight_multiplicity(dchi: DerivedCharacter, lam, w: WeylElement | None = None) -> int:
     """Dimension of the lam weight space: the number of ways to write
     dchi - lam as a non-negative integer combination of the w-twisted
-    positive roots.  Each root slot of a block of dimension ell contributes
-    a composition factor C(m + ell - 1, ell - 1); the base field case is
-    ell = 1.  As w is linear, this counts w^-1(dchi - lam) in simple-root
-    coordinates (0 off the lattice, off the span or outside the cone): a walk
-    over the non-simple roots stops a slot once a coordinate goes negative."""
+    positive roots.  As w is linear, this counts w^-1(dchi - lam) in
+    simple-root coordinates (0 off the lattice, off the span or outside the
+    cone): a walk over the non-simple roots stops a slot once a coordinate
+    goes negative, and each leaf is one way."""
     datum = dchi.datum
     lam_coeffs = lam.coeffs if hasattr(lam, "coeffs") else tuple(Fraction(c) for c in lam)
     if len(lam_coeffs) != datum.dim:
@@ -83,19 +80,15 @@ def weight_multiplicity(dchi: DerivedCharacter, lam, w: WeylElement | None = Non
         return 0
     steps = datum.nonsimple_coordinates
     count = 0
-    stack = [(0, coords, 1)]
+    stack = [(0, coords)]
     while stack:
-        r, rest, mult = stack.pop()
+        r, rest = stack.pop()
         if r == len(steps):
-            for m in rest:
-                mult *= comb(m + block_dim - 1, block_dim - 1)
-            count += mult
+            count += 1
             continue
-        m = 0
         while min(rest) >= 0:
-            stack.append((r + 1, rest, mult * comb(m + block_dim - 1, block_dim - 1)))
+            stack.append((r + 1, rest))
             rest = tuple(x - c for x, c in zip(rest, steps[r]))
-            m += 1
     return count
 
 

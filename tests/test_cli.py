@@ -55,6 +55,29 @@ def test_factorize_round_trip(capsys):
     assert data["round_trip_ok"] and data["w"] == "s1*s2"
 
 
+@pytest.mark.parametrize("command", ["omega", "factorize"])
+@pytest.mark.parametrize("element, message", [
+    # the top-left 2 x 2 block of the first matrix is in the pro-p Iwahori
+    ("[[1,0,5],[7,1,3],[2,2,9]]", "a sl2 element is a 2 x 2 matrix"),
+    ("[[1,0],[1]]", "a sl2 element is a 2 x 2 matrix"),
+    ("5", "--element '5' is not a JSON list of rows"),
+    ("[1,0]", "--element '[1,0]' is not a JSON list of rows"),
+])
+def test_an_element_of_the_wrong_shape_is_a_usage_error(command, element, message, capsys):
+    code = main([command, "--group", "sl2", "--element", element])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_mistyped_element_path_is_named(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["factorize", "--group", "sl2", "--element", "nope.json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: --element 'nope.json' is neither a file nor a JSON matrix\n"
+
+
 def test_factorize_symplectic_word(capsys):
     # u_{a}(1) * u_{b}(2) is symplectic by construction
     from iwahori.groups import ChevalleyGroup
@@ -153,6 +176,15 @@ def test_slope_rejects_a_series_file_of_the_wrong_shape(data, tmp_path, capsys):
     assert err.startswith("error: a series file holds a JSON list of") and '"index"' in err
 
 
+@pytest.mark.parametrize("missing", [True, False])
+def test_an_unreadable_series_file_is_a_usage_error(missing, tmp_path, capsys):
+    path = tmp_path / "nope.json" if missing else tmp_path
+    code = main(["slope", "split", "--group", "sl2", "--series", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: [Errno") and str(path) in err
+
+
 def test_sp4_golden_cli(capsys):
     code, out = run(capsys, "sp4-golden")
     data = json.loads(out)
@@ -177,7 +209,8 @@ def test_sp4_golden_reads_the_verma_self_test(monkeypatch, capsys):
 UNREAD_OPTIONS = ([(cmd, opt) for cmd in ("rootdata", "bgg", "verma-mult", "summands")
                    for opt in ("--p", "--precision", "--seed")]
                   + [(cmd, "--seed") for cmd in ("omega", "factorize", "basis", "slope",
-                                                  "sp4-golden")])
+                                                  "sp4-golden")]
+                  + [("slope", "--char")])
 COMMAND_ARGS = {
     "rootdata": ["rootdata", "--group", "sp4"],
     "bgg": ["bgg", "--c", "1/3,1/5"],
@@ -193,7 +226,7 @@ COMMAND_ARGS = {
 
 @pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
 def test_an_option_the_command_does_not_read_is_a_usage_error(command, option, capsys):
-    assert len(UNREAD_OPTIONS) == 17
+    assert len(UNREAD_OPTIONS) == 18
     with pytest.raises(SystemExit) as exit_info:
         main(COMMAND_ARGS[command] + [f"{option}=3"])
     assert exit_info.value.code == 2

@@ -12,7 +12,9 @@
 * the scalar Sp4 inverse read off the sign table against the two products
   with the Gram matrix it replaced, and ``PadicScalar.__pow__`` and the
   torus helpers that call it against the former ladder and the hand-kept
-  inverse caches.
+  inverse caches;
+* ``PadicScalar.shift``, one ``canonical`` call for any k, against the
+  former one-digit steps, values and ``PrecisionError`` messages.
 
 Hypothesis runs with fixed seeds, so every run draws the same examples.
 """
@@ -909,3 +911,68 @@ def test_add_sub_with_zero_operands_match_the_former_shortcuts(ring):
             for a, b in ((z, x), (x, z)):
                 assert state(a + b) == state(add_shortcut_ref(a, b)), (state(a), state(b))
                 assert state(a - b) == state(sub_shortcut_ref(a, b)), (state(a), state(b))
+
+
+# -- shift by k digits in one step -------------------------------------------------
+
+
+def shift_up_ref(self):
+    """The former ``PadicScalar._shift_up``, kept verbatim as a reference."""
+    m, p = self.ring.m, self.ring.p
+    co = (p * self.co[m - 1],) + self.co[:m - 1]
+    return self.ring.canonical(co, self.prec + 1, self.exact)
+
+
+def shift_down_ref(self):
+    """The former ``PadicScalar._shift_down``, kept verbatim."""
+    m, p = self.ring.m, self.ring.p
+    if self.prec < 1:
+        raise PrecisionError("no digits left to divide by the uniformizer")
+    if self.co[0] % p:
+        raise PrecisionError("not divisible by the uniformizer")
+    co = self.co[1:] + (self.co[0] // p,)
+    return self.ring.canonical(co, self.prec - 1, self.exact)
+
+
+def shift_ref(self, k):
+    """The former ``PadicScalar.shift``: one digit per step."""
+    if self.is_exact_zero:
+        return self.ring.zero(max(1, self.prec + k), exact=True)
+    x = self
+    for _ in range(k):
+        x = shift_up_ref(x)
+    for _ in range(-k):
+        x = shift_down_ref(x)
+    return x
+
+
+def pi_power(ring, j, prec, exact, rng):
+    """A unit times pi**j at precision prec: a value at the cap for
+    j = prec - 1, a cap zero (or an exact non-zero) beyond it."""
+    co = [0] * ring.m
+    co[j % ring.m] = rng.randint(1, P - 1) * P ** (j // ring.m)
+    return ring.canonical(co, prec, exact)
+
+
+SHIFT_RINGS = [ScalarRing(P, 1, N), ScalarRing(P, 1, 3), ScalarRing(P, 1, 1),
+               ScalarRing(P, 4, N)]
+
+
+@pytest.mark.parametrize("ring", SHIFT_RINGS, ids=lambda r: f"m{r.m}-N{r.prec}")
+def test_shift_matches_the_former_steps(ring):
+    rng = Random(ring.m * 1000 + ring.prec)
+    values = [ring.zero(prec, exact) for prec in range(ring.prec + 3) for exact in (True, False)]
+    for prec in range(1, ring.prec + 3):
+        for j in range(prec + 1):
+            values += [pi_power(ring, j, prec, exact, rng) for exact in (True, False)]
+        values += [draw_scalar(ring, rng, kind, prec)
+                   for kind in ("exact", "inexact", "exact_non_unit", "non_unit")]
+    errors = set()
+    for x in values:
+        for k in range(-(ring.prec + 2), ring.prec + 3):
+            want = outcome(shift_ref, x, k)
+            assert outcome(x.shift, k) == want, (state(x), k)
+            if want[0] is PrecisionError:
+                errors.add(want[1])
+    assert errors == {"no digits left to divide by the uniformizer",
+                      "not divisible by the uniformizer"}

@@ -164,6 +164,18 @@ def test_factorize_rejects_non_iwahori():
         G.iwahori_factorize(G.root_element((-1, 1), 1))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 5], [7, 1, 3], [2, 2, 9]],  # its top-left 2 x 2 block is in I
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, 0], [1]],
+    [[1, 0]],
+    [[1, 0], [7, 1], [0, 0]],
+])
+def test_element_needs_an_n_by_n_matrix(rows):
+    with pytest.raises(ValueError, match="a sl2 element is a 2 x 2 matrix"):
+        group("sl2").element(rows)
+
+
 def test_gate_enforced():
     G5 = ChevalleyGroup("sp4", p=5, prec=8)
     with pytest.raises(GateError):
@@ -199,7 +211,7 @@ def test_et_embedding_sl2():
     assert et.ring_e.m == 4 and et.r == 1
     assert et.root_values()[(1, -1)] == Fraction(1, 2)
     for vec in G.ordered_basis().entries:
-        assert et.conjugate_in_congruence(vec.generator, 1)
+        assert et.conjugate_in_congruence(vec.generator)
 
 
 def test_ordered_basis_shape_and_bounds():
