@@ -84,10 +84,17 @@ def _group_from_args(args) -> ChevalleyGroup:
     return ChevalleyGroup(args.group, p=args.p, prec=args.precision)
 
 
+def _read_json(option: str, path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:
+            raise ValueError(f"{option} file {path!r} is not valid JSON: {err}") from None
+
+
 def _parse_matrix(group: ChevalleyGroup, text: str):
     if os.path.exists(text):
-        with open(text) as fh:
-            data = json.load(fh)
+        data = _read_json("--element", text)
     else:
         try:
             data = json.loads(text)
@@ -223,8 +230,7 @@ def cmd_verify(args) -> int:
 def cmd_slope(args) -> int:
     ctx_group = ChevalleyGroup(args.group, p=args.p, prec=args.precision)
     ctx = SeriesContext(ctx_group, w=_parse_weyl(ctx_group.datum, args.w))
-    with open(args.series) as fh:
-        f = _series_from_json(ctx, json.load(fh), args.degree)
+    f = _series_from_json(ctx, _read_json("--series", args.series), args.degree)
     below, atleast = slope_split(f, args.slope)
     if args.action == "split":
         payload = {

@@ -411,7 +411,8 @@ class ChevalleyGroup:
         self.check_gate()
         if not self.in_iwahori(g):
             raise MembershipError("factorization needs an element of the pro-p Iwahori")
-        w, order, neg_batch, pos_batch = self._factor_plan(w, tie_break)
+        w = self.datum.identity_weyl() if w is None else w
+        order, neg_batch, pos_batch = self._factor_plan(w, tie_break)
         ints = g._int_rows()
         if ints is not None:
             parts = self._factor_ints(ints, order, neg_batch, pos_batch)
@@ -462,14 +463,12 @@ class ChevalleyGroup:
         return PadicScalar(self.ring, (v,), self.ring.prec, False)
 
     def _factor_plan(self, w, tie_break):
-        """(w, basis order, negative batch, positive batch) for the twist w
-        (None for the identity), built and checked once per (w, tie_break):
-        distinct weights exps of the adapted cocharacter mu, which w fixes,
-        batches weight-monotone under mu, and every batch root inside the
-        strict lower (negative batch) or upper (positive batch) triangle of
-        the basis sorted by descending weight."""
-        if w is None:
-            w = self.datum.identity_weyl()
+        """(basis order, negative batch, positive batch) for the twist w,
+        built and checked once per (w.matrix, tie_break), since two words of
+        one Weyl element share them: distinct weights exps of the adapted
+        cocharacter mu, which w fixes, batches weight-monotone under mu, and
+        every batch root inside the strict lower (negative batch) or upper
+        (positive batch) triangle of the basis sorted by descending weight."""
         key = (w.matrix, tie_break)
         cached = self._factor_plan_cache.get(key)
         if cached is not None:
@@ -489,7 +488,7 @@ class ChevalleyGroup:
                 last = wgt
                 if any(sign * (exps[j] - exps[i]) <= 0 for i, j, _s in self.dirs[r]):
                     raise InternalError(f"batch root {r} lies outside its LDU triangle")
-        plan = self._factor_plan_cache[key] = (w, order, *batches)
+        plan = self._factor_plan_cache[key] = (order, *batches)
         return plan
 
     def _strip_unipotent(self, mat, batch_roots):
@@ -652,59 +651,54 @@ class ChevalleyGroup:
     # -- the conjugation oracle ------------------------------------------------
 
     def et_data(self):
-        """The extension and conjugation data: ring of E = Q_p(p^(1/(a*h))),
-        the height cocharacter scale a, and the congruence level r, the
-        least integer above e_E/(p-1)."""
+        """The conjugation data over E = Q_p(p^(1/e)): the height cocharacter
+        mu at w = 1, its scale a, the ramification index e = a*h, and the
+        congruence level r, the least integer above e/(p-1)."""
         self.check_gate()
         mu, a = self.datum.adapted_cocharacter(self.datum.identity_weyl())
-        m = a * self.coxeter_number
-        ring_e = ScalarRing(self.ring.p, m, m * self.ring.prec)
-        r = m // (self.ring.p - 1) + 1
-        return EtData(self, ring_e, mu, a, r)
+        e = a * self.coxeter_number
+        return EtData(self, mu, a, e, e // (self.ring.p - 1) + 1)
 
     def p_valuation_by_conjugation(self, g: "GroupElement") -> PValue:
-        """omega via conjugation into the principal congruence filtration of
-        the ramified extension; the stated independent oracle."""
-        conj = self.et_data().conjugate(g)
-        return PValue.min(PValue.of(conj[i][j] - 1 if i == j else conj[i][j])
-                          for i in range(self.n) for j in range(self.n))
+        """omega via conjugation into the congruence filtration of E, the
+        independent oracle: the least val(g_ij - delta_ij) + (d_i - d_j)/e."""
+        et = self.et_data()
+        return PValue.min(PValue.of(x, Fraction(k, et.e)) for x, k in et.shifted_entries(g))
 
 
 @dataclass
 class EtData:
+    """Conjugation by t = mu(pi), pi^e = p, multiplies entry (i, j) by
+    pi^(d_i - d_j), d = exponents(mu): it is read off g, not computed in E."""
+
     group: ChevalleyGroup
-    ring_e: ScalarRing
     mu: tuple
     a: int
+    e: int
     r: int
 
-    def embed_scalar(self, x: PadicScalar) -> PadicScalar:
-        m = self.ring_e.m
-        co = (x.co[0],) + (0,) * (m - 1)
-        return self.ring_e.canonical(co, m * x.prec, x.exact)
-
-    def conjugate(self, g: "GroupElement"):
-        """Entries of t g t^(-1) over E for t = mu(pi); entry (i, j) picks up
-        pi^(d_i - d_j), where d is the diagonal exponent pattern of mu."""
+    def shifted_entries(self, g: "GroupElement"):
+        """(g_ij - delta_ij, d_i - d_j) for every position in row order; the
+        entry of t g t^(-1) - 1 there is the first times pi^(second).  Raises
+        PrecisionError if an entry is not divisible by pi^(-shift)."""
         exps = self.group.exponents(self.mu)
-        out = []
-        for i in range(self.group.n):
-            row = []
-            for j in range(self.group.n):
-                x = self.embed_scalar(g.mat[i][j])
-                row.append(x.shift(exps[i] - exps[j]))
-            out.append(row)
+        n, out = self.group.n, []
+        for i in range(n):
+            for j in range(n):
+                x, k = g.sub_identity_entry(i, j), exps[i] - exps[j]
+                w = x.pival()
+                if k < 0 and w is not INF and self.e * (x.prec if w is None else w) < -k:
+                    raise PrecisionError(f"entry ({i}, {j}) is not divisible by pi^{-k}")
+                out.append((x, k))
         return out
 
     def conjugate_in_congruence(self, g: "GroupElement") -> bool:
-        conj = self.conjugate(g)
-        for i in range(self.group.n):
-            for j in range(self.group.n):
-                e = conj[i][j] - 1 if i == j else conj[i][j]
-                if e.prec < self.r:
-                    raise PrecisionError("not enough digits to test the congruence level")
-                if not e.zero_mod(self.r):
-                    return False
+        """t g t^(-1) = 1 mod pi^r; PrecisionError below r pi-digits."""
+        for x, k in self.shifted_entries(g):
+            if self.e * x.prec + k < self.r:
+                raise PrecisionError("not enough digits to test the congruence level")
+            if not x.zero_mod(-((k - self.r) // self.e)):  # val(x) + k/e >= r/e
+                return False
         return True
 
     def root_values(self):

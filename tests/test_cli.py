@@ -78,6 +78,21 @@ def test_a_mistyped_element_path_is_named(tmp_path, monkeypatch, capsys):
     assert err == "error: --element 'nope.json' is neither a file nor a JSON matrix\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["factorize", "--group", "sl2", "--element"],
+    ["omega", "--group", "sl2", "--element"],
+    ["slope", "split", "--group", "sl2", "--series"],
+])
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe"])
+def test_an_input_file_that_is_not_json_is_named(command, content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code = main(command + [str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {command[-1]} file {str(path)!r} is not valid JSON: ")
+
+
 def test_factorize_symplectic_word(capsys):
     # u_{a}(1) * u_{b}(2) is symplectic by construction
     from iwahori.groups import ChevalleyGroup

@@ -509,7 +509,7 @@ def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data)
     w, tb = draw_twist(G, w_index, tie_break)
     mu, _a = G.datum.adapted_cocharacter(w)
     exps = G.exponents(mu)
-    batch = G._factor_plan(w, tb)[2 + which]
+    batch = G._factor_plan(w, tb)[1 + which]
     mod = G._mod
     ints, scalars = [], []
     for i in range(G.n):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from iwahori.groups import ChevalleyGroup, GateError, MembershipError, PValue
-from iwahori.padic import INF, ScalarRing, padic_exp
+from iwahori.axioms import sample_iwahori
+from iwahori.groups import ChevalleyGroup, GateError, GroupElement, MembershipError, PValue
+from iwahori.padic import INF, PadicScalar, PrecisionError, ScalarRing, padic_exp
 
 P, N = 7, 12
 
@@ -128,6 +129,19 @@ def test_factorize_identity_and_words():
     assert f.remultiply() == g
 
 
+def test_factorization_carries_the_callers_word():
+    # s1*s2*s1*s2 and s2*s1*s2*s1 are one element of the Weyl group of Sp4;
+    # they share a factorization plan, not a name
+    G = group("sp4")
+    s1, s2 = (G.datum.simple_reflection(i) for i in range(2))
+    w1 = s1.compose(s2).compose(s1).compose(s2)
+    w2 = s2.compose(s1).compose(s2).compose(s1)
+    assert w1.matrix == w2.matrix and w1.name != w2.name
+    for w in (w1, w2, w1):
+        assert G.iwahori_factorize(G.identity(), w).w is w
+    assert G.iwahori_factorize(G.identity()).w.name == "e"
+
+
 def test_factorize_round_trip_every_w():
     for name in ("sl2", "sl3", "sp4"):
         G = group(name)
@@ -208,10 +222,119 @@ def test_omega_conventions_and_oracle():
 def test_et_embedding_sl2():
     G = group("sl2")
     et = G.et_data()
-    assert et.ring_e.m == 4 and et.r == 1
+    assert et.e == et.a * G.coxeter_number == 4 and et.r == 1
     assert et.root_values()[(1, -1)] == Fraction(1, 2)
     for vec in G.ordered_basis().entries:
         assert et.conjugate_in_congruence(vec.generator)
+
+
+# The conjugation oracle computed in E = Q_p(p^(1/(a*h))): every Z_p entry
+# embedded in E and shifted by pi^(d_i - d_j).  The library reads the same
+# valuations off the Z_p entries with an offset (d_i - d_j)/(a*h); this is
+# the differential reference for it.
+
+def ramified_et_data(G):
+    G.check_gate()
+    mu, a = G.datum.adapted_cocharacter(G.datum.identity_weyl())
+    m = a * G.coxeter_number
+    ring_e = ScalarRing(G.ring.p, m, m * G.ring.prec)
+    r = m // (G.ring.p - 1) + 1
+    return ring_e, mu, r
+
+
+def embed_scalar(ring_e, x):
+    m = ring_e.m
+    co = (x.co[0],) + (0,) * (m - 1)
+    return ring_e.canonical(co, m * x.prec, x.exact)
+
+
+def ramified_conjugate(G, g):
+    ring_e, mu, _r = ramified_et_data(G)
+    exps = G.exponents(mu)
+    out = []
+    for i in range(G.n):
+        row = []
+        for j in range(G.n):
+            x = embed_scalar(ring_e, g.mat[i][j])
+            row.append(x.shift(exps[i] - exps[j]))
+        out.append(row)
+    return out
+
+
+def ramified_valuation_by_conjugation(G, g):
+    conj = ramified_conjugate(G, g)
+    return PValue.min(PValue.of(conj[i][j] - 1 if i == j else conj[i][j])
+                      for i in range(G.n) for j in range(G.n))
+
+
+def ramified_conjugate_in_congruence(G, g):
+    conj = ramified_conjugate(G, g)
+    r = ramified_et_data(G)[2]
+    for i in range(G.n):
+        for j in range(G.n):
+            e = conj[i][j] - 1 if i == j else conj[i][j]
+            if e.prec < r:
+                raise PrecisionError("not enough digits to test the congruence level")
+            if not e.zero_mod(r):
+                return False
+    return True
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err)
+
+
+def sweep_elements(G, rng, count):
+    """The identity, the basis generators, samples and their p-th powers;
+    samples times an upper unit root element or a non-pro-p torus point,
+    which are not in I; and matrices of random entries, exact or not, at
+    random precisions, which need not be in G."""
+    p, prec = G.ring.p, G.ring.prec
+    samples = [sample_iwahori(G, rng) for _ in range(count)]
+    out = [G.identity()] + [vec.generator for vec in G.ordered_basis().entries]
+    out += samples + [g ** p for g in samples]
+    out += [G.root_element(rng.choice(G.datum.negative_roots), rng.randrange(1, p)) * g
+            for g in samples]
+    out += [G.torus_element(rng.choice(G.datum.cochar_basis), 2) * g for g in samples]
+    for _ in range(count):
+        rows = []
+        for _i in range(G.n):
+            row = []
+            for _j in range(G.n):
+                k = rng.randrange(1, prec + 1)
+                v = rng.choice((0, 1, rng.randrange(p ** k), p ** (k - 1) * rng.randrange(p)))
+                row.append(G.ring.from_int(v % p ** k, k) if rng.random() < 0.5
+                           else PadicScalar(G.ring, (v % p ** k,), k, False))
+            rows.append(tuple(row))
+        out.append(GroupElement(G, tuple(rows)))
+    return out
+
+
+SWEEP = [(name, p, prec) for name, ps in (("sl2", (5, 7, 11, 13)), ("sl3", (5, 7, 11, 13)),
+                                          ("sp4", (7, 11, 13)))
+         for p in ps for prec in (1, 2, 3, 6, 12)]
+
+
+@pytest.mark.parametrize("name,p,prec", SWEEP)
+def test_conjugation_oracle_matches_the_ramified_embedding(name, p, prec):
+    # the same PValue, the same congruence verdict and the same exception
+    # type as the embed-and-shift reference; on elements of I the formula
+    # agrees wherever the cap decides, on others it refuses
+    G = ChevalleyGroup(name, p, prec)
+    rng = random.Random(f"oracle-{name}-{p}-{prec}")
+    et = G.et_data()
+    for g in sweep_elements(G, rng, 14):
+        oracle = outcome(G.p_valuation_by_conjugation, g)
+        assert oracle == outcome(ramified_valuation_by_conjugation, G, g), g
+        assert (outcome(et.conjugate_in_congruence, g)
+                == outcome(ramified_conjugate_in_congruence, G, g)), g
+        if G.in_iwahori(g):
+            assert G.p_valuation(g).eq(oracle)[0] is not False, g
+        else:
+            assert outcome(G.p_valuation, g) is MembershipError, g
 
 
 def test_ordered_basis_shape_and_bounds():
