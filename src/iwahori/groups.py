@@ -299,26 +299,6 @@ class ChevalleyGroup:
         c = self.ring.coerce(c)
         return self._diagonal([c ** e for e in self.exponents(mu)])
 
-    def torus_from_chart(self, *values) -> "GroupElement":
-        """Diagonal torus element in the natural chart: diag(a, a^-1) for
-        SL2, diag(a1..an) with product 1 for SL_n, diag(a, b, b^-1, a^-1)
-        for Sp4."""
-        vals = [self.ring.coerce(v) for v in values]
-        if self.name == "sp4":
-            a, b = vals
-            diag = [a, b, b.inv(), a.inv()]
-        elif self.name == "sl2":
-            (a,) = vals
-            diag = [a, a.inv()]
-        else:
-            diag = vals
-            prod = diag[0]
-            for d in diag[1:]:
-                prod = prod * d
-            if not prod == 1:
-                raise MembershipError("SL torus chart needs product 1")
-        return self._diagonal(diag)
-
     # sparse one-parameter multiplications: a root element touches at most
     # two entries, so row and column updates beat full matrix products
     def _lmul_root_inplace(self, rows, root, x):
@@ -395,14 +375,6 @@ class ChevalleyGroup:
                        for i, row in enumerate(ints) for j in range(i, self.n))
         return all(g.sub_identity_entry(i, j).zero_mod(1)
                    for i in range(self.n) for j in range(i, self.n))
-
-    def in_full_iwahori(self, g: "GroupElement") -> bool:
-        """The full Iwahori: integral, upper entries divisible by p, unit
-        diagonal (not necessarily pro-p)."""
-        if not g.satisfies_group_relation():
-            return False
-        return all(g.mat[i][i].is_unit() for i in range(self.n)) and all(
-            g.mat[i][j].zero_mod(1) for i in range(self.n) for j in range(i + 1, self.n))
 
     # -- factorization ------------------------------------------------------
 
@@ -992,25 +964,6 @@ class GroupElement:
     def sub_identity_entry(self, i: int, j: int) -> PadicScalar:
         e = self.mat[i][j]
         return e - 1 if i == j else e
-
-    def min_entry_prec(self) -> int:
-        return min(e.prec for row in self.mat for e in row)
-
-    def in_congruence(self, r: int) -> bool:
-        """Entrywise congruence to the identity modulo pi^r."""
-        if r > self.min_entry_prec():
-            raise PrecisionError(f"congruence level {r} exceeds the tracked precision")
-        n = self.group.n
-        return all(self.sub_identity_entry(i, j).zero_mod(r)
-                   for i in range(n) for j in range(n))
-
-    def is_exact_identity(self) -> bool:
-        for i in range(self.group.n):
-            for j in range(self.group.n):
-                e = self.sub_identity_entry(i, j)
-                if not e.is_exact_zero:
-                    return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement) or other.group is not self.group:

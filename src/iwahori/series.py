@@ -190,10 +190,13 @@ class TruncatedSeries:
 
     def gauss_valuation(self) -> PValue:
         """Valuation form of the Gauss norm: min over coefficient valuations,
-        exact for rational coefficients (never zero here), capped for scalars."""
-        p = self.ctx.ring.p
-        return PValue.min(PValue.of(c) if isinstance(c, PadicScalar)
-                          else PValue.finite(vp_fraction(c, p)) for c in self.coeffs.values())
+        exact for rational coefficients (never zero here), capped for scalars.
+        The rational minimum is taken on ints and becomes one PValue."""
+        p, coeffs = self.ctx.ring.p, self.coeffs.values()
+        rational = [vp_int(c.numerator, p) - vp_int(c.denominator, p)
+                    for c in coeffs if not isinstance(c, PadicScalar)]
+        return PValue.min([PValue.of(c) for c in coeffs if isinstance(c, PadicScalar)]
+                          + ([PValue.finite(min(rational))] if rational else []))
 
     # -- ring operations ------------------------------------------------------
 
@@ -230,9 +233,28 @@ class TruncatedSeries:
         return TruncatedSeries(self.ctx, out, None)
 
     def evaluate(self, point):
-        """Value at a concrete coordinate tuple (polynomial use)."""
+        """Value at a concrete coordinate tuple (polynomial use).  With
+        rational coefficients and an int or Fraction point, the powers of each
+        coordinate are taken once as numerator and denominator ints, the terms
+        are summed on ints over one common denominator, and the value is built
+        once, as one Fraction.  p-adic scalars multiply term by term."""
+        coeffs = self.coeffs
+        if all(isinstance(v, (int, Fraction)) for v in point) and not any(
+                isinstance(c, PadicScalar) for c in coeffs.values()):
+            point = [Fraction(v) for v in point]
+            top = [max(column) for column in zip(*coeffs)]
+            nums = [[x.numerator ** k for k in range(t + 1)] for x, t in zip(point, top)]
+            dens = [[x.denominator ** k for k in range(t + 1)] for x, t in zip(point, top)]
+            den_f = math.lcm(*(c.denominator for c in coeffs.values()))
+            total = 0
+            for idx, c in coeffs.items():
+                term = c.numerator * (den_f // c.denominator)
+                for num, den, t, e in zip(nums, dens, top, idx):
+                    term *= num[e] * den[t - e]
+                total += term
+            return Fraction(total, den_f * math.prod(den[-1] for den in dens))
         total = None
-        for idx, c in self.coeffs.items():
+        for idx, c in coeffs.items():
             term = c
             for val, e in zip(point, idx):
                 for _ in range(e):
@@ -412,26 +434,67 @@ def coordinate_change_polys(ctx: SeriesContext, shift_coords):
     return polys
 
 
+def _int_product(a: dict, b: dict) -> dict:
+    """Product of two polynomials held as {packed multi-index: int}; adding
+    two packed indices adds the multi-indices."""
+    out = {}
+    get = out.get
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            k = ia + ib
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
 def translate_action(f: TruncatedSeries, shift_coords) -> TruncatedSeries:
     """(u0 f)(z) = f(coords(u(z) u0)): substitution of the polynomial
-    coordinate change; untruncated output, Gauss norm preserved."""
+    coordinate change; untruncated output, Gauss norm preserved.
+
+    On ints: F_r is cleared to int numerators over one denominator D_r, the
+    rational coefficients of f over one D_f, and a multi-index is packed into
+    one int (radix above the largest output degree), so the powers of F_r and
+    the monomial products are int convolutions.  Terms are summed over
+    D_f * prod D_r^(max e_r); each output coefficient is built once, as one
+    Fraction.  A p-adic coefficient multiplies its monomial's substitution."""
     ctx = f.ctx
     polys = coordinate_change_polys(ctx, shift_coords)
-    pow_cache = [{0: TruncatedSeries.constant(ctx, Fraction(1))} for _ in polys]
+    radix = 1 + max((sum(e * F.max_total_degree() for e, F in zip(idx, polys))
+                     for idx in f.coeffs), default=0)
+    places = [radix ** r for r in range(ctx.nvars)]
 
-    def poly_pow(r, k):
-        cache = pow_cache[r]
-        if k not in cache:
-            cache[k] = poly_pow(r, k - 1) * polys[r]
-        return cache[k]
+    def pack(idx):
+        return sum(i * b for i, b in zip(idx, places))
 
-    out = {}
+    def unpack(k):
+        return tuple(k // b % radix for b in places)
+
+    dens = [math.lcm(*(c.denominator for c in F.coeffs.values())) for F in polys]
+    powers = [[{0: 1}, {pack(i): c.numerator * (d // c.denominator) for i, c in F.coeffs.items()}]
+              for F, d in zip(polys, dens)]
+
+    def power(r, k):
+        table = powers[r]
+        while len(table) <= k:
+            table.append(_int_product(table[-1], table[1]))
+        return table[k]
+
+    top = [max(column) for column in zip(*f.coeffs)]
+    den = math.prod(d ** t for d, t in zip(dens, top))
+    den_f = math.lcm(*(c.denominator for c in f.coeffs.values() if not isinstance(c, PadicScalar)))
+    total, out = {}, {}
     for idx, c in f.coeffs.items():
-        term = TruncatedSeries.constant(ctx, c)
+        scale = math.prod(d ** (t - e) for d, t, e in zip(dens, top, idx))
+        scalar = isinstance(c, PadicScalar)
+        term = {0: scale if scalar else c.numerator * (den_f // c.denominator) * scale}
         for r, e in enumerate(idx):
             if e:
-                term = term * poly_pow(r, e)
-        _add_into(out, term.coeffs.items())
+                term = _int_product(term, power(r, e))
+        if scalar:
+            _add_into(out, ((unpack(k), c * Fraction(v, den)) for k, v in term.items() if v))
+        else:
+            for k, v in term.items():
+                total[k] = total.get(k, 0) + v
+    _add_into(out, ((unpack(k), Fraction(v, den_f * den)) for k, v in total.items() if v))
     return TruncatedSeries(ctx, out)
 
 

@@ -65,7 +65,9 @@ def weight_multiplicity(dchi: DerivedCharacter, lam, w: WeylElement | None = Non
     positive roots.  As w is linear, this counts w^-1(dchi - lam) in
     simple-root coordinates (0 off the lattice, off the span or outside the
     cone): a walk over the non-simple roots stops a slot once a coordinate
-    goes negative, and each leaf is one way."""
+    goes negative, and the simple roots take what remains.  The last
+    non-simple slot is not walked: the k >= 0 with rest - k * step >= 0 form
+    an interval, counted at once."""
     datum = dchi.datum
     lam_coeffs = lam.coeffs if hasattr(lam, "coeffs") else tuple(Fraction(c) for c in lam)
     if len(lam_coeffs) != datum.dim:
@@ -78,13 +80,15 @@ def weight_multiplicity(dchi: DerivedCharacter, lam, w: WeylElement | None = Non
     coords = datum.simple_coordinates(target)
     if coords is None or min(coords) < 0:
         return 0
-    steps = datum.nonsimple_coordinates
+    if not datum.nonsimple_coordinates:
+        return 1
+    *steps, last = datum.nonsimple_coordinates
     count = 0
     stack = [(0, coords)]
     while stack:
         r, rest = stack.pop()
         if r == len(steps):
-            count += 1
+            count += min(x // c for x, c in zip(rest, last) if c > 0) + 1
             continue
         while min(rest) >= 0:
             stack.append((r + 1, rest))

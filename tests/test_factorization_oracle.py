@@ -15,9 +15,10 @@ from iwahori.axioms import sample_iwahori
 P, N = 7, 12
 
 
-def digitwise_factorize(G, g, w):
-    """Digit-refinement factorization; returns (neg, torus, pos) parameter
-    integer representatives in the same batch order as iwahori_factorize."""
+def digitwise_factorize(G, g, w, p, N):
+    """Digit-refinement factorization of g in G over Z_p mod p^N; returns
+    (neg, torus, pos) parameter integer representatives in the same batch
+    order as iwahori_factorize."""
     neg_batch, pos_batch = G.batches(w)
     rank = G.datum.rank
     neg = [0] * len(neg_batch)
@@ -49,23 +50,32 @@ def digitwise_factorize(G, g, w):
 
         def digit(i, j):
             e = resid.sub_identity_entry(i, j)
-            return (e.co[0] // pk) % P
+            return (e.co[0] // pk) % p
 
         for idx, root in enumerate(neg_batch):
             (i0, j0, s0) = G.dirs[root][0]
-            d = digit(i0, j0) if s0 == 1 else (-digit(i0, j0)) % P
+            d = digit(i0, j0) if s0 == 1 else (-digit(i0, j0)) % p
             neg[idx] = (neg[idx] + d * pk) % box
         for idx, root in enumerate(pos_batch):
             (i0, j0, s0) = G.dirs[root][0]
-            d = digit(i0, j0) if s0 == 1 else (-digit(i0, j0)) % P
+            d = digit(i0, j0) if s0 == 1 else (-digit(i0, j0)) % p
             pos[idx] = (pos[idx] + d * pk) % box
         # additive shadow of the multiplicative diagonal recipe
         for idx, recipe in enumerate(G.torus_recipe):
-            d = sum(e * digit(i, i) for i, e in recipe) % P
+            d = sum(e * digit(i, i) for i, e in recipe) % p
             tor[idx] = (tor[idx] * (1 + d * pk)) % box
     else:
         raise AssertionError("digitwise refinement did not converge")
     return neg, tor, pos
+
+
+def _agrees(G, g, w, p, N):
+    neg, tor, pos = digitwise_factorize(G, g, w, p, N)
+    fact = G.iwahori_factorize(g, w)
+    return ([x.co[0] for _, x in fact.negative] == neg
+            and [x.co[0] for _, x in fact.positive] == pos
+            and all(s_got == G.ring.from_int(s_want)
+                    for s_got, s_want in zip(fact.torus_coordinates, tor)))
 
 
 def test_digitwise_oracle_agrees_with_elimination():
@@ -75,10 +85,22 @@ def test_digitwise_oracle_agrees_with_elimination():
         rng = random.Random(71)
         for w in (weyl[0], weyl[-1], weyl[len(weyl) // 2]):
             for _ in range(5):
-                g = sample_iwahori(G, rng, w)
-                neg, tor, pos = digitwise_factorize(G, g, w)
-                fact = G.iwahori_factorize(g, w)
-                assert [x.co[0] for _, x in fact.negative] == neg, (name, w.name)
-                assert [x.co[0] for _, x in fact.positive] == pos, (name, w.name)
-                for s_got, s_want in zip(fact.torus_coordinates, tor):
-                    assert s_got == G.ring.from_int(s_want), (name, w.name)
+                assert _agrees(G, sample_iwahori(G, rng, w), w, P, N), (name, w.name)
+
+
+def test_digitwise_oracle_over_every_twist_prime_and_precision():
+    # every Weyl twist at p in {5, 7, 11, 13} (p = 5 fails the Sp4 gate
+    # p - 1 > h) and N in {1, 2, 3, 12}, where N = 1 and 2 leave the
+    # parameters a digit or two; seeded per configuration
+    cases = 0
+    for name, primes in (("sl2", (5, 7, 11, 13)), ("sl3", (5, 7, 11, 13)), ("sp4", (7, 11, 13))):
+        for p in primes:
+            for N in (1, 2, 3, 12):
+                G = ChevalleyGroup(name, p=p, prec=N)
+                for w in G.datum.weyl_group():
+                    rng = random.Random(f"{name}:{p}:{N}:{w.name}")
+                    for _ in range(2):
+                        g = sample_iwahori(G, rng, w)
+                        assert _agrees(G, g, w, p, N), (name, p, N, w.name)
+                        cases += 1
+    assert cases == 2 * (4 * 4 * 2 + 4 * 4 * 6 + 3 * 4 * 8)

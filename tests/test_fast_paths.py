@@ -456,10 +456,10 @@ def test_int_relation_checks_every_upper_entry():
 def relation_keeping_non_members(G):
     """Flat group elements outside I: a torus point with a diagonal entry
     not congruent to 1, and a root element u_r(1) for an upper root r."""
-    a = G.ring.from_int(2)
-    chart = {"sl2": (a,), "sl3": (a, a.inv(), G.ring.one()), "sp4": (a, G.ring.one())}
+    a, one = G.ring.from_int(2), G.ring.one()
+    diag = {"sl2": [a, a.inv()], "sl3": [a, a.inv(), one], "sp4": [a, one, one, a.inv()]}
     upper = min(G.datum.negative_roots, key=G.datum.height)
-    return [("torus part is not pro-p", flatten(G.torus_from_chart(*chart[G.name]))),
+    return [("torus part is not pro-p", flatten(G._diagonal(diag[G.name]))),
             ("upper root parameter not divisible by p", flatten(G.root_element(upper, 1)))]
 
 

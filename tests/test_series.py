@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from iwahori.padic import INF, InternalError, padic_exp, vp_fraction
+from iwahori.groups import PValue
+from iwahori.padic import INF, InternalError, PadicScalar, padic_exp, vp_fraction
 from iwahori.series import (
+    _add_into,
     Character,
     SeriesContext,
     SeriesError,
@@ -406,3 +408,157 @@ def test_hida_projector_exponent_cap():
             hida_projector(f, 1, n)
     with pytest.raises(SeriesError):
         hida_projector(f, 1, -1)
+
+
+# -- the int kernels against the Fraction code they replaced -------------------
+
+
+def _translate_action_ref(f, shift_coords):
+    """The former ``translate_action``, kept as a differential reference:
+    each monomial multiplied out on Fraction series from cached powers."""
+    ctx = f.ctx
+    polys = coordinate_change_polys(ctx, shift_coords)
+    pow_cache = [{0: TruncatedSeries.constant(ctx, Fraction(1))} for _ in polys]
+
+    def poly_pow(r, k):
+        cache = pow_cache[r]
+        if k not in cache:
+            cache[k] = poly_pow(r, k - 1) * polys[r]
+        return cache[k]
+
+    out = {}
+    for idx, c in f.coeffs.items():
+        term = TruncatedSeries.constant(ctx, c)
+        for r, e in enumerate(idx):
+            if e:
+                term = term * poly_pow(r, e)
+        _add_into(out, term.coeffs.items())
+    return TruncatedSeries(ctx, out)
+
+
+def _evaluate_ref(f, point):
+    """The former ``TruncatedSeries.evaluate``: term by term."""
+    total = None
+    for idx, c in f.coeffs.items():
+        term = c
+        for val, e in zip(point, idx):
+            for _ in range(e):
+                term = term * val
+        total = term if total is None else total + term
+    return Fraction(0) if total is None else total
+
+
+def _gauss_valuation_ref(f):
+    """The former ``TruncatedSeries.gauss_valuation``: one PValue per coefficient."""
+    p = f.ctx.ring.p
+    return PValue.min(PValue.of(c) if isinstance(c, PadicScalar)
+                      else PValue.finite(vp_fraction(c, p)) for c in f.coeffs.values())
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the sweep compares exception types
+        return type(exc)
+
+
+def _same_series(got, want):
+    if isinstance(want, type):
+        return got is want
+    return (isinstance(got, TruncatedSeries) and got.degree == want.degree
+            and got.coeffs == want.coeffs
+            and all(type(got.coeffs[k]) is type(c) for k, c in want.coeffs.items()))
+
+
+def _same_value(got, want):
+    if isinstance(want, type):
+        return got is want
+    return type(got) is type(want) and got == want
+
+
+def _rational_series(ctx, rng, degree, terms):
+    """Rational coefficients whose numerators and denominators carry powers
+    of p, on monomials that include pure powers z_r^degree."""
+    coeffs = {}
+    for k in range(terms):
+        idx = [0] * ctx.nvars
+        if k == 0:
+            idx[rng.randrange(ctx.nvars)] = degree
+        else:
+            for _ in range(rng.randrange(degree + 1)):
+                idx[rng.randrange(ctx.nvars)] += 1
+        num = rng.choice((-1, 1)) * rng.randint(1, 40) * P ** rng.randrange(3)
+        coeffs[tuple(idx)] = Fraction(num, rng.choice((1, 2, 3, 4, 9, P, 2 * P, P * P)))
+    return TruncatedSeries(ctx, coeffs, degree)
+
+
+def _shifts(ctx, rng):
+    """Integer shifts, rational shifts with unit denominators, and rational
+    shifts with a denominator divisible by p."""
+    n = ctx.nvars
+    return [[rng.randrange(-5, 6) for _ in range(n)],
+            [rng.randrange(-5, 6) for _ in range(n)],
+            [Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 5, 8))) for _ in range(n)],
+            [Fraction(rng.randrange(-9, 10), rng.choice((2, 3))) for _ in range(n)],
+            [Fraction(rng.randrange(1, 10), rng.choice((P, 2 * P))) for _ in range(n)]]
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sp4"])
+def test_series_kernels_match_the_fraction_code(name):
+    rng = random.Random(23)
+    weyl = ctx_for(name).datum.weyl_group()
+    raised = translated = 0
+    for w_index in range(len(weyl)):
+        ctx = ctx_for(name, w_index=w_index)
+        series = [TruncatedSeries(ctx, {}), TruncatedSeries.constant(ctx, Fraction(-3, P))]
+        series += [_rational_series(ctx, rng, degree, 6) for degree in (1, 3, 4)]
+        points = [[rng.randrange(-4, 5) for _ in range(ctx.nvars)],
+                  [Fraction(rng.randrange(-9, 10), rng.choice((1, 2, P))) for _ in range(ctx.nvars)]]
+        for f in series:
+            assert f.gauss_valuation() == _gauss_valuation_ref(f)
+            for z in points:
+                assert _same_value(f.evaluate(z), _evaluate_ref(f, z))
+            for shift in _shifts(ctx, rng):
+                want = _outcome(_translate_action_ref, f, shift)
+                got = _outcome(translate_action, f, shift)
+                assert _same_series(got, want), (w_index, f, shift)
+                if isinstance(want, type):
+                    raised += 1
+                    continue
+                translated += 1
+                assert got.gauss_valuation() == _gauss_valuation_ref(want)
+                for z in points:
+                    assert _same_value(got.evaluate(z), _evaluate_ref(want, z))
+    assert translated > 20 * len(weyl)
+    if name != "sl2":  # an upper-root coordinate with p in its denominator
+        assert raised > 0
+
+
+def test_series_kernels_on_padic_coefficients():
+    # a torus_action output has PadicScalar coefficients: evaluate keeps the
+    # scalar type, gauss_valuation reads the cap, translation multiplies the
+    # exact substitution of each monomial
+    rng = random.Random(29)
+    for name, w_index in (("sl2", 1), ("sl3", 2), ("sp4", 5)):
+        ctx = ctx_for(name, w_index=w_index, prec=6)
+        chi = Character.from_rationals(*([Fraction(1, 3)] * ctx.datum.dim))
+        for _ in range(4):
+            f = _rational_series(ctx, rng, 3, 5)
+            f = TruncatedSeries(ctx, {k: c for k, c in f.coeffs.items() if c.denominator % P})
+            c = ctx.ring.from_int(1 + P * rng.randrange(P ** 4))
+            g = torus_action(f, ctx.point_from_cocharacter(ctx.mu, c), chi)
+            assert g.coeffs and all(isinstance(x, PadicScalar) for x in g.coeffs.values())
+            # a scalar known only to be 0 mod p^6 (a '>= cap' valuation), and
+            # a rational constant term next to the scalars
+            cap = tuple(4 if r == 0 else 0 for r in range(ctx.nvars))
+            g = TruncatedSeries(ctx, {**g.coeffs, cap: ctx.ring.from_int(P ** 7)})
+            g = g + TruncatedSeries.constant(ctx, Fraction(5, 2))
+            assert g.gauss_valuation() == _gauss_valuation_ref(g)
+            for z in ([rng.randrange(-4, 5) for _ in range(ctx.nvars)],
+                      [Fraction(rng.randrange(-9, 10), 2) for _ in range(ctx.nvars)]):
+                assert _same_value(g.evaluate(z), _evaluate_ref(g, z))
+                assert isinstance(g.evaluate(z), PadicScalar)
+            for shift in ([rng.randrange(-5, 6) for _ in range(ctx.nvars)],
+                          [Fraction(rng.randrange(-9, 10), 4) for _ in range(ctx.nvars)]):
+                assert translate_action(g, shift) == _translate_action_ref(g, shift)

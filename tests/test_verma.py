@@ -68,22 +68,28 @@ def _walk_multiplicity(dchi: DerivedCharacter, lam, w=None, block_dim: int = 1) 
     return count
 
 
+def _cone_weight(datum, w, rng, height):
+    """A random sum of w-twisted positive roots whose heights add to height."""
+    ks = [0] * len(datum.positive_roots)
+    left = height
+    while left:
+        i = rng.choice([i for i, r in enumerate(datum.positive_roots)
+                        if datum.height(r) <= left])
+        ks[i] += 1
+        left -= datum.height(datum.positive_roots[i])
+    vec = [0] * datum.dim
+    for k, r in zip(ks, datum.positive_roots):
+        vec = [v + k * c for v, c in zip(vec, datum.act_root(w, r))]
+    return vec
+
+
 def _sweep_targets(datum, w, rng):
     """Differences dchi - lam for the sweep: w-twisted cone weights of height
     0..12, their half-integral shifts, their negatives, and (SL_n) shifts off
     the root span."""
     targets = []
     for height in range(13):
-        ks = [0] * len(datum.positive_roots)
-        left = height
-        while left:
-            i = rng.choice([i for i, r in enumerate(datum.positive_roots)
-                            if datum.height(r) <= left])
-            ks[i] += 1
-            left -= datum.height(datum.positive_roots[i])
-        vec = [0] * datum.dim
-        for k, r in zip(ks, datum.positive_roots):
-            vec = [v + k * c for v, c in zip(vec, datum.act_root(w, r))]
+        vec = _cone_weight(datum, w, rng, height)
         targets.append(tuple(Fraction(v) for v in vec))
         if height % 3 == 1:
             targets.append(tuple(-Fraction(v) for v in vec))
@@ -118,12 +124,35 @@ def test_weight_multiplicity_matches_the_walk():
     assert cases > 900 and 0 < nonzero < cases
 
 
+def test_interval_count_matches_the_walk_up_to_height_40():
+    # weight_multiplicity counts its last non-simple slot as an interval; the
+    # walk steps through every slot.  Cone weights up to height 40, including
+    # multiples of the last non-simple root alone, under every Weyl twist.
+    rng = random.Random(40)
+    cases = 0
+    for name in ("sl2", "sl3", "sp4"):
+        datum = get_root_datum(name)
+        last = [r for r in datum.positive_roots if r not in datum.simple_roots][-1:]
+        for w in datum.weyl_group():
+            dchi = DerivedCharacter.of(name, *(rng.randint(-6, 6) for _ in range(datum.dim)))
+            targets = [_cone_weight(datum, w, rng, h) for h in (0, 1, 2, 3, 6, 11, 19, 40)]
+            targets += [[k * c for c in datum.act_root(w, r)] for r in last for k in (1, 2, 5)]
+            for target in targets:
+                lam = WeightLabel(name, tuple(c - t for c, t in zip(dchi.coeffs, target)))
+                want = _walk_multiplicity(dchi, lam, w)
+                assert weight_multiplicity(dchi, lam, w) == want >= 1, (name, w.name, target)
+                cases += 1
+    assert cases == 2 * 8 + 6 * 11 + 8 * 11
+
+
 def test_weight_multiplicity_deep_weights():
     # far beyond what the walk reaches in test time
     sp4 = DerivedCharacter.of("sp4", 0, 0)
     assert weight_multiplicity(sp4, WeightLabel.of("sp4", -100, -100)) == 2601
     sl3 = DerivedCharacter.of("sl3", 0, 0, 0)
     assert weight_multiplicity(sl3, WeightLabel.of("sl3", -100, 0, 100)) == 101
+    assert weight_multiplicity(sp4, WeightLabel.of("sp4", -3000, -3000)) == 2253001
+    assert weight_multiplicity(sl3, WeightLabel.of("sl3", -100000, 0, 100000)) == 100001
 
 
 def test_weight_multiplicity_rejects_a_foreign_weyl_element():
