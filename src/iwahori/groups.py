@@ -465,7 +465,8 @@ class ChevalleyGroup:
 
     def _strip_unipotent(self, mat, batch_roots):
         """(root, parameter) pairs stripped in batch order off a unipotent
-        matrix of scalars, or of series (``series.coordinate_change_polys``)."""
+        matrix of scalars, or of ``series._Poly`` polynomials (the batch-group
+        strip of ``series.coordinate_change_polys``)."""
         params = []
         cur = [list(row) for row in mat]
         for root in batch_roots:

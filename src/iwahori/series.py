@@ -103,16 +103,10 @@ class Character:
     def from_rationals(cls, *cs) -> "Character":
         return cls(tuple(Fraction(c) for c in cs))
 
-    def rigidity_margin(self, p: int) -> Fraction:
-        """min v_p(c_i) - (1/(p-1) - 1); positive exactly when rigid."""
-        bound = Fraction(1, p - 1) - 1
-        worst = min((vp_fraction(c, p) for c in self.coeffs), default=INF)
-        if worst is INF:
-            return Fraction(1)
-        return worst - bound
-
     def is_rigid(self, p: int) -> bool:
-        return self.rigidity_margin(p) > 0
+        """Whether min v_p(c_i) > 1/(p-1) - 1, true for the zero character."""
+        worst = min((vp_fraction(c, p) for c in self.coeffs), default=INF)
+        return worst is INF or worst > Fraction(1, p - 1) - 1
 
     def twisted(self, w: WeylElement) -> "Character":
         return Character(w.act(self.coeffs))
@@ -178,11 +172,6 @@ class TruncatedSeries:
         return sorted(self.coeffs)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    # alias used by the sparse matrix helpers
-    @property
-    def is_exact_zero(self) -> bool:
         return not self.coeffs
 
     def max_total_degree(self) -> int:
@@ -289,10 +278,7 @@ def torus_action(f: TruncatedSeries, point, chi: Character | None = None) -> Tru
     if not all((a - 1).zero_mod(1) for a in point):
         raise SeriesError("torus point is not pro-p in the chart")
     if chi is not None:
-        chi_w = chi.twisted(ctx.w)
-        if not chi_w.is_rigid(ctx.ring.p):
-            raise SeriesError("character is not rigid on the unit ball")
-        chi_factor = chi_w.evaluate(ctx, point)
+        chi_factor = chi.twisted(ctx.w).evaluate(ctx, point)
     else:
         chi_factor = ctx.ring.one()
     inv_point = tuple(a.inv() for a in point)
@@ -403,40 +389,14 @@ def hida_projector(f: TruncatedSeries, s: int, iterations: int) -> TruncatedSeri
 
 # -- translation --------------------------------------------------------------
 
-
-def _batch_product(ctx: SeriesContext, first, shift_coords):
-    """Chart coordinates of u(first) * u0 in the batch group, first a list of
-    one series per batch root, u0 at the rational chart coordinates shift_coords:
-    multiplied out on series entries and stripped in the fixed batch order; exact."""
-    group, n = ctx.group, ctx.group.n
-    one, zero = TruncatedSeries.constant(ctx, Fraction(1)), TruncatedSeries(ctx, {})
-    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    second = [TruncatedSeries.constant(ctx, Fraction(c)) for c in shift_coords]
-    # coordinates scale by p on the upper (negative) batch roots
-    for coords in (first, second):
-        for root, x in zip(ctx.batch, coords):
-            group._rmul_root_inplace(rows, root, x.scale(group.filtration_scale(root)))
-    # strip in the fixed batch order, then undo the chart scaling
-    return [x.scale(Fraction(1, group.filtration_scale(root)))
-            for root, x in group._strip_unipotent(rows, ctx.batch)]
-
-
-def coordinate_change_polys(ctx: SeriesContext, shift_coords):
-    """Polynomials F_r with coords(u(z) * u0) = (F_1(z), ..., F_N(z)) where
-    u0 has chart coordinates shift_coords."""
-    z = [TruncatedSeries.monomial(ctx, tuple(int(k == r) for k in range(ctx.nvars)))
-         for r in range(ctx.nvars)]
-    polys = _batch_product(ctx, z, shift_coords)
-    for root, poly in zip(ctx.batch, polys):
-        if ctx.group.filtration_scale(root) != 1 and any(
-                vp_fraction(c, ctx.ring.p) < 0 for c in poly.coeffs.values()):
-            raise InternalError("symbolic coordinate not integral")
-    return polys
+# The batch-group strip packs a multi-index into one int key, _KEY_BITS bits a
+# coordinate (no exponent there exceeds 2), so adding keys adds multi-indices.
+_KEY_BITS = 16
 
 
 def _int_product(a: dict, b: dict) -> dict:
-    """Product of two polynomials held as {packed multi-index: int}; adding
-    two packed indices adds the multi-indices."""
+    """Product of two polynomials held as {packed multi-index: coefficient};
+    adding two packed indices adds the multi-indices."""
     out = {}
     get = out.get
     for ia, ca in a.items():
@@ -444,6 +404,78 @@ def _int_product(a: dict, b: dict) -> dict:
             k = ia + ib
             out[k] = get(k, 0) + ca * cb
     return out
+
+
+def _entry(c):
+    """An integral rational as an int, any other as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
+class _Poly(dict):
+    """A polynomial {packed multi-index: coefficient} with no zero coefficient,
+    an int while it is integral: the entry type of the batch-group strip, never
+    changed once built, with what ``ChevalleyGroup._strip_unipotent`` and its
+    row helpers use."""
+
+    @property
+    def is_exact_zero(self) -> bool:
+        return not self
+
+    def __add__(self, other):
+        if not other:
+            return self
+        out = _Poly(self)
+        for k, c in other.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = _entry(s)
+            else:
+                del out[k]
+        return out
+
+    def __neg__(self):
+        return _Poly({k: -c for k, c in self.items()})
+
+    def __mul__(self, other):
+        if not (self and other):
+            return _Poly()
+        return _Poly({k: _entry(c) for k, c in _int_product(self, other).items() if c})
+
+    def __eq__(self, other):
+        return dict.__eq__(self, other if isinstance(other, dict) else {0: other} if other else {})
+
+
+def _constants(coords):
+    return [_Poly({0: _entry(c)} if c else {}) for c in map(Fraction, coords)]
+
+
+def _batch_product(ctx: SeriesContext, first, second):
+    """Chart coordinates of u(first) * u(second) in the batch group, given and
+    returned as one _Poly per batch root: multiplied out and stripped in the
+    fixed batch order; exact.  An upper (negative) batch root's chart
+    coordinate is its group coordinate over p."""
+    group, n = ctx.group, ctx.group.n
+    one, zero = _Poly({0: 1}), _Poly({})
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    scales = [group.filtration_scale(root) for root in ctx.batch]
+    for coords in (first, second):
+        for root, scale, x in zip(ctx.batch, scales, coords):
+            group._rmul_root_inplace(rows, root, x if scale == 1 else x * _Poly({0: scale}))
+    return [x if scale == 1 else x * _Poly({0: Fraction(1, scale)})
+            for (_, x), scale in zip(group._strip_unipotent(rows, ctx.batch), scales)]
+
+
+def coordinate_change_polys(ctx: SeriesContext, shift_coords):
+    """Polynomials F_r with coords(u(z) * u0) = (F_1(z), ..., F_N(z)) where
+    u0 has chart coordinates shift_coords."""
+    bits, mask, p = range(0, _KEY_BITS * ctx.nvars, _KEY_BITS), (1 << _KEY_BITS) - 1, ctx.ring.p
+    polys = _batch_product(ctx, [_Poly({1 << b: 1}) for b in bits], _constants(shift_coords))
+    for root, x in zip(ctx.batch, polys):
+        if ctx.group.filtration_scale(root) != 1 and any(
+                type(c) is Fraction and c.denominator % p == 0 for c in x.values()):
+            raise InternalError("symbolic coordinate not integral")
+    return [TruncatedSeries(ctx, {tuple(k >> b & mask for b in bits): c for k, c in x.items()})
+            for x in polys]
 
 
 def translate_action(f: TruncatedSeries, shift_coords) -> TruncatedSeries:
@@ -501,9 +533,8 @@ def translate_action(f: TruncatedSeries, shift_coords) -> TruncatedSeries:
 def batch_coordinate_product(ctx: SeriesContext, coords_a, coords_b):
     """Chart coordinates of u(a) * u(b) inside the batch group for rational
     a, b: ``coordinate_change_polys``'s product and strip on constants."""
-    zero = ctx.zero_index()
-    a = [TruncatedSeries.constant(ctx, Fraction(c)) for c in coords_a]
-    return [x.coeffs.get(zero, Fraction(0)) for x in _batch_product(ctx, a, coords_b)]
+    return [Fraction(x.get(0, 0))
+            for x in _batch_product(ctx, _constants(coords_a), _constants(coords_b))]
 
 
 # -- convergence reports -------------------------------------------------------

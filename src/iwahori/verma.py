@@ -11,8 +11,10 @@ integrality test rather than guessed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .roots import RootDatum, WeylElement, get_root_datum
 
@@ -74,8 +76,7 @@ def weight_multiplicity(dchi: DerivedCharacter, lam, w: WeylElement | None = Non
         raise ValueError(f"{datum.name} weights need {datum.dim} coordinates")
     target = tuple(a - b for a, b in zip(dchi.coeffs, lam_coeffs))
     if w is not None:
-        for root in datum.positive_roots:
-            datum.act_root(w, root)  # raises for a w that does not permute the roots
+        datum.positive_image(w)  # raises for a w that does not permute the roots
         target = w.inverse().act(target)
     coords = datum.simple_coordinates(target)
     if coords is None or min(coords) < 0:
@@ -117,19 +118,26 @@ def bgg_simple(dchi: DerivedCharacter):
     return simple, certificate
 
 
+@lru_cache(maxsize=None)
+def _twist_table(datum: RootDatum, w: WeylElement):
+    """(w.delta as ints over d, d, the coroots (w.alpha)^v over alpha > 0), built once
+    per (datum, w); a w that does not permute the roots raises on every call."""
+    coroots = tuple(datum.coroot(datum.act_root(w, root)) for root in datum.positive_roots)
+    d = math.lcm(*(c.denominator for c in datum.delta))
+    return w.act([int(c * d) for c in datum.delta]), d, coroots
+
+
 def bgg_simple_twisted(dchi: DerivedCharacter, w: WeylElement):
-    """The same verdict computed through the w-twisted positive system."""
-    datum = dchi.datum
-    twisted = dchi.twisted(w)
-    delta_w = tuple(w.act(datum.delta))
-    shifted = tuple(c + d for c, d in zip(twisted.coeffs, delta_w))
-    simple = True
-    for root in datum.positive_roots:
-        wroot = datum.act_root(w, root)
-        cov = datum.coroot(wroot)
-        value = sum((s * e for s, e in zip(shifted, cov)), Fraction(0))
-        simple = simple and not is_positive_integer(value)
-    return simple
+    """The same verdict computed through the w-twisted positive system, on
+    ints: w.dchi and w.delta are cleared to one common denominator D, so a
+    pairing <w.dchi + w.delta, (w.alpha)^v> is a positive integer exactly
+    when its int numerator over D is > 0 and divisible by D."""
+    wdelta, d, coroots = _twist_table(dchi.datum, w)
+    big_d = math.lcm(d, *(c.denominator for c in dchi.coeffs))
+    shifted = [c + e * (big_d // d) for c, e in zip(
+        w.act([c.numerator * (big_d // c.denominator) for c in dchi.coeffs]), wdelta)]
+    return not any(value > 0 and value % big_d == 0
+                   for value in (sum(s * e for s, e in zip(shifted, cov)) for cov in coroots))
 
 
 # -- the symplectic golden case -------------------------------------------

@@ -364,26 +364,88 @@ def _coordinate_change_polys_ref(ctx, shift_coords):
     return out
 
 
+@pytest.fixture
+def series_strip(monkeypatch):
+    """The references strip TruncatedSeries entries, and the group's sparse
+    row helpers skip an entry whose ``is_exact_zero`` is true."""
+    monkeypatch.setattr(TruncatedSeries, "is_exact_zero", property(TruncatedSeries.is_zero),
+                        raising=False)
+
+
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sp4"])
-def test_coordinate_change_matches_the_written_out_strip(name):
-    # every Weyl twist, at integer shifts and at rational shifts with a unit
-    # denominator; same polynomials, coefficient for coefficient
+def test_coordinate_change_matches_the_written_out_strip(name, series_strip):
+    # every Weyl twist, at integer shifts, at rational shifts with a unit
+    # denominator and at rational shifts with p in the denominator; the same
+    # polynomials, coefficient for coefficient and type for type, or the same
+    # exception type
     rng = random.Random(17)
     weyl = ctx_for(name).datum.weyl_group()
-    cases = 0
+    cases = raised = 0
     for w_index in range(len(weyl)):
         ctx = ctx_for(name, w_index=w_index)
-        for k in range(6):
-            if k % 2:
+        for k in range(9):
+            if k % 3 == 1:
                 shift = [Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 5, 8]))
+                         for _ in range(ctx.nvars)]
+            elif k % 3 == 2:
+                shift = [Fraction(rng.randrange(-9, 10), rng.choice([1, P, 2 * P, P * P]))
                          for _ in range(ctx.nvars)]
             else:
                 shift = [rng.randrange(-9, 10) for _ in range(ctx.nvars)]
-            want = _coordinate_change_polys_ref(ctx, shift)
-            got = coordinate_change_polys(ctx, shift)
-            assert [(f.coeffs, f.degree) for f in got] == [(f.coeffs, f.degree) for f in want]
+            want = _outcome(_coordinate_change_polys_ref, ctx, shift)
+            got = _outcome(coordinate_change_polys, ctx, shift)
+            if isinstance(want, type):
+                assert got is want, (w_index, shift)
+                raised += 1
+            else:
+                assert [(f.coeffs, f.degree) for f in got] == [(f.coeffs, f.degree) for f in want]
+                assert all(type(c) is Fraction for f in got for c in f.coeffs.values())
             cases += 1
-    assert cases == 6 * len(weyl)
+    assert cases == 9 * len(weyl)
+    assert 0 < raised < 3 * len(weyl)
+
+
+def _batch_product_ref(ctx, first, shift_coords):
+    """The former ``series._batch_product``, kept as a differential reference:
+    the strip on TruncatedSeries entries with Fraction coefficients."""
+    group, n = ctx.group, ctx.group.n
+    one, zero = TruncatedSeries.constant(ctx, Fraction(1)), TruncatedSeries(ctx, {})
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    second = [TruncatedSeries.constant(ctx, Fraction(c)) for c in shift_coords]
+    # coordinates scale by p on the upper (negative) batch roots
+    for coords in (first, second):
+        for root, x in zip(ctx.batch, coords):
+            group._rmul_root_inplace(rows, root, x.scale(group.filtration_scale(root)))
+    # strip in the fixed batch order, then undo the chart scaling
+    return [x.scale(Fraction(1, group.filtration_scale(root)))
+            for root, x in group._strip_unipotent(rows, ctx.batch)]
+
+
+def _batch_coordinate_product_ref(ctx, coords_a, coords_b):
+    """The former ``batch_coordinate_product``: constant series through the
+    series strip."""
+    zero = ctx.zero_index()
+    a = [TruncatedSeries.constant(ctx, Fraction(c)) for c in coords_a]
+    return [x.coeffs.get(zero, Fraction(0)) for x in _batch_product_ref(ctx, a, coords_b)]
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sp4"])
+def test_batch_coordinate_product_matches_the_series_strip(name, series_strip):
+    # every Weyl twist, rational a and b with denominators that are units,
+    # multiples of p or p^2: the same Fractions, or the same exception type
+    rng = random.Random(19)
+    weyl = ctx_for(name).datum.weyl_group()
+    for w_index in range(len(weyl)):
+        ctx = ctx_for(name, w_index=w_index)
+        for _ in range(8):
+            a, b = ([Fraction(rng.randrange(-20, 21), rng.choice([1, 1, 2, 3, P, 3 * P, P * P]))
+                     for _ in range(ctx.nvars)] for _ in range(2))
+            want = _outcome(_batch_coordinate_product_ref, ctx, a, b)
+            got = _outcome(batch_coordinate_product, ctx, a, b)
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert got == want and all(type(x) is Fraction for x in got), (w_index, a, b)
 
 
 def test_series_equals_a_rational_constant():

@@ -5,12 +5,13 @@ from math import comb
 
 import pytest
 
-from iwahori.roots import get_root_datum
+from iwahori.roots import WeylElement, get_root_datum
 from iwahori.verma import (
     DerivedCharacter,
     WeightLabel,
     bgg_simple,
     bgg_simple_twisted,
+    is_positive_integer,
     sp4_conditions,
     summand_inventory,
     weight_multiplicity,
@@ -249,6 +250,71 @@ def test_bgg_twist_invariance():
         verdict, _ = bgg_simple(dchi)
         for w in datum.weyl_group():
             assert bgg_simple_twisted(dchi, w) == verdict
+
+
+def _bgg_simple_twisted_ref(dchi, w):
+    """The former ``bgg_simple_twisted``, kept as a differential reference:
+    w.delta and the twisted coroots rebuilt on every call, the pairings
+    summed as Fractions."""
+    datum = dchi.datum
+    twisted = dchi.twisted(w)
+    delta_w = tuple(w.act(datum.delta))
+    shifted = tuple(c + d for c, d in zip(twisted.coeffs, delta_w))
+    simple = True
+    for root in datum.positive_roots:
+        wroot = datum.act_root(w, root)
+        cov = datum.coroot(wroot)
+        value = sum((s * e for s, e in zip(shifted, cov)), Fraction(0))
+        simple = simple and not is_positive_integer(value)
+    return simple
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the sweep compares exception types and texts
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("group", ["sl2", "sl3", "sp4"])
+def test_bgg_simple_twisted_matches_the_fraction_code(group):
+    # every Weyl twist, at generic rational dchi and at dchi on each
+    # positive-root hyperplane <dchi + delta, alpha^v> = n, n in -1..5:
+    # the same bool
+    rng = random.Random(31)
+    datum = get_root_datum(group)
+    dchis = []
+    for _ in range(10):
+        base = [Fraction(rng.randrange(-12, 13), rng.choice([1, 2, 3, 4, 6, 7, 9]))
+                for _ in range(datum.dim)]
+        dchis.append(base)
+        for root in datum.positive_roots:
+            cov = datum.coroot(root)
+            pair = sum((b + d) * e for b, d, e in zip(base, datum.delta, cov))
+            for n in (-1, 0, 1, rng.randrange(2, 6)):
+                t = (n - pair) / sum(e * e for e in cov)
+                dchis.append([b + t * e for b, e in zip(base, cov)])
+    verdicts = []
+    for coeffs in dchis:
+        dchi = DerivedCharacter.of(group, *coeffs)
+        for w in datum.weyl_group():
+            want = _bgg_simple_twisted_ref(dchi, w)
+            got = bgg_simple_twisted(dchi, w)
+            assert type(got) is type(want) and got == want, (coeffs, w.name)
+            verdicts.append(got)
+    assert 0 < verdicts.count(True) < len(verdicts)
+    # a w that does not permute the roots: the same exception, on every call
+    dim = datum.dim
+    shear = tuple(tuple(int(i == j) + int(i == 0 and j == 1) for j in range(dim))
+                  for i in range(dim))
+    other = get_root_datum("sl3" if group == "sp4" else "sp4")
+    dchi = DerivedCharacter.of(group, *dchis[0])
+    for w in (WeylElement(shear, ()), other.simple_reflection(other.rank - 1)):
+        want = _raised(_bgg_simple_twisted_ref, dchi, w)
+        assert want is not None and want[0] is ValueError
+        assert _raised(bgg_simple_twisted, dchi, w) == want
+        assert _raised(bgg_simple_twisted, dchi, w) == want
 
 
 def test_sp4_conditions_formulas():
