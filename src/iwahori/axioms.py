@@ -184,7 +184,7 @@ def check_compatibility_all_w(group: ChevalleyGroup, n_samples: int,
         rng = Random(_sample_seed(seed, k))
         g = sample_iwahori(group, rng)
         for w in weyl:
-            mins = PValue.min(group.omega_of_factor_list(group.iwahori_factorize(g, w)))
+            mins = group.iwahori_factorize(g, w).omega
             wg = mins if w is weyl[0] else wg
             report.judge(f"compatible[{w.name}]", k, wg.eq(mins),
                          f"omega={wg.as_json()} factor-min={mins.as_json()}", {"g": g})

@@ -61,13 +61,14 @@ Integer path
 An element whose entries are all inexact and all at the ring precision N
 is read once into plain ints modulo p^N and cached on the element.  For
 such elements the group relation, the membership test, the LDU
-elimination, both unipotent strips, the torus rebuild, products and
-inverses run on those ints, and each result scalar is wrapped once at
-precision N.  The path is picked from that input property alone.  It gives
-the same (co, prec, exact) as the scalar route, runs the same self-checks
-and raises the same exceptions; its outputs are again inexact at N, so
-chained products stay on it.  Exact or mixed-precision entries (user
-matrices, the identity, root generators) take the scalar route.
+elimination, both unipotent strips, the torus rebuild, the factor minimum
+omega, products and inverses run on those ints, and each result scalar is
+wrapped once at precision N.  ``from_coordinates`` builds such elements on
+ints from int coordinates in 1..p^N - 1, as ``sample_iwahori`` draws them.
+The path gives the same (co, prec, exact) as the scalar route, runs the
+same self-checks and raises the same exceptions; its outputs are again
+inexact at N, so chained products stay on it.  Exact or mixed-precision
+entries (user matrices, the identity, root generators) take the scalar route.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .padic import (INF, InternalError, PadicScalar, PrecisionError, ScalarRing, padic_exp,
-                    padic_log)
+from .padic import (INF, InternalError, PadicScalar, PrecisionError, ScalarRing, exp_int,
+                    padic_exp, padic_log, vp_int)
 from .roots import RootDatum, WeylElement, get_root_datum
 
 
@@ -238,16 +239,13 @@ class ChevalleyGroup:
         # ring constants for the relation check, built once
         self._one, self._zero = ring.one(), ring.zero()
         self._mod = ring.ppow(ring.prec)  # the int path works modulo p^N
-        h = self.datum.coxeter_number()  # omega offsets ht(root)/h of root factors
-        self._omega_offset = {r: Fraction(self.datum.height(r), h) for r in self.dirs}
+        self.coxeter_number = h = self.datum.coxeter_number()
+        self._height = {r: self.datum.height(r) for r in self.dirs}  # omega offsets ht(root)/h
+        self._omega_offset = {r: Fraction(ht, h) for r, ht in self._height.items()}
         self._basis_cache = {}
         self._factor_plan_cache = {}
 
     # -- gates ---------------------------------------------------------
-
-    @property
-    def coxeter_number(self) -> int:
-        return self.datum.coxeter_number()
 
     def check_gate(self):
         h = self.coxeter_number
@@ -340,20 +338,15 @@ class ChevalleyGroup:
 
     # -- batches and bases ------------------------------------------------
 
-    def positive_batch_order(self, tie_break: str = "lex"):
-        roots = list(self.datum.positive_roots)  # already height-then-lex
-        if tie_break == "revlex":
-            roots.sort(key=lambda r: (self.datum.height(r), tuple(-c for c in r)))
-        elif tie_break != "lex":
-            raise ValueError("tie_break must be 'lex' or 'revlex'")
-        return roots
-
     def batches(self, w: WeylElement, tie_break: str = "lex"):
         """The wPhi- and wPhi+ batch root lists in the fixed order."""
-        pos = self.positive_batch_order(tie_break)
-        neg_batch = [self.datum.act_root(w, tuple(-c for c in r)) for r in pos]
-        pos_batch = [self.datum.act_root(w, r) for r in pos]
-        return neg_batch, pos_batch
+        pos = list(self.datum.positive_roots)  # already height-then-lex
+        if tie_break == "revlex":
+            pos.sort(key=lambda r: (self.datum.height(r), tuple(-c for c in r)))
+        elif tie_break != "lex":
+            raise ValueError("tie_break must be 'lex' or 'revlex'")
+        return ([self.datum.act_root(w, tuple(-c for c in r)) for r in pos],
+                [self.datum.act_root(w, r) for r in pos])
 
     def filtration_scale(self, root) -> int:
         """Power of p scaling the integral points of I inter U_root:
@@ -384,13 +377,13 @@ class ChevalleyGroup:
         if not self.in_iwahori(g):
             raise MembershipError("factorization needs an element of the pro-p Iwahori")
         w = self.datum.identity_weyl() if w is None else w
-        order, neg_batch, pos_batch = self._factor_plan(w, tie_break)
+        plan = self._factor_plan(w, tie_break)
         ints = g._int_rows()
         if ints is not None:
-            parts = self._factor_ints(ints, order, neg_batch, pos_batch)
-        else:
-            parts = self._factor_scalars(g.mat, order, neg_batch, pos_batch)
-        return Factorization(self, w, *parts)
+            return Factorization(self, w, *self._factor_ints(ints, *plan))
+        fact = Factorization(self, w, *self._factor_scalars(g.mat, *plan), None)
+        fact.omega = PValue.min(self.omega_of_factor_list(fact))
+        return fact
 
     def _factor_scalars(self, mat, order, neg_batch, pos_batch):
         """(negative params, torus coordinates, torus diagonal, positive
@@ -424,12 +417,19 @@ class ChevalleyGroup:
         torus_coords = self._torus_coords_ints(diag)
         if any((d - 1) % p for d in diag):
             raise InternalError("torus part is not pro-p")
+        height, h, cap = self._height, self.coxeter_number, self.ring.prec
         for root, x in neg + pos:
-            if x % p and self.datum.height(root) < 0:
+            if x % p and height[root] < 0:
                 raise InternalError("upper root parameter not divisible by p")
+        # (h * omega, is a cap marker) of the factors off the ints: vp(x) h +
+        # ht(root), or the cap N h + ht(root) where x = 0 mod p^N; the torus
+        # on d - 1 with offset 0.  A finite value wins a tie with a cap marker.
+        best, at_cap = min(((vp_int(x, p) if x else cap) * h + off, not x) for x, off in
+                           [(x, height[r]) for r, x in neg + pos] + [(d - 1, 0) for d in diag])
         wrap = self._wrap
         return ([(root, wrap(x)) for root, x in neg], [wrap(s) for s in torus_coords],
-                [wrap(d) for d in diag], [(root, wrap(x)) for root, x in pos])
+                [wrap(d) for d in diag], [(root, wrap(x)) for root, x in pos],
+                PValue("at_least" if at_cap else "finite", Fraction(best, h)))
 
     def _wrap(self, v: int) -> PadicScalar:
         return PadicScalar(self.ring, (v,), self.ring.prec, False)
@@ -520,14 +520,18 @@ class ChevalleyGroup:
             for idx, e in recipe:
                 s = s * pow(diag[idx], e, mod) % mod
             coords.append(s)
-        rebuilt = [1] * self.n
+        if self._torus_diagonal_ints(coords) != diag:
+            raise InternalError("torus diagonal is not in the cocharacter lattice")
+        return coords
+
+    def _torus_diagonal_ints(self, coords):
+        """``torus_diagonal`` on int units modulo p^N."""
+        mod, diag = self._mod, [1] * self.n
         for mu_i, s in zip(self.datum.cochar_basis, coords):
             for k, e in enumerate(self.exponents(mu_i)):
                 if e:
-                    rebuilt[k] = rebuilt[k] * pow(s, e, mod) % mod
-        if rebuilt != diag:
-            raise InternalError("torus diagonal is not in the cocharacter lattice")
-        return coords
+                    diag[k] = diag[k] * pow(s, e, mod) % mod
+        return diag
 
     def _torus_coords_from_diag(self, diag):
         coords = []
@@ -594,12 +598,31 @@ class ChevalleyGroup:
                 + self._chart_scaled(fact.positive, -1))
 
     def from_coordinates(self, coords, w: WeylElement | None = None) -> "GroupElement":
-        """Evaluate h_1^{x_1} ... h_d^{x_d} for the ordered basis of w."""
-        neg_batch, pos_batch = self.batches(self.datum.identity_weyl() if w is None else w)
+        """Evaluate h_1^{x_1} ... h_d^{x_d} for the ordered basis of w, on int
+        rows when every coordinate is an int in 1..p^N - 1 (Integer path)."""
+        _order, neg_batch, pos_batch = self._factor_plan(
+            self.datum.identity_weyl() if w is None else w, "lex")
         a, b = len(neg_batch), len(neg_batch) + self.datum.rank
         d = b + len(pos_batch)
         if len(coords) != d:
             raise ValueError(f"need {d} coordinates, got {len(coords)}")
+        p, mod = self.ring.p, self._mod
+        if all(type(x) is int and 0 < x < mod for x in coords):
+            rows = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+
+            def rmul_batch(batch, values):  # right multiplication by u_root(x)
+                for root, c in zip(batch, values):
+                    x = c * p if self._height[root] < 0 else c
+                    for i, j, s in self.dirs[root]:
+                        for row in rows:
+                            row[j] = (row[j] + s * x * row[i]) % mod
+
+            rmul_batch(neg_batch, coords[:a])
+            diag = self._torus_diagonal_ints([exp_int(p * c, self.ring) for c in coords[a:b]])
+            for row in rows:
+                row[:] = [e * dj % mod for e, dj in zip(row, diag)]
+            rmul_batch(pos_batch, coords[b:])
+            return GroupElement._from_ints(self, tuple(map(tuple, rows)))
         coords = [self.ring.coerce(x) for x in coords]
         return self.from_parameters(
             zip(neg_batch, self._chart_scaled(zip(neg_batch, coords[:a]), 1)),
@@ -611,8 +634,8 @@ class ChevalleyGroup:
     def p_valuation(self, g: "GroupElement") -> PValue:
         """omega via the Iwahori factorization at w = 1: the minimum of
         val(x) + ht(root)/h over root factors and of val(d_i - 1) over the
-        torus diagonal."""
-        return PValue.min(self.omega_of_factor_list(self.iwahori_factorize(g)))
+        torus diagonal, as the factorization carries it."""
+        return self.iwahori_factorize(g).omega
 
     def omega_of_factor_list(self, fact: "Factorization") -> list:
         """Per-factor omega values (PValue) in product order, torus as one factor."""
@@ -707,6 +730,7 @@ class Factorization:
     torus_coordinates: list  # scalars on the cocharacter basis
     torus_diagonal: list     # diagonal scalars of the torus part
     positive: list          # [(root, parameter scalar)] for the wPhi+ batch
+    omega: PValue           # the least factor omega (``p_valuation`` at w = 1)
 
     def torus_element(self) -> "GroupElement":
         g = self.group.identity()

@@ -471,8 +471,20 @@ def _exp_series(x, nmax, buf):
 
 def _exp_series_int(x, nmax, buf):
     """``_exp_series`` for m = 1 on one int modulo p^buf."""
-    ring, p = x.ring, x.ring.p
-    mod, xi = ring.ppow(buf), x.co[0]
+    acc = _exp_loop_int(x.co[0], x.ring, nmax, buf)
+    return PadicScalar(x.ring, (acc % x.ring.ppow(x.prec),), x.prec, False)
+
+
+def exp_int(xi: int, ring: ScalarRing) -> int:
+    """An int congruent to exp(xi) modulo p^N over Z_p (m = 1, N the ring
+    precision), for a nonzero int xi divisible by p: the loop of ``padic_exp``."""
+    nmax = _series_length(vp_int(xi, ring.p), ring.prec, ring)
+    return _exp_loop_int(xi, ring, nmax, ring.prec + _vp_factorial(nmax, ring.p))
+
+
+def _exp_loop_int(xi, ring, nmax, buf):
+    """sum_{n <= nmax} xi^n/n! modulo p^buf, for m = 1."""
+    p, mod = ring.p, ring.ppow(buf)
     acc = term = 1
     for n in range(1, nmax + 1):
         term = term * xi % mod
@@ -483,7 +495,7 @@ def _exp_series_int(x, nmax, buf):
         if v:
             term = _divide_p_power_int(term, v, buf, p)
         acc = (acc + term) % mod
-    return PadicScalar(ring, (acc % ring.ppow(x.prec),), x.prec, False)
+    return acc
 
 
 def _divide_p_power_int(c, v, prec, p):

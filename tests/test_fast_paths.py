@@ -9,6 +9,9 @@
 * the integer path of ``groups`` and the m = 1 int loops of exp/log against
   the PadicScalar route, which ``scalar_route()`` forces, and the closure
   of the integer path under its own operations;
+* samples that ``from_coordinates`` builds on int rows against the same
+  coordinates as scalars, and the omega that the factorization reads off
+  its ints against the minimum of ``omega_of_factor_list``;
 * the scalar Sp4 inverse read off the sign table against the two products
   with the Gram matrix it replaced, and ``PadicScalar.__pow__`` and the
   torus helpers that call it against the former ladder and the hand-kept
@@ -20,6 +23,7 @@ Hypothesis runs with fixed seeds, so every run draws the same examples.
 """
 
 from contextlib import contextmanager
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -27,7 +31,7 @@ from hypothesis import assume, given, seed, settings, strategies as st
 
 from iwahori import groups, padic
 from iwahori.axioms import sample_iwahori
-from iwahori.groups import ChevalleyGroup, GroupElement, MembershipError
+from iwahori.groups import ChevalleyGroup, GroupElement, MembershipError, PValue
 from iwahori.padic import (DomainError, InternalError, PadicScalar, PrecisionError, ScalarRing,
                            padic_exp, padic_log)
 from iwahori.series import SeriesContext
@@ -287,7 +291,9 @@ def test_torus_rebuild_matches_matmul_rebuild(name, values, precs, in_lattice):
 def scalar_route():
     """Inside, every group operation and exp/log takes the PadicScalar route:
     no element is read as int rows and exp/log run their scalar loops.
-    Elements must be built inside, so that no int rows are cached yet."""
+    Elements must be built inside, so that no int rows are cached yet, and
+    ``from_coordinates`` given scalars, since it builds int coordinates in
+    1..p^N - 1 on int rows."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "_flat_int_rows", lambda mat, ring: None)
         mp.setattr(padic, "_exp_series_int", padic._exp_series)
@@ -598,6 +604,115 @@ def test_int_path_skips_non_flat_elements():
     assert G.identity()._int_rows() is None
     assert G.root_element((1, -1), 7)._int_rows() is None
     assert reprecise(g, [[12] * 4] * 3 + [[12, 12, 12, 11]])._int_rows() is None
+
+
+# -- samples built on int rows, and omega read off the int factorization ----------
+
+SAMPLE_CONFIGS = [(name, p, n) for name, ps in (("sl2", (5, 7, 11)), ("sl3", (5, 7, 11)),
+                                                ("sp4", (7, 11)))
+                  for p in ps for n in (1, 2, 3, 12)]
+SAMPLE_GROUPS = {c: ChevalleyGroup(*c) for c in SAMPLE_CONFIGS}
+
+
+def coordinate_vectors(G, d, rng):
+    """Chart coordinates for one twist: uniform draws from 1..p^N - 1, all
+    ones, p^k u for every k < N (p^(N-1) among them) and one with a 0."""
+    p, mod = G.ring.p, G._mod
+    vectors = [[rng.randrange(1, mod) for _ in range(d)] for _ in range(2)]
+    vectors.append([1] * d)
+    vectors.append([p ** (j % G.ring.prec) * rng.randrange(1, p) % mod for j in range(d)])
+    vectors.append([rng.randrange(1, mod) for _ in range(d)])
+    vectors[-1][rng.randrange(d)] = 0
+    return vectors
+
+
+@pytest.mark.parametrize("config", SAMPLE_CONFIGS, ids=lambda c: "-".join(map(str, c)))
+def test_int_samples_match_scalar_from_parameters(config):
+    # int coordinates in 1..p^N - 1 are multiplied out on int rows; the same
+    # coordinates as scalars take the from_parameters route with scalar exp,
+    # and every entry agrees in (co, prec, exact).  A 0 keeps the scalar route.
+    G = SAMPLE_GROUPS[config]
+    rng = Random(str(config))
+    for w in G.datum.weyl_group():
+        d = len(G.ordered_basis(w))
+        for coords in coordinate_vectors(G, d, rng):
+            fast = G.from_coordinates(coords, w)
+            with scalar_route():
+                ref = G.from_coordinates([G.ring.coerce(c) for c in coords], w)
+            assert mat_state(fast) == mat_state(ref), (w.name, coords)
+            if all(coords):
+                assert fast._ints is not groups._UNREAD  # built on int rows
+                assert_flat(fast)
+        with pytest.raises(ValueError, match=f"need {d} coordinates"):
+            G.from_coordinates([1] * (d - 1), w)
+
+
+@pytest.mark.parametrize("p,prec", [(5, 1), (5, 3), (7, 12), (11, 2)])
+def test_exp_int_matches_padic_exp(p, prec):
+    ring = ScalarRing(p, 1, prec)
+    rng = Random(p * prec)
+    values = [1, p ** (prec - 1), p ** prec] + [rng.randrange(1, p ** prec) for _ in range(30)]
+    for c in values:
+        ref = padic_exp(ring.from_int(c).shift(1))
+        assert padic.exp_int(p * c, ring) % p ** prec == ref.co[0] % p ** prec
+
+
+def omega_inputs(G):
+    """(name, element) pairs: exact elements on the scalar route (the
+    identity, whose omega is infinity, and root elements), and flat ones on
+    the int path whose factors sit at the cap: the identity and a lower
+    simple root element at p^(N-1), whose finite value ties with the cap
+    marker of the highest upper root."""
+    p, prec = G.ring.p, G.ring.prec
+    out = [("identity", G.identity()), ("flat identity", flatten(G.identity())),
+           ("tie", flatten(G.root_element(G.datum.simple_roots[0], p ** (prec - 1))))]
+    for root in sorted(G.dirs):
+        x = p if G.datum.height(root) < 0 else 1
+        out += [(f"u{root}", G.root_element(root, x)),
+                (f"flat u{root}", flatten(G.root_element(root, x)))]
+    return out
+
+
+@pytest.mark.parametrize("config", SAMPLE_CONFIGS, ids=lambda c: "-".join(map(str, c)))
+def test_factorization_omega_matches_factor_list_minimum(config):
+    G = SAMPLE_GROUPS[config]
+    rng = Random(str(config))
+    weyl = G.datum.weyl_group()
+    samples = [("sample", G.from_coordinates(coords, w)) for w in weyl[:2]
+               for coords in coordinate_vectors(G, len(G.ordered_basis(w)), rng)]
+    for name, g in samples + omega_inputs(G):
+        for w in weyl:
+            fact = G.iwahori_factorize(fresh(g), w)
+            assert fact.omega == PValue.min(G.omega_of_factor_list(fact)), (name, w.name)
+            with scalar_route():
+                ref = G.iwahori_factorize(fresh(g), w).omega
+            assert fact.omega == ref, (name, w.name)
+        assert G.p_valuation(g) == G.iwahori_factorize(g).omega
+    assert G.p_valuation(G.identity()) == PValue.infinite()
+    h, cap = G.coxeter_number, G.ring.prec
+    assert G.p_valuation(flatten(G.identity())) == PValue.at_least(cap - Fraction(h - 1, h))
+    tie = dict(omega_inputs(G))["tie"]
+    assert tie._int_rows() is not None
+    assert G.p_valuation(tie) == PValue.finite(cap - 1 + Fraction(1, h))
+
+
+@pytest.mark.parametrize("config", SAMPLE_CONFIGS, ids=lambda c: "-".join(map(str, c)))
+def test_int_samples_outside_the_iwahori_raise_membership_error(config):
+    G = SAMPLE_GROUPS[config]
+    g = G.from_coordinates([1] * len(G.ordered_basis()))
+    for k in range(G.ring.prec):
+        rows = [list(row) for row in g.mat]
+        rows[0][0] = rows[0][0] + G.ring.p ** k
+        h = GroupElement(G, tuple(tuple(row) for row in rows))
+        assert h._int_rows() is not None
+        with pytest.raises(MembershipError):
+            G.p_valuation(h)
+        for w in G.datum.weyl_group():
+            with pytest.raises(MembershipError):
+                G.iwahori_factorize(h, w)
+    for _message, h in relation_keeping_non_members(G):
+        with pytest.raises(MembershipError):
+            G.p_valuation(h)
 
 
 # -- exp and log on one int -------------------------------------------------------
