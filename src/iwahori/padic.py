@@ -217,13 +217,14 @@ class PadicScalar:
 
     # The m = 1 branches of __add__, __mul__ and inv give the same
     # (co, prec, exact) as the generic route; they only skip its tuple
-    # bookkeeping.  Per verify-sp4 / exact-sp4 benchmark item, 336 / 0 adds
-    # and 491 / 178 muls take them, and verify-sp4 items ran 5% to 19%
-    # slower without the add and mul branches.  __sub__ (91 / 12 per item),
-    # __neg__ (16 / 0) and __eq__ (2 / 12) take the generic route, whose
-    # ScalarRing.canonical keeps its own m = 1 branch.  Only __mul__ sends an
-    # exact zero operand (exact and co[0] == 0) to the generic route, whose
-    # product of an exact zero is an exact zero.
+    # bookkeeping.  Both benchmark workloads multiply on ints: traced per
+    # verify-sp4 / exact-sp4 item (seed 1), 0 / 0 adds, 3 / 13.6 muls (1 / 7.8
+    # of them on the m = 1 branch) and 3 / 0 inversions reach these methods.
+    # __sub__ (45 / 11.8 per item), __neg__ (2 / 0) and __eq__ (3 / 12) take
+    # the generic route, whose ScalarRing.canonical keeps its own m = 1
+    # branch.  Only __mul__ sends an exact zero operand (exact and
+    # co[0] == 0) to the generic route, whose product of an exact zero is an
+    # exact zero.
 
     def __add__(self, other):
         if type(other) is not PadicScalar:

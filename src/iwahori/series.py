@@ -14,6 +14,17 @@ The eigenvalue of the monomial z^I under the distinguished torus operator
 is lambda_I = sum_r <w alpha_r, mu> i_r, a non-negative integer, zero only
 for the constant monomial; its p-adic valuation drives the slope grading,
 with v(lambda_0) = infinity by convention so constants survive every cut.
+
+Integer path: ``torus_action`` runs on ints modulo p^N (N the ring
+precision) when the character value chi(t) is inexact at precision N and
+every torus point entry and every p-adic coefficient of f, exact or not,
+is at precision N.  Then every output coefficient is inexact at N: the
+point is inverted, the batch root values and monomial multipliers are
+multiplied and a rational coefficient is read as num * den^-1, all modulo
+p^N, and each output is wrapped once.  No character, a zero character, a
+point whose entries under the character's nonzero coordinates are exactly
+1 (chi(t) is then an exact 1, as it is for any point at N = 1), and
+entries or coefficients at another precision take the scalar loop.
 """
 
 from __future__ import annotations
@@ -23,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import ChevalleyGroup, PValue
-from .padic import INF, InternalError, PadicScalar, padic_exp, padic_log, vp_fraction, vp_int
+from .padic import (INF, InternalError, PadicScalar, UnitError, padic_exp, padic_log,
+                    vp_fraction, vp_int)
 from .roots import WeylElement
 
 
@@ -180,12 +192,26 @@ class TruncatedSeries:
     def gauss_valuation(self) -> PValue:
         """Valuation form of the Gauss norm: min over coefficient valuations,
         exact for rational coefficients (never zero here), capped for scalars.
-        The rational minimum is taken on ints and becomes one PValue."""
-        p, coeffs = self.ctx.ring.p, self.coeffs.values()
-        rational = [vp_int(c.numerator, p) - vp_int(c.denominator, p)
-                    for c in coeffs if not isinstance(c, PadicScalar)]
-        return PValue.min([PValue.of(c) for c in coeffs if isinstance(c, PadicScalar)]
-                          + ([PValue.finite(min(rational))] if rational else []))
+
+        The rational minimum is a running bound ``best`` on ints.  Numerator
+        and denominator are coprime, so a numerator prime to p gives
+        -vp(denominator), cheap as denominators stay small; otherwise the
+        valuation is vp(numerator) >= 1, which can lower ``best`` only if
+        ``best`` >= 1 and p^best does not divide the numerator, and is then
+        below ``best``.  The full valuation of a long numerator is taken only
+        when it lowers the bound.  The minimum becomes one PValue."""
+        ring, best, scalars = self.ctx.ring, None, []
+        p = ring.p
+        for c in self.coeffs.values():
+            if isinstance(c, PadicScalar):
+                scalars.append(PValue.of(c))
+            elif c.numerator % p:
+                v = -vp_int(c.denominator, p)
+                if best is None or v < best:
+                    best = v
+            elif best is None or best >= 1 and c.numerator % ring.ppow(best):
+                best = vp_int(c.numerator, p)
+        return PValue.min(scalars + ([PValue.finite(best)] if best is not None else []))
 
     # -- ring operations ------------------------------------------------------
 
@@ -273,14 +299,21 @@ class TruncatedSeries:
 
 def torus_action(f: TruncatedSeries, point, chi: Character | None = None) -> TruncatedSeries:
     """(t f)(z) = (w chi)(t) * f(alpha_1(t^-1) z_1, ..., alpha_N(t^-1) z_N)
-    for the batch roots alpha_r; diagonal on monomials, degree preserved."""
+    for the batch roots alpha_r; diagonal on monomials, degree preserved.
+    The inputs of the module docstring's integer path run on ints."""
     ctx = f.ctx
+    dim = ctx.datum.dim
+    if len(point) != dim or chi is not None and len(chi.coeffs) != dim:
+        raise SeriesError(f"the torus point and the character need {dim} chart entries")
     if not all((a - 1).zero_mod(1) for a in point):
         raise SeriesError("torus point is not pro-p in the chart")
     if chi is not None:
         chi_factor = chi.twisted(ctx.w).evaluate(ctx, point)
     else:
         chi_factor = ctx.ring.one()
+    scalars = (chi_factor, *point, *(c for c in f.coeffs.values() if isinstance(c, PadicScalar)))
+    if not chi_factor.exact and all(x.prec == ctx.ring.prec for x in scalars):
+        return _torus_action_int(f, point, chi_factor.co[0])
     inv_point = tuple(a.inv() for a in point)
     base = [ctx.root_value(g, inv_point) for g in ctx.batch]
     powers = [{0: ctx.ring.one()} for _ in range(ctx.nvars)]
@@ -298,6 +331,32 @@ def torus_action(f: TruncatedSeries, point, chi: Character | None = None) -> Tru
             if e:
                 mult = mult * power(r, e)
         out[idx] = mult * c
+    return TruncatedSeries(ctx, out, f.degree)
+
+
+def _torus_action_int(f: TruncatedSeries, point, chi_value: int) -> TruncatedSeries:
+    """``torus_action``'s scalar loop on ints modulo p^N, for a character
+    value chi_value and point entries known modulo p^N: each output is
+    wrapped once, inexact at N.  A rational coefficient is num * den^-1."""
+    ctx, ring = f.ctx, f.ctx.ring
+    p, N = ring.p, ring.prec
+    q = ring.ppow(N)
+    inv_point = [pow(a.co[0], -1, q) for a in point]
+    base = [math.prod(pow(x, e, q) for x, e in zip(inv_point, root) if e) % q
+            for root in ctx.batch]
+    out = {}
+    for idx, c in f.coeffs.items():
+        mult = chi_value
+        for b, e in zip(base, idx):
+            if e:
+                mult = mult * pow(b, e, q) % q
+        if isinstance(c, PadicScalar):
+            v = mult * c.co[0]
+        elif c.denominator % p:
+            v = mult * c.numerator * pow(c.denominator, -1, q)
+        else:
+            raise UnitError(f"denominator {c.denominator} is divisible by p={p}")
+        out[idx] = PadicScalar(ring, (v % q,), N, False)
     return TruncatedSeries(ctx, out, f.degree)
 
 

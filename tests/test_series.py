@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from iwahori.groups import PValue
-from iwahori.padic import INF, InternalError, PadicScalar, padic_exp, vp_fraction
+from iwahori.padic import (INF, InternalError, PadicScalar, UnitError, padic_exp, vp_fraction,
+                           vp_int)
+from iwahori import series as series_module
 from iwahori.series import (
     _add_into,
+    _torus_action_int,
     Character,
     SeriesContext,
     SeriesError,
@@ -511,10 +514,13 @@ def _evaluate_ref(f, point):
 
 
 def _gauss_valuation_ref(f):
-    """The former ``TruncatedSeries.gauss_valuation``: one PValue per coefficient."""
-    p = f.ctx.ring.p
-    return PValue.min(PValue.of(c) if isinstance(c, PadicScalar)
-                      else PValue.finite(vp_fraction(c, p)) for c in f.coeffs.values())
+    """The former ``TruncatedSeries.gauss_valuation``: the full valuation of
+    every rational coefficient, their minimum on ints, then one PValue."""
+    p, coeffs = f.ctx.ring.p, f.coeffs.values()
+    rational = [vp_int(c.numerator, p) - vp_int(c.denominator, p)
+                for c in coeffs if not isinstance(c, PadicScalar)]
+    return PValue.min([PValue.of(c) for c in coeffs if isinstance(c, PadicScalar)]
+                      + ([PValue.finite(min(rational))] if rational else []))
 
 
 def _outcome(fn, *args):
@@ -624,3 +630,206 @@ def test_series_kernels_on_padic_coefficients():
             for shift in ([rng.randrange(-5, 6) for _ in range(ctx.nvars)],
                           [Fraction(rng.randrange(-9, 10), 4) for _ in range(ctx.nvars)]):
                 assert translate_action(g, shift) == _translate_action_ref(g, shift)
+
+
+# -- the Gauss norm's running bound and the torus action's integer path --------
+
+
+def _rational_coeff(rng, p):
+    """A nonzero Fraction whose numerator and denominator carry powers of p:
+    valuations from -3 to 6."""
+    num = rng.choice((-1, 1)) * rng.choice((1, 2, 3, 4, 6, 9, 13)) * p ** rng.randrange(7)
+    return Fraction(num, rng.choice((1, 2, 3, 4, 8)) * p ** rng.randrange(4))
+
+
+def _gauss_norm_cases(ctx, rng):
+    """Series whose coefficients come in an order that moves the running
+    bound up and down across 0, projector iterates with numerators of
+    thousands of bits, mixed scalar coefficients, one term and none."""
+    p, ring, n = ctx.ring.p, ctx.ring, ctx.nvars
+    zero = ctx.zero_index()
+    unit = tuple(int(r == 0) for r in range(n))
+    cases = [TruncatedSeries(ctx, {}), TruncatedSeries.constant(ctx, Fraction(p ** 3, 2)),
+             TruncatedSeries.constant(ctx, Fraction(5, p * p)),
+             # a negative bound met by a numerator divisible by p, then by one
+             # too long to convert to a float
+             TruncatedSeries(ctx, {zero: Fraction(1, p), unit: Fraction(p ** 2)}),
+             TruncatedSeries(ctx, {zero: Fraction(3, p * p), unit: Fraction(p * 2 ** 1100)}),
+             TruncatedSeries(ctx, {zero: Fraction(2), unit: Fraction(p * 3 ** 700)})]
+    for terms in (2, 3, 6, 12):
+        for _ in range(8):
+            coeffs = {}
+            while len(coeffs) < terms:
+                idx = tuple(rng.randrange(terms + 1) for _ in range(n))
+                coeffs[idx] = _rational_coeff(rng, p)
+            cases.append(TruncatedSeries(ctx, coeffs))
+    for s in (0, 1):
+        f = _rational_series(ctx, rng, 4, 10)
+        atleast, exact = slope_split(f, s)[1], slope_exact(f, s)
+        for n_iter in range(1, 7):
+            cases.append(hida_projector(atleast, s, n_iter) - exact)
+    scalars = [ring.from_int(p ** ring.prec), ring.from_int(p ** (ring.prec + 2)),
+               ring.from_int(3), ring.from_int(p ** 2), ring.zero(exact=False),
+               PadicScalar(ring, (p * 5 % ring.ppow(ring.prec),), ring.prec, False),
+               ring.from_int(2, prec=1)]
+    for f in cases[6:30]:  # the first random series
+        extra = {tuple(rng.randrange(5, 8) for _ in range(n)): rng.choice(scalars)
+                 for _ in range(rng.randrange(1, 4))}
+        cases.append(TruncatedSeries(ctx, {**f.coeffs, **extra}))
+        cases.append(TruncatedSeries(ctx, {**extra, **f.coeffs}))
+    cases.append(TruncatedSeries(ctx, {zero: ring.from_int(p ** ring.prec)}))
+    return cases
+
+
+@pytest.mark.parametrize("name,p", [("sl2", 5), ("sl3", 7), ("sp4", 7), ("sp4", 11)])
+def test_gauss_valuation_running_bound_matches_the_full_minimum(name, p):
+    rng = random.Random(31)
+    ctx = SeriesContext(name, p=p, prec=6)
+    kinds, bits = set(), 0
+    for f in _gauss_norm_cases(ctx, rng):
+        want = _gauss_valuation_ref(f)
+        assert f.gauss_valuation() == want, f
+        kinds.add(want.kind if want.kind != "finite" else ("finite", want.value < 0))
+        bits = max([bits] + [c.numerator.bit_length() for c in f.coeffs.values()
+                             if isinstance(c, Fraction)])
+    assert kinds == {"infinite", "at_least", ("finite", True), ("finite", False)}
+    assert bits > 2000
+
+
+def _torus_action_ref(f, point, chi=None):
+    """The former ``torus_action``: every input on the scalar loop."""
+    ctx = f.ctx
+    if not all((a - 1).zero_mod(1) for a in point):
+        raise SeriesError("torus point is not pro-p in the chart")
+    if chi is not None:
+        chi_factor = chi.twisted(ctx.w).evaluate(ctx, point)
+    else:
+        chi_factor = ctx.ring.one()
+    inv_point = tuple(a.inv() for a in point)
+    base = [ctx.root_value(g, inv_point) for g in ctx.batch]
+    powers = [{0: ctx.ring.one()} for _ in range(ctx.nvars)]
+
+    def power(r, k):
+        cache = powers[r]
+        if k not in cache:
+            cache[k] = power(r, k - 1) * base[r]
+        return cache[k]
+
+    out = {}
+    for idx, c in f.coeffs.items():
+        mult = chi_factor
+        for r, e in enumerate(idx):
+            if e:
+                mult = mult * power(r, e)
+        out[idx] = mult * c
+    return TruncatedSeries(ctx, out, f.degree)
+
+
+def _scalar_state(f):
+    """The (co, prec, exact) of every coefficient, or the exception type."""
+    if isinstance(f, type):
+        return f
+    return f.degree, {k: (c.co, c.prec, c.exact) for k, c in f.coeffs.items()}
+
+
+def _torus_points(ring, rng, dim):
+    """Exact and inexact chart points, points with exact 1 entries, and
+    points with an entry at another precision."""
+    p, N = ring.p, ring.prec
+    q = ring.ppow(N)
+
+    def unit(prec=N):
+        return 1 + p * rng.randrange(ring.ppow(prec))
+
+    exact = tuple(ring.from_int(unit()) for _ in range(dim))
+    inexact = tuple(PadicScalar(ring, (unit() % q,), N, False) for _ in range(dim))
+    from_exp = tuple(padic_exp(ring.from_int(p * rng.randrange(1, 50))) for _ in range(dim))
+    ones = tuple(ring.one() for _ in range(dim))
+    one_first = (ring.one(),) + inexact[1:]
+    low, low_inexact = exact, inexact
+    if N > 1:
+        low = (ring.from_int(unit(N - 1), prec=N - 1),) + exact[1:]
+        low_inexact = exact[:-1] + (PadicScalar(ring, (unit(N - 1) % ring.ppow(N - 1),),
+                                                N - 1, False),)
+    high = (ring.from_int(unit(N + 2), prec=N + 2),) + inexact[1:]
+    return [exact, inexact, from_exp, ones, one_first, low, low_inexact, high]
+
+
+def _torus_series(ctx, rng):
+    """Rational series with and without p in a denominator, and series with
+    exact, inexact and lower-precision scalar coefficients."""
+    ring, p, N = ctx.ring, ctx.ring.p, ctx.ring.prec
+    rational = _rational_series(ctx, rng, 3, 6)
+    unit_den = TruncatedSeries(ctx, {k: c for k, c in rational.coeffs.items()
+                                     if c.denominator % p}, 3)
+    scalars = {k: rng.choice([ring.from_int(rng.randrange(1, 90)),
+                              PadicScalar(ring, (rng.randrange(ring.ppow(N)),), N, False),
+                              ring.from_int(p ** N)])
+               for k in unit_den.coeffs}
+    low = dict(scalars)
+    if N > 1 and low:
+        low[next(iter(low))] = ring.from_int(rng.randrange(1, 90), prec=N - 1)
+    mixed = {**unit_den.coeffs, **scalars}
+    mixed[ctx.zero_index()] = Fraction(rng.randrange(1, 9), p)
+    return [TruncatedSeries(ctx, {}, 3), unit_den, rational,
+            TruncatedSeries(ctx, scalars, 3), TruncatedSeries(ctx, low, 3),
+            TruncatedSeries(ctx, mixed, 3)]
+
+
+def _torus_sweep():
+    for name, ps in (("sl2", (5, 7, 11)), ("sl3", (5, 7, 11)), ("sp4", (7, 11))):
+        for p in ps:
+            for N in (1, 2, 12):
+                yield name, p, N
+
+
+@pytest.mark.parametrize("name,p,N", list(_torus_sweep()))
+def test_torus_action_integer_path_matches_the_scalar_loop(name, p, N, monkeypatch):
+    rng = random.Random(f"torus:{name}:{p}:{N}")
+    on_ints = []
+    monkeypatch.setattr(series_module, "_torus_action_int",
+                        lambda *args: on_ints.append(1) or _torus_action_int(*args))
+    group = SeriesContext(name, p=p, prec=N).group
+    dim = group.datum.dim
+    chis = [None, Character.from_rationals(*([0] * dim)),
+            Character.from_rationals(*(Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3)))
+                                       for _ in range(dim))),
+            Character.from_rationals(*([0] * (dim - 1) + [Fraction(2, 3)])),
+            Character.from_rationals(*([Fraction(1, p)] + [1] * (dim - 1)))]
+    raised, int_outcomes = set(), set()
+    for w in group.datum.weyl_group():
+        ctx = SeriesContext(group, w=w)
+        points = _torus_points(ctx.ring, rng, dim)
+        for f in _torus_series(ctx, rng):
+            for chi in chis:
+                for point in rng.sample(points, 3):
+                    want = _outcome(_torus_action_ref, f, point, chi)
+                    before = len(on_ints)
+                    got = _outcome(torus_action, f, point, chi)
+                    assert _scalar_state(got) == _scalar_state(want), (w.name, f, point, chi)
+                    if isinstance(want, type):
+                        raised.add(want)
+                    if len(on_ints) > before:
+                        int_outcomes.add(got if isinstance(got, type) else TruncatedSeries)
+    assert raised == {SeriesError, UnitError}
+    # at one digit chi(t) is an exact 1 (exp of a zero known mod p), so every
+    # input takes the scalar loop; with more digits both routes run
+    assert int_outcomes == ({TruncatedSeries, UnitError} if N > 1 else set())
+
+
+def test_torus_action_rejects_a_wrong_length_point_or_character():
+    ctx = SeriesContext("sp4", p=7, prec=12)
+    ring = ctx.ring
+    f = TruncatedSeries(ctx, {(1, 0, 2, 0): Fraction(3, 2), (0, 0, 0, 0): Fraction(5)}, 4)
+    two = (ring.from_int(8), ring.from_int(15))
+    chi = Character.from_rationals(Fraction(1, 3), 2)
+    for point, character in [((ring.from_int(8), ring.from_int(15), ring.from_int(22)), chi),
+                             ((ring.from_int(8), ring.from_int(15), ring.from_int(22)), None),
+                             ((ring.from_int(8),), chi), ((ring.from_int(8),), None),
+                             (two, Character.from_rationals(1, 2, 3)),
+                             (two, Character.from_rationals(1))]:
+        with pytest.raises(SeriesError, match="need 2 chart entries"):
+            torus_action(f, point, character)
+    # the right lengths take both routes
+    assert torus_action(f, two, chi) == _torus_action_ref(f, two, chi)
+    assert torus_action(f, two) == _torus_action_ref(f, two)
