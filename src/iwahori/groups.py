@@ -114,7 +114,7 @@ class PValue:
     @classmethod
     def of(cls, x: PadicScalar, offset=0) -> "PValue":
         """val(x) + offset (an int or Fraction): infinity for an exact zero,
-        '>= prec/m + offset' when every tracked digit is zero."""
+        '>= prec + offset' when every tracked digit is zero."""
         w = x.pival()
         if w is INF:
             return _INFINITE
@@ -122,8 +122,8 @@ class PValue:
         if w is None:
             kind, w = "at_least", x.prec
         # one Fraction from ints: adding Fractions costs several times more
-        m, num, den = x.ring.m, offset.numerator, offset.denominator
-        return cls(kind, Fraction(w * den + num * m, m * den))
+        num, den = offset.numerator, offset.denominator
+        return cls(kind, Fraction(w * den + num, den))
 
     @staticmethod
     def min(values) -> "PValue":
@@ -229,7 +229,7 @@ class ChevalleyGroup:
     def __init__(self, name: str, p: int, prec: int = 12):
         self.datum: RootDatum = get_root_datum(name)
         self.name = self.datum.name
-        self.ring = ring = ScalarRing(p, 1, prec)
+        self.ring = ring = ScalarRing(p, prec)
         self.n = _MATRIX_SIZE[self.name]
         if self.name == "sp4":
             self.dirs = _SP4_DIRS
@@ -432,7 +432,7 @@ class ChevalleyGroup:
                 PValue("at_least" if at_cap else "finite", Fraction(best, h)))
 
     def _wrap(self, v: int) -> PadicScalar:
-        return PadicScalar(self.ring, (v,), self.ring.prec, False)
+        return PadicScalar(self.ring, v, self.ring.prec, False)
 
     def _factor_plan(self, w, tie_break):
         """(basis order, negative batch, positive batch) for the twist w,
@@ -770,7 +770,7 @@ def _flat_int_rows(mat, ring):
         for e in row:
             if e.exact or e.prec != prec or (e.ring is not ring and e.ring != ring):
                 return None
-        rows.append(tuple(e.co[0] for e in row))
+        rows.append(tuple(e.co for e in row))
     return tuple(rows)
 
 
@@ -860,7 +860,7 @@ def _ldu_ints(a, n, ring):
         ak = a[k]
         piv = ak[k]
         if piv % p == 0:
-            shown = PadicScalar(ring, (piv,), ring.prec, False)
+            shown = PadicScalar(ring, piv, ring.prec, False)
             raise InternalError(f"elimination pivot {k} is not a unit: {shown!r}")
         pivinv = pow(piv, -1, mod)
         for i in range(k + 1, n):
@@ -938,7 +938,7 @@ class GroupElement:
                 return GroupElement._from_ints(group, rows)
             adj, det = _adjugate_det(ints, n, 0)
             # the scalar inverse raises the same UnitError on a non-unit
-            dinv = group._wrap(det % mod).inv().co[0]
+            dinv = group._wrap(det % mod).inv().co
             return GroupElement._from_ints(
                 group, tuple(tuple(a * dinv % mod for a in row) for row in adj))
         if group.name == "sp4":

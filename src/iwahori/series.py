@@ -23,8 +23,8 @@ point is inverted, the batch root values and monomial multipliers are
 multiplied and a rational coefficient is read as num * den^-1, all modulo
 p^N, and each output is wrapped once.  No character, a zero character, a
 point whose entries under the character's nonzero coordinates are exactly
-1 (chi(t) is then an exact 1, as it is for any point at N = 1), and
-entries or coefficients at another precision take the scalar loop.
+1 (chi(t) is then an exact 1), and entries or coefficients at another
+precision take the scalar loop.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def torus_action(f: TruncatedSeries, point, chi: Character | None = None) -> Tru
         chi_factor = ctx.ring.one()
     scalars = (chi_factor, *point, *(c for c in f.coeffs.values() if isinstance(c, PadicScalar)))
     if not chi_factor.exact and all(x.prec == ctx.ring.prec for x in scalars):
-        return _torus_action_int(f, point, chi_factor.co[0])
+        return _torus_action_int(f, point, chi_factor.co)
     inv_point = tuple(a.inv() for a in point)
     base = [ctx.root_value(g, inv_point) for g in ctx.batch]
     powers = [{0: ctx.ring.one()} for _ in range(ctx.nvars)]
@@ -341,7 +341,7 @@ def _torus_action_int(f: TruncatedSeries, point, chi_value: int) -> TruncatedSer
     ctx, ring = f.ctx, f.ctx.ring
     p, N = ring.p, ring.prec
     q = ring.ppow(N)
-    inv_point = [pow(a.co[0], -1, q) for a in point]
+    inv_point = [pow(a.co, -1, q) for a in point]
     base = [math.prod(pow(x, e, q) for x, e in zip(inv_point, root) if e) % q
             for root in ctx.batch]
     out = {}
@@ -351,12 +351,12 @@ def _torus_action_int(f: TruncatedSeries, point, chi_value: int) -> TruncatedSer
             if e:
                 mult = mult * pow(b, e, q) % q
         if isinstance(c, PadicScalar):
-            v = mult * c.co[0]
+            v = mult * c.co
         elif c.denominator % p:
             v = mult * c.numerator * pow(c.denominator, -1, q)
         else:
             raise UnitError(f"denominator {c.denominator} is divisible by p={p}")
-        out[idx] = PadicScalar(ring, (v % q,), N, False)
+        out[idx] = PadicScalar(ring, v % q, N, False)
     return TruncatedSeries(ctx, out, f.degree)
 
 

@@ -98,7 +98,7 @@ def test_factorize_symplectic_word(capsys):
     from iwahori.groups import ChevalleyGroup
     G = ChevalleyGroup("sp4", p=7, prec=12)
     g = G.root_element((1, -1), 1) * G.root_element((0, 2), 2)
-    mat = [[str(e.co[0]) for e in row] for row in g.mat]
+    mat = [[str(e.co) for e in row] for row in g.mat]
     code, out = run(capsys, "factorize", "--group", "sp4", "--element", json.dumps(mat))
     assert code == 0
     data = json.loads(out)

@@ -50,7 +50,7 @@ def digitwise_factorize(G, g, w, p, N):
 
         def digit(i, j):
             e = resid.sub_identity_entry(i, j)
-            return (e.co[0] // pk) % p
+            return (e.co // pk) % p
 
         for idx, root in enumerate(neg_batch):
             (i0, j0, s0) = G.dirs[root][0]
@@ -72,8 +72,8 @@ def digitwise_factorize(G, g, w, p, N):
 def _agrees(G, g, w, p, N):
     neg, tor, pos = digitwise_factorize(G, g, w, p, N)
     fact = G.iwahori_factorize(g, w)
-    return ([x.co[0] for _, x in fact.negative] == neg
-            and [x.co[0] for _, x in fact.positive] == pos
+    return ([x.co for _, x in fact.negative] == neg
+            and [x.co for _, x in fact.positive] == pos
             and all(s_got == G.ring.from_int(s_want)
                     for s_got, s_want in zip(fact.torus_coordinates, tor)))
 

@@ -670,7 +670,7 @@ def _gauss_norm_cases(ctx, rng):
             cases.append(hida_projector(atleast, s, n_iter) - exact)
     scalars = [ring.from_int(p ** ring.prec), ring.from_int(p ** (ring.prec + 2)),
                ring.from_int(3), ring.from_int(p ** 2), ring.zero(exact=False),
-               PadicScalar(ring, (p * 5 % ring.ppow(ring.prec),), ring.prec, False),
+               PadicScalar(ring, p * 5 % ring.ppow(ring.prec), ring.prec, False),
                ring.from_int(2, prec=1)]
     for f in cases[6:30]:  # the first random series
         extra = {tuple(rng.randrange(5, 8) for _ in range(n)): rng.choice(scalars)
@@ -742,14 +742,14 @@ def _torus_points(ring, rng, dim):
         return 1 + p * rng.randrange(ring.ppow(prec))
 
     exact = tuple(ring.from_int(unit()) for _ in range(dim))
-    inexact = tuple(PadicScalar(ring, (unit() % q,), N, False) for _ in range(dim))
+    inexact = tuple(PadicScalar(ring, unit() % q, N, False) for _ in range(dim))
     from_exp = tuple(padic_exp(ring.from_int(p * rng.randrange(1, 50))) for _ in range(dim))
     ones = tuple(ring.one() for _ in range(dim))
     one_first = (ring.one(),) + inexact[1:]
     low, low_inexact = exact, inexact
     if N > 1:
         low = (ring.from_int(unit(N - 1), prec=N - 1),) + exact[1:]
-        low_inexact = exact[:-1] + (PadicScalar(ring, (unit(N - 1) % ring.ppow(N - 1),),
+        low_inexact = exact[:-1] + (PadicScalar(ring, unit(N - 1) % ring.ppow(N - 1),
                                                 N - 1, False),)
     high = (ring.from_int(unit(N + 2), prec=N + 2),) + inexact[1:]
     return [exact, inexact, from_exp, ones, one_first, low, low_inexact, high]
@@ -763,7 +763,7 @@ def _torus_series(ctx, rng):
     unit_den = TruncatedSeries(ctx, {k: c for k, c in rational.coeffs.items()
                                      if c.denominator % p}, 3)
     scalars = {k: rng.choice([ring.from_int(rng.randrange(1, 90)),
-                              PadicScalar(ring, (rng.randrange(ring.ppow(N)),), N, False),
+                              PadicScalar(ring, rng.randrange(ring.ppow(N)), N, False),
                               ring.from_int(p ** N)])
                for k in unit_den.coeffs}
     low = dict(scalars)
@@ -812,9 +812,9 @@ def test_torus_action_integer_path_matches_the_scalar_loop(name, p, N, monkeypat
                     if len(on_ints) > before:
                         int_outcomes.add(got if isinstance(got, type) else TruncatedSeries)
     assert raised == {SeriesError, UnitError}
-    # at one digit chi(t) is an exact 1 (exp of a zero known mod p), so every
-    # input takes the scalar loop; with more digits both routes run
-    assert int_outcomes == ({TruncatedSeries, UnitError} if N > 1 else set())
+    # both routes run at every precision: at one digit chi(t) is 1 + O(p),
+    # the exp of a zero known mod p, and takes the int route as well
+    assert int_outcomes == {TruncatedSeries, UnitError}
 
 
 def test_torus_action_rejects_a_wrong_length_point_or_character():
