@@ -14,17 +14,6 @@ The eigenvalue of the monomial z^I under the distinguished torus operator
 is lambda_I = sum_r <w alpha_r, mu> i_r, a non-negative integer, zero only
 for the constant monomial; its p-adic valuation drives the slope grading,
 with v(lambda_0) = infinity by convention so constants survive every cut.
-
-Integer path: ``torus_action`` runs on ints modulo p^N (N the ring
-precision) when the character value chi(t) is inexact at precision N and
-every torus point entry and every p-adic coefficient of f, exact or not,
-is at precision N.  Then every output coefficient is inexact at N: the
-point is inverted, the batch root values and monomial multipliers are
-multiplied and a rational coefficient is read as num * den^-1, all modulo
-p^N, and each output is wrapped once.  No character, a zero character, a
-point whose entries under the character's nonzero coordinates are exactly
-1 (chi(t) is then an exact 1), and entries or coefficients at another
-precision take the scalar loop.
 """
 
 from __future__ import annotations
@@ -32,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .groups import ChevalleyGroup, PValue
 from .padic import (INF, InternalError, PadicScalar, UnitError, padic_exp, padic_log,
@@ -41,6 +31,12 @@ from .roots import WeylElement
 
 class SeriesError(ValueError):
     pass
+
+
+def _check_lengths(n: int, what: str, *vectors) -> None:
+    """SeriesError unless every vector has n entries."""
+    if any(len(v) != n for v in vectors):
+        raise SeriesError(f"{what} need {n} chart entries")
 
 
 def coeff_is_zero(c) -> bool:
@@ -95,14 +91,6 @@ class SeriesContext:
         """Coordinate values of the torus point mu(c): a_i = c^<eps_i, mu>."""
         return tuple(c ** e for e in mu_vec)
 
-    def root_value(self, root, point):
-        """Value of a root character at a torus point given by chart values."""
-        out = self.ring.one()
-        for i, e in enumerate(root):
-            if e:
-                out = out * point[i] ** e
-        return out
-
 
 @dataclass(frozen=True)
 class Character:
@@ -115,11 +103,15 @@ class Character:
     def from_rationals(cls, *cs) -> "Character":
         return cls(tuple(Fraction(c) for c in cs))
 
+    # twisted and is_rigid run on every torus_action call; 16 entries hold a
+    # character under all eight sp4 twists, and keep memory flat
+    @lru_cache(maxsize=16)
     def is_rigid(self, p: int) -> bool:
         """Whether min v_p(c_i) > 1/(p-1) - 1, true for the zero character."""
         worst = min((vp_fraction(c, p) for c in self.coeffs), default=INF)
         return worst is INF or worst > Fraction(1, p - 1) - 1
 
+    @lru_cache(maxsize=16)
     def twisted(self, w: WeylElement) -> "Character":
         return Character(w.act(self.coeffs))
 
@@ -128,6 +120,7 @@ class Character:
 
     def evaluate(self, ctx: SeriesContext, point) -> PadicScalar:
         """chi(t) = prod exp(c_i log a_i) on chart values a_i in 1 + pZ_p."""
+        _check_lengths(ctx.datum.dim, "the torus point and the character", point, self.coeffs)
         if not self.is_rigid(ctx.ring.p):
             raise SeriesError("character is not rigid on the unit ball")
         out = ctx.ring.one()
@@ -253,6 +246,7 @@ class TruncatedSeries:
         coordinate are taken once as numerator and denominator ints, the terms
         are summed on ints over one common denominator, and the value is built
         once, as one Fraction.  p-adic scalars multiply term by term."""
+        _check_lengths(self.ctx.nvars, "evaluation points", point)
         coeffs = self.coeffs
         if all(isinstance(v, (int, Fraction)) for v in point) and not any(
                 isinstance(c, PadicScalar) for c in coeffs.values()):
@@ -300,63 +294,57 @@ class TruncatedSeries:
 def torus_action(f: TruncatedSeries, point, chi: Character | None = None) -> TruncatedSeries:
     """(t f)(z) = (w chi)(t) * f(alpha_1(t^-1) z_1, ..., alpha_N(t^-1) z_N)
     for the batch roots alpha_r; diagonal on monomials, degree preserved.
-    The inputs of the module docstring's integer path run on ints."""
-    ctx = f.ctx
-    dim = ctx.datum.dim
-    if len(point) != dim or chi is not None and len(chi.coeffs) != dim:
-        raise SeriesError(f"the torus point and the character need {dim} chart entries")
+
+    Values are taken on ints modulo p^N (N the ring precision): the point is
+    inverted, the batch root values and monomial multipliers are multiplied
+    and a rational coefficient is read as num * den^-1.  The precision of the
+    output for z^I with coefficient c is the least of chi(t).prec, the
+    precision of each point entry read by a batch root that z^I uses (at most
+    N), and c.prec for a p-adic c.  The output is exact only when chi(t) and
+    each of those entries is an exact 1 and c is exact (for a rational c: an
+    integer); built by ``ScalarRing.canonical``, it is inexact if its value
+    does not fit below p^prec."""
+    ctx, ring = f.ctx, f.ctx.ring
+    p, N = ring.p, ring.prec
+    _check_lengths(ctx.datum.dim, "the torus point and the character", point,
+                   *(() if chi is None else (chi.coeffs,)))
     if not all((a - 1).zero_mod(1) for a in point):
         raise SeriesError("torus point is not pro-p in the chart")
     if chi is not None:
         chi_factor = chi.twisted(ctx.w).evaluate(ctx, point)
     else:
-        chi_factor = ctx.ring.one()
-    scalars = (chi_factor, *point, *(c for c in f.coeffs.values() if isinstance(c, PadicScalar)))
-    if not chi_factor.exact and all(x.prec == ctx.ring.prec for x in scalars):
-        return _torus_action_int(f, point, chi_factor.co)
-    inv_point = tuple(a.inv() for a in point)
-    base = [ctx.root_value(g, inv_point) for g in ctx.batch]
-    powers = [{0: ctx.ring.one()} for _ in range(ctx.nvars)]
-
-    def power(r, k):
-        cache = powers[r]
-        if k not in cache:
-            cache[k] = power(r, k - 1) * base[r]
-        return cache[k]
-
-    out = {}
-    for idx, c in f.coeffs.items():
-        mult = chi_factor
-        for r, e in enumerate(idx):
-            if e:
-                mult = mult * power(r, e)
-        out[idx] = mult * c
-    return TruncatedSeries(ctx, out, f.degree)
-
-
-def _torus_action_int(f: TruncatedSeries, point, chi_value: int) -> TruncatedSeries:
-    """``torus_action``'s scalar loop on ints modulo p^N, for a character
-    value chi_value and point entries known modulo p^N: each output is
-    wrapped once, inexact at N.  A rational coefficient is num * den^-1."""
-    ctx, ring = f.ctx, f.ctx.ring
-    p, N = ring.p, ring.prec
+        chi_factor = ring.one()
     q = ring.ppow(N)
     inv_point = [pow(a.co, -1, q) for a in point]
-    base = [math.prod(pow(x, e, q) for x, e in zip(inv_point, root) if e) % q
-            for root in ctx.batch]
+    base = []  # per batch root: its value at t^-1, precision and exactness
+    for root in ctx.batch:
+        b, b_prec, b_exact = 1, N, True
+        for x, a, e in zip(inv_point, point, root):
+            if e:
+                b = b * pow(x, e, q) % q
+                b_prec = min(b_prec, a.prec)
+                b_exact = b_exact and a.exact and a.co == 1
+        base.append((b, b_prec, b_exact))
     out = {}
     for idx, c in f.coeffs.items():
-        mult = chi_value
-        for b, e in zip(base, idx):
+        mult, prec, exact = chi_factor.co, chi_factor.prec, chi_factor.exact
+        for (b, b_prec, b_exact), e in zip(base, idx):
             if e:
                 mult = mult * pow(b, e, q) % q
+                if b_prec < prec:
+                    prec = b_prec
+                exact = exact and b_exact
         if isinstance(c, PadicScalar):
             v = mult * c.co
+            if c.prec < prec:
+                prec = c.prec
+            exact = exact and c.exact
         elif c.denominator % p:
             v = mult * c.numerator * pow(c.denominator, -1, q)
+            exact = exact and c.denominator == 1
         else:
             raise UnitError(f"denominator {c.denominator} is divisible by p={p}")
-        out[idx] = PadicScalar(ring, v % q, N, False)
+        out[idx] = ring.canonical(v, prec, exact)
     return TruncatedSeries(ctx, out, f.degree)
 
 
@@ -365,6 +353,7 @@ def lie_action(f: TruncatedSeries, dchi_value, droot_values) -> TruncatedSeries:
     pairing data dchi(H) and the list d(alpha_r)(H): the monomial z^I is an
     eigenvector with eigenvalue dchi(H) - sum_r d(alpha_r)(H) i_r."""
     ctx = f.ctx
+    _check_lengths(ctx.nvars, "the root pairings", droot_values)
     out = {}
     for idx, c in f.coeffs.items():
         eig = dchi_value - sum(d * i for d, i in zip(droot_values, idx))
@@ -513,6 +502,7 @@ def _batch_product(ctx: SeriesContext, first, second):
     returned as one _Poly per batch root: multiplied out and stripped in the
     fixed batch order; exact.  An upper (negative) batch root's chart
     coordinate is its group coordinate over p."""
+    _check_lengths(ctx.nvars, "batch coordinates", first, second)
     group, n = ctx.group, ctx.group.n
     one, zero = _Poly({0: 1}), _Poly({})
     rows = [[one if i == j else zero for j in range(n)] for i in range(n)]

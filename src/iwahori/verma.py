@@ -71,6 +71,8 @@ def weight_multiplicity(dchi: DerivedCharacter, lam, w: WeylElement | None = Non
     non-simple slot is not walked: the k >= 0 with rest - k * step >= 0 form
     an interval, counted at once."""
     datum = dchi.datum
+    if getattr(lam, "group", datum.name) != datum.name:
+        raise ValueError(f"a {lam.group} weight is not a {datum.name} weight")
     lam_coeffs = lam.coeffs if hasattr(lam, "coeffs") else tuple(Fraction(c) for c in lam)
     if len(lam_coeffs) != datum.dim:
         raise ValueError(f"{datum.name} weights need {datum.dim} coordinates")

@@ -1035,7 +1035,6 @@ def test_torus_helpers_match_the_hand_kept_inverses(name, ring):
         assert got == [state(s) for s in recipe_coords(G, diag)]
         point = ctx.point_from_cocharacter(mu, c)
         assert [state(a) for a in point] == [state(a) for a in point_from_cocharacter_ref(mu, c)]
-        assert state(ctx.root_value(mu, units)) == state(root_value_ref(ring, mu, units))
 
 
 # -- exact-zero operands of add and sub -------------------------------------------

@@ -7,10 +7,8 @@ import pytest
 from iwahori.groups import PValue
 from iwahori.padic import (INF, InternalError, PadicScalar, UnitError, padic_exp, vp_fraction,
                            vp_int)
-from iwahori import series as series_module
 from iwahori.series import (
     _add_into,
-    _torus_action_int,
     Character,
     SeriesContext,
     SeriesError,
@@ -28,6 +26,7 @@ from iwahori.series import (
     torus_action,
     translate_action,
 )
+from test_fast_paths import root_value_ref
 
 P = 7
 
@@ -76,13 +75,42 @@ def test_character_expand():
 
 def test_character_rigidity_gate():
     ctx = ctx_for("sl2")
-    bad = Character.from_rationals(Fraction(1, 7))
+    bad = Character.from_rationals(Fraction(1, 7), 0)
     point = ctx.point_from_cocharacter((1, -1), padic_exp(ctx.ring.from_int(P)))
-    with pytest.raises(SeriesError):
+    with pytest.raises(SeriesError, match="not rigid"):
         bad.evaluate(ctx, point)
     f = TruncatedSeries.monomial(ctx, (2,), 1, degree=8)
-    with pytest.raises(SeriesError):
+    with pytest.raises(SeriesError, match="not rigid"):
         torus_action(f, point, bad)
+
+
+def _wrong_length_calls():
+    """(id, expected length, function, arguments): calls on sp4 (four batch
+    roots, two chart coordinates) with a chart vector one entry short or one
+    too long."""
+    ctx = ctx_for("sp4")
+    f = TruncatedSeries(ctx, {(1, 0, 0, 0): Fraction(1), (0, 1, 0, 0): Fraction(2),
+                              (0, 0, 0, 0): Fraction(3)})
+    chi = Character.from_rationals(Fraction(1, 3), 2)
+    one = ctx.ring.from_int(1 + P)
+    for n in (1, 5):
+        z = [1] * n
+        yield f"evaluate-{n}", 4, f.evaluate, (z,)
+        yield f"lie_action-{n}", 4, lie_action, (f, 1, z)
+        yield f"coordinate_change_polys-{n}", 4, coordinate_change_polys, (ctx, z)
+        yield f"translate_action-{n}", 4, translate_action, (f, z)
+        yield f"batch_coordinate_product-{n}", 4, batch_coordinate_product, (ctx, [1] * 4, z)
+    for n in (1, 3):
+        yield f"character_point-{n}", 2, chi.evaluate, (ctx, (one,) * n)
+        bad = Character.from_rationals(*([Fraction(1, 3)] * n))
+        yield f"character_coeffs-{n}", 2, bad.evaluate, (ctx, (one, one))
+
+
+@pytest.mark.parametrize("n,function,args", [c[1:] for c in _wrong_length_calls()],
+                         ids=[c[0] for c in _wrong_length_calls()])
+def test_a_chart_vector_of_the_wrong_length_is_rejected(n, function, args):
+    with pytest.raises(SeriesError, match=f"need {n} chart entries"):
+        function(*args)
 
 
 def test_torus_action_identity_and_eigenvector():
@@ -706,7 +734,7 @@ def _torus_action_ref(f, point, chi=None):
     else:
         chi_factor = ctx.ring.one()
     inv_point = tuple(a.inv() for a in point)
-    base = [ctx.root_value(g, inv_point) for g in ctx.batch]
+    base = [root_value_ref(ctx.ring, g, inv_point) for g in ctx.batch]
     powers = [{0: ctx.ring.one()} for _ in range(ctx.nvars)]
 
     def power(r, k):
@@ -757,7 +785,7 @@ def _torus_points(ring, rng, dim):
 
 def _torus_series(ctx, rng):
     """Rational series with and without p in a denominator, and series with
-    exact, inexact and lower-precision scalar coefficients."""
+    exact, inexact, lower- and higher-precision scalar coefficients."""
     ring, p, N = ctx.ring, ctx.ring.p, ctx.ring.prec
     rational = _rational_series(ctx, rng, 3, 6)
     unit_den = TruncatedSeries(ctx, {k: c for k, c in rational.coeffs.items()
@@ -769,11 +797,17 @@ def _torus_series(ctx, rng):
     low = dict(scalars)
     if N > 1 and low:
         low[next(iter(low))] = ring.from_int(rng.randrange(1, 90), prec=N - 1)
+    # above the ring precision: an exact coefficient, an inexact one, and the
+    # exact p^N, which does not fit below p^N
+    first = tuple(int(r == 0) for r in range(ctx.nvars))
+    high = {**scalars, ctx.zero_index(): ring.from_int(rng.randrange(1, 90), prec=N + 2),
+            first: PadicScalar(ring, rng.randrange(ring.ppow(N + 3)), N + 3, False),
+            tuple(2 * e for e in first): ring.from_int(p ** N, prec=N + 2)}
     mixed = {**unit_den.coeffs, **scalars}
     mixed[ctx.zero_index()] = Fraction(rng.randrange(1, 9), p)
     return [TruncatedSeries(ctx, {}, 3), unit_den, rational,
             TruncatedSeries(ctx, scalars, 3), TruncatedSeries(ctx, low, 3),
-            TruncatedSeries(ctx, mixed, 3)]
+            TruncatedSeries(ctx, high, 3), TruncatedSeries(ctx, mixed, 3)]
 
 
 def _torus_sweep():
@@ -784,11 +818,8 @@ def _torus_sweep():
 
 
 @pytest.mark.parametrize("name,p,N", list(_torus_sweep()))
-def test_torus_action_integer_path_matches_the_scalar_loop(name, p, N, monkeypatch):
+def test_torus_action_integer_path_matches_the_scalar_loop(name, p, N):
     rng = random.Random(f"torus:{name}:{p}:{N}")
-    on_ints = []
-    monkeypatch.setattr(series_module, "_torus_action_int",
-                        lambda *args: on_ints.append(1) or _torus_action_int(*args))
     group = SeriesContext(name, p=p, prec=N).group
     dim = group.datum.dim
     chis = [None, Character.from_rationals(*([0] * dim)),
@@ -796,7 +827,7 @@ def test_torus_action_integer_path_matches_the_scalar_loop(name, p, N, monkeypat
                                        for _ in range(dim))),
             Character.from_rationals(*([0] * (dim - 1) + [Fraction(2, 3)])),
             Character.from_rationals(*([Fraction(1, p)] + [1] * (dim - 1)))]
-    raised, int_outcomes = set(), set()
+    raised, exact_flags = set(), set()
     for w in group.datum.weyl_group():
         ctx = SeriesContext(group, w=w)
         points = _torus_points(ctx.ring, rng, dim)
@@ -804,17 +835,15 @@ def test_torus_action_integer_path_matches_the_scalar_loop(name, p, N, monkeypat
             for chi in chis:
                 for point in rng.sample(points, 3):
                     want = _outcome(_torus_action_ref, f, point, chi)
-                    before = len(on_ints)
                     got = _outcome(torus_action, f, point, chi)
                     assert _scalar_state(got) == _scalar_state(want), (w.name, f, point, chi)
                     if isinstance(want, type):
                         raised.add(want)
-                    if len(on_ints) > before:
-                        int_outcomes.add(got if isinstance(got, type) else TruncatedSeries)
+                    else:
+                        exact_flags.update(c.exact for c in want.coeffs.values())
     assert raised == {SeriesError, UnitError}
-    # both routes run at every precision: at one digit chi(t) is 1 + O(p),
-    # the exp of a zero known mod p, and takes the int route as well
-    assert int_outcomes == {TruncatedSeries, UnitError}
+    if N > 1:  # at one digit the draws rarely give an exact output
+        assert exact_flags == {True, False}
 
 
 def test_torus_action_rejects_a_wrong_length_point_or_character():
@@ -830,6 +859,6 @@ def test_torus_action_rejects_a_wrong_length_point_or_character():
                              (two, Character.from_rationals(1))]:
         with pytest.raises(SeriesError, match="need 2 chart entries"):
             torus_action(f, point, character)
-    # the right lengths take both routes
+    # the right lengths match the scalar loop
     assert torus_action(f, two, chi) == _torus_action_ref(f, two, chi)
     assert torus_action(f, two) == _torus_action_ref(f, two)

@@ -162,6 +162,14 @@ def test_weight_multiplicity_rejects_a_foreign_weyl_element():
         weight_multiplicity(DerivedCharacter.of("sp4", 0, 0), WeightLabel.of("sp4", -1, -1), w)
 
 
+def test_weight_multiplicity_rejects_a_weight_of_another_group():
+    # an sl2 label has as many coordinates as an sp4 weight
+    for lam in (WeightLabel.of("sl2", -1, 0), DerivedCharacter.of("sl2", -1, 0)):
+        with pytest.raises(ValueError, match="a sl2 weight is not a sp4 weight"):
+            weight_multiplicity(DerivedCharacter.of("sp4", 1, 2), lam)
+    assert weight_multiplicity(DerivedCharacter.of("sp4", 1, 2), WeightLabel.of("sp4", -1, 0)) == 4
+
+
 def test_weyl_twist_basics():
     dchi = DerivedCharacter.of("sp4", Fraction(1, 3), Fraction(2, 7))
     datum = dchi.datum
