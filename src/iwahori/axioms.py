@@ -139,15 +139,29 @@ def _sample_seed(seed: int, k: int) -> int:
 
 def sample_iwahori(group: ChevalleyGroup, rng: Random, w=None):
     """Uniform draw from the coordinate grid at the working precision."""
-    basis = group.ordered_basis(w)
+    group.check_gate()
     box = group.ring.ppow(group.ring.prec)
-    coords = [rng.randrange(box) for _ in range(len(basis))]
+    # one coordinate per root and per cocharacter basis vector, as in the basis
+    coords = [rng.randrange(box) for _ in range(len(group.dirs) + group.datum.rank)]
     return group.from_coordinates(coords, w)
 
 
+def _first_draws(group: ChevalleyGroup, n_samples: int, seed: int, drawn):
+    """(g, factorization of g at w = 1) for samples 0..n_samples - 1, where g
+    is the first draw of the sample's generator: read off ``drawn``, the
+    axiom suite's samples, where it holds them, else drawn and factorized."""
+    for k in range(n_samples):
+        if k < len(drawn) and drawn[k] is not None:
+            yield drawn[k]
+        else:
+            g = sample_iwahori(group, Random(_sample_seed(seed, k)))
+            yield g, group.iwahori_factorize(g)
+
+
 def check_pvaluation_axioms(group: ChevalleyGroup, n_samples: int,
-                            seed: int = 1) -> AxiomReport:
-    """The four p-valuation axioms on sampled pairs, exact comparisons."""
+                            seed: int = 1, drawn: list | tuple = ()) -> AxiomReport:
+    """The four p-valuation axioms on sampled pairs, exact comparisons; sample
+    k's (g, factorization of g at w = 1) goes to drawn[k] for k < len(drawn)."""
     report = _new_report(group, n_samples, seed)
     p = group.ring.p
     lower_gate = Fraction(1, p - 1)
@@ -155,7 +169,10 @@ def check_pvaluation_axioms(group: ChevalleyGroup, n_samples: int,
         rng = Random(_sample_seed(seed, k))
         g = sample_iwahori(group, rng)
         h = sample_iwahori(group, rng)
-        wg = group.p_valuation(g)
+        fact = group.iwahori_factorize(g)
+        if k < len(drawn):
+            drawn[k] = (g, fact)
+        wg = fact.omega
         wh = group.p_valuation(h)
 
         if wg.kind == "finite":
@@ -175,31 +192,29 @@ def check_pvaluation_axioms(group: ChevalleyGroup, n_samples: int,
 
 
 def check_compatibility_all_w(group: ChevalleyGroup, n_samples: int,
-                              seed: int = 1) -> AxiomReport:
+                              seed: int = 1, drawn: list | tuple = ()) -> AxiomReport:
     """omega(g) equals the factor minimum of the w-twisted factorization,
-    for every Weyl element.  omega(g) is that minimum at weyl[0] = e."""
+    for every Weyl element.  omega(g) is that minimum at weyl[0] = e, read
+    off the sample's factorization at w = 1 (see ``_first_draws``)."""
     report = _new_report(group, n_samples, seed)
     weyl = group.datum.weyl_group()
-    for k in range(n_samples):
-        rng = Random(_sample_seed(seed, k))
-        g = sample_iwahori(group, rng)
+    for k, (g, fact) in enumerate(_first_draws(group, n_samples, seed, drawn)):
+        wg = fact.omega
         for w in weyl:
-            mins = group.iwahori_factorize(g, w).omega
-            wg = mins if w is weyl[0] else wg
+            mins = wg if w is weyl[0] else group.iwahori_factorize(g, w).omega
             report.judge(f"compatible[{w.name}]", k, wg.eq(mins),
                          f"omega={wg.as_json()} factor-min={mins.as_json()}", {"g": g})
     return report
 
 
 def check_oracle_agreement(group: ChevalleyGroup, n_samples: int,
-                           seed: int = 1) -> AxiomReport:
-    """Factorization formula versus the conjugation oracle, exact below cap."""
+                           seed: int = 1, drawn: list | tuple = ()) -> AxiomReport:
+    """Factorization formula versus the conjugation oracle, exact below cap,
+    on the samples of ``_first_draws``."""
     report = _new_report(group, n_samples, seed)
-    for k in range(n_samples):
-        rng = Random(_sample_seed(seed, k))
-        g = sample_iwahori(group, rng)
+    for k, (g, fact) in enumerate(_first_draws(group, n_samples, seed, drawn)):
         report.judge("oracle_agreement", k,
-                     group.p_valuation(g).eq(group.p_valuation_by_conjugation(g)),
+                     fact.omega.eq(group.p_valuation_by_conjugation(g)),
                      "formula != oracle", {"g": g})
     return report
 
@@ -285,12 +300,18 @@ def check_verma(group: ChevalleyGroup) -> SelfTestReport:
 
 # verify choice: (verify-all report name, runner(group, n_samples, seed), divisor for
 # the suite's share of verify-all's samples, at least one, or None if it draws none).
+# verify-all also hands each sampling runner one list, ``drawn``, with a slot for
+# each sample a later suite reads: the axiom suite, which runs first and draws the
+# most samples, fills it, and the suites after it read their samples there.
 # Runners look each check up here when called, so a wrapper put on this module sees it.
 SUITES = {
     "padic": ("padic-self-tests", lambda g, n, s: check_padic(g), None),
-    "axioms": ("pvaluation-axioms", lambda g, n, s: check_pvaluation_axioms(g, n, s), 1),
-    "compat": ("weyl-compatibility", lambda g, n, s: check_compatibility_all_w(g, n, s), 10),
-    "oracle": ("omega-oracle-agreement", lambda g, n, s: check_oracle_agreement(g, n, s), 5),
+    "axioms": ("pvaluation-axioms",
+               lambda g, n, s, drawn=(): check_pvaluation_axioms(g, n, s, drawn), 1),
+    "compat": ("weyl-compatibility",
+               lambda g, n, s, drawn=(): check_compatibility_all_w(g, n, s, drawn), 10),
+    "oracle": ("omega-oracle-agreement",
+               lambda g, n, s, drawn=(): check_oracle_agreement(g, n, s, drawn), 5),
     "et": ("congruence-embedding", lambda g, n, s: check_et_embedding(g, s), None),
     "series": ("series-invariants", lambda g, n, s: check_series(g, s), None),
     "verma": ("verma-golden", lambda g, n, s: check_verma(g), None),

@@ -38,9 +38,10 @@ Self-checks
 -----------
 ``iwahori_factorize`` runs these checks; a failed input check raises
 ``GateError`` or ``MembershipError``, a failed invariant raises
-``InternalError``.  The checks on the twist alone run once per
-(w, tie_break), when its plan is built and cached, since w fixes them;
-the others run on every call:
+``InternalError``.  The checks on the twist alone run once per (group
+name, w, tie_break) in a process, when its plan is built and cached, since
+the root datum, the matrix model and w fix them; the others run on every
+call, also when the same element was factorized before:
 
     the parameter gate p - 1 > h;
     membership in I: the group relation (g^T J g = J on Sp4, det g = 1
@@ -60,19 +61,24 @@ Integer path
 ------------
 An element whose entries are all inexact and all at the ring precision N
 is read once into plain ints modulo p^N and cached on the element.  For
-such elements the group relation, the membership test, the LDU
-elimination, both unipotent strips, the torus rebuild, the factor minimum
-omega, products and inverses run on those ints, and each result scalar is
-wrapped once at precision N.  ``from_coordinates`` builds such elements on
-ints from int coordinates in 1..p^N - 1, as ``sample_iwahori`` draws them.
-The path gives the same (co, prec, exact) as the scalar route, runs the
-same self-checks and raises the same exceptions; its outputs are again
-inexact at N, so chained products stay on it.  Exact or mixed-precision
-entries (user matrices, the identity, root generators) take the scalar route.
+such elements the group relation, the membership test, the factor minimum
+omega, products and inverses run on those ints, and so does the
+factorization, in plan order: the LDU of the rows permuted once into the
+twist's basis order, then both strips through the batch directions that the
+plan maps to that order.  Results stay ints until read: an element builds
+its scalar entries ``mat``, and a factorization wraps its four factor lists,
+the first time they are read, so ``p_valuation`` builds no scalar.
+``from_coordinates`` builds such elements on ints from int coordinates in
+1..p^N - 1, as ``sample_iwahori`` draws them.  The path gives the same
+(co, prec, exact) as the scalar route, runs the same self-checks and raises
+the same exceptions; its outputs are again inexact at N, so chained products
+stay on it.  Exact or mixed-precision entries (user matrices, the identity,
+root generators) take the scalar route.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -223,6 +229,13 @@ _SP4_INV_SIGN = tuple(tuple(-_SP4_GRAM[i][3 - i] * _SP4_GRAM[3 - j][j] for j in 
                       for i in range(4))
 
 
+# the basis order by descending weight and its inverse, the two batches, and
+# per batch its (root, directions) pairs with each (i, j, s) mapped to plan order
+_FactorPlan = namedtuple("_FactorPlan", "order inv_order neg_batch pos_batch neg_strip pos_strip")
+# plans by (group name, w.matrix, tie_break): at most 36 over the three groups
+_FACTOR_PLANS = {}
+
+
 class ChevalleyGroup:
     """One of the supported matrix groups over Z_p at precision prec."""
 
@@ -243,7 +256,6 @@ class ChevalleyGroup:
         self._height = {r: self.datum.height(r) for r in self.dirs}  # omega offsets ht(root)/h
         self._omega_offset = {r: Fraction(ht, h) for r, ht in self._height.items()}
         self._basis_cache = {}
-        self._factor_plan_cache = {}
 
     # -- gates ---------------------------------------------------------
 
@@ -380,20 +392,20 @@ class ChevalleyGroup:
         plan = self._factor_plan(w, tie_break)
         ints = g._int_rows()
         if ints is not None:
-            return Factorization(self, w, *self._factor_ints(ints, *plan))
-        fact = Factorization(self, w, *self._factor_scalars(g.mat, *plan), None)
+            return Factorization(self, w, *self._factor_ints(ints, plan), wrapped=False)
+        fact = Factorization(self, w, *self._factor_scalars(g.mat, plan), None)
         fact.omega = PValue.min(self.omega_of_factor_list(fact))
         return fact
 
-    def _factor_scalars(self, mat, order, neg_batch, pos_batch):
+    def _factor_scalars(self, mat, plan):
         """(negative params, torus coordinates, torus diagonal, positive
         params) of an element of I, on PadicScalar entries."""
-        lmat, diag_sorted, umat = _ldu(_permuted(mat, order), self.n, self.ring)
-        inv_order = _inverse_order(order)
+        lmat, diag_sorted, umat = _ldu(_permuted(mat, plan.order), self.n, self.ring)
+        inv_order = plan.inv_order
         n1, n2 = _permuted(lmat, inv_order), _permuted(umat, inv_order)
         diag = [diag_sorted[k] for k in inv_order]
-        neg = self._strip_unipotent(n1, neg_batch)
-        pos = self._strip_unipotent(n2, pos_batch)
+        neg = self._strip_unipotent(n1, plan.neg_batch)
+        pos = self._strip_unipotent(n2, plan.pos_batch)
         torus_coords = self._torus_coords_from_diag(diag)
         if not all((d - 1).zero_mod(1) for d in diag):
             raise InternalError("torus part is not pro-p")
@@ -402,18 +414,35 @@ class ChevalleyGroup:
                 raise InternalError("upper root parameter not divisible by p")
         return neg, torus_coords, diag, pos
 
-    def _factor_ints(self, ints, order, neg_batch, pos_batch):
-        """``_factor_scalars`` on the int rows of a flat element: the same
-        steps and checks modulo p^N, each output wrapped once.  The LDU
-        factors carry exact 0 and 1 outside their strict triangles, where
-        the batch roots never lie (``_factor_plan``), so every output
-        is inexact at N, as on the scalar route."""
-        p, mod = self.ring.p, self._mod
-        lmat, diag_sorted, umat = _ldu_ints(_permuted(ints, order), self.n, self.ring)
-        inv_order = _inverse_order(order)
-        neg = self._strip_ints(_permuted(lmat, inv_order), neg_batch)
-        pos = self._strip_ints(_permuted(umat, inv_order), pos_batch)
-        diag = [diag_sorted[k] for k in inv_order]
+    def _factor_ints(self, ints, plan):
+        """``_factor_scalars`` on the int rows of a flat element, modulo p^N in
+        plan order, with the same checks; the ints and omega.  The LDU factors
+        carry exact 0 and 1 outside their strict triangles, where the batch
+        roots never lie (``_factor_plan``), so every output wraps inexact."""
+        p, mod, n = self.ring.p, self._mod, self.n
+        order = plan.order
+        a = [[ints[i][j] for j in order] for i in order]
+        lmat = [[int(i == j) for j in range(n)] for i in range(n)]
+        umat = [[int(i == j) for j in range(n)] for i in range(n)]
+        for k in range(n):
+            ak = a[k]
+            piv = ak[k]
+            if piv % p == 0:
+                raise InternalError(f"elimination pivot {k} is not a unit: {self._wrap(piv)!r}")
+            pivinv = pow(piv, -1, mod)
+            for i in range(k + 1, n):
+                ai = a[i]
+                f = ai[k] * pivinv % mod
+                lmat[i][k] = f
+                if f:  # column k of a is not read again
+                    for j in range(k + 1, n):
+                        ai[j] = (ai[j] - f * ak[j]) % mod
+            uk = umat[k]
+            for j in range(k + 1, n):
+                uk[j] = pivinv * ak[j] % mod
+        neg = _strip_ints(lmat, plan.neg_strip, mod)
+        pos = _strip_ints(umat, plan.pos_strip, mod)
+        diag = [a[k][k] for k in plan.inv_order]
         torus_coords = self._torus_coords_ints(diag)
         if any((d - 1) % p for d in diag):
             raise InternalError("torus part is not pro-p")
@@ -426,30 +455,28 @@ class ChevalleyGroup:
         # on d - 1 with offset 0.  A finite value wins a tie with a cap marker.
         best, at_cap = min(((vp_int(x, p) if x else cap) * h + off, not x) for x, off in
                            [(x, height[r]) for r, x in neg + pos] + [(d - 1, 0) for d in diag])
-        wrap = self._wrap
-        return ([(root, wrap(x)) for root, x in neg], [wrap(s) for s in torus_coords],
-                [wrap(d) for d in diag], [(root, wrap(x)) for root, x in pos],
+        return (neg, torus_coords, diag, pos,
                 PValue("at_least" if at_cap else "finite", Fraction(best, h)))
 
     def _wrap(self, v: int) -> PadicScalar:
         return PadicScalar(self.ring, v, self.ring.prec, False)
 
-    def _factor_plan(self, w, tie_break):
-        """(basis order, negative batch, positive batch) for the twist w,
-        built and checked once per (w.matrix, tie_break), since two words of
-        one Weyl element share them: distinct weights exps of the adapted
-        cocharacter mu, which w fixes, batches weight-monotone under mu, and
-        every batch root inside the strict lower (negative batch) or upper
-        (positive batch) triangle of the basis sorted by descending weight."""
-        key = (w.matrix, tie_break)
-        cached = self._factor_plan_cache.get(key)
+    def _factor_plan(self, w, tie_break) -> "_FactorPlan":
+        """The plan of the twist w, built and checked once per (group name,
+        w.matrix, tie_break), since only the root datum and the matrix model
+        enter it: distinct weights exps of the adapted cocharacter mu, which w
+        fixes, batches weight-monotone under mu, and every batch root inside
+        the strict lower (negative batch) or upper (positive batch) triangle
+        of the basis sorted by descending weight."""
+        key = (self.name, w.matrix, tie_break)
+        cached = _FACTOR_PLANS.get(key)
         if cached is not None:
             return cached
         mu, _a = self.datum.adapted_cocharacter(w)
         exps = self.exponents(mu)
         if len(set(exps)) != self.n:
             raise InternalError("adapted cocharacter weights are not distinct")
-        order = sorted(range(self.n), key=lambda i: -exps[i])
+        order = tuple(sorted(range(self.n), key=lambda i: -exps[i]))
         batches = self.batches(w, tie_break)
         for sign, batch_roots in zip((1, -1), batches):
             last = None
@@ -460,7 +487,10 @@ class ChevalleyGroup:
                 last = wgt
                 if any(sign * (exps[j] - exps[i]) <= 0 for i, j, _s in self.dirs[r]):
                     raise InternalError(f"batch root {r} lies outside its LDU triangle")
-        plan = self._factor_plan_cache[key] = (order, *batches)
+        inv = tuple(order.index(i) for i in range(self.n))
+        strips = [tuple((r, tuple((inv[i], inv[j], s) for i, j, s in self.dirs[r]))
+                        for r in batch) for batch in batches]
+        plan = _FACTOR_PLANS[key] = _FactorPlan(order, inv, *batches, *strips)
         return plan
 
     def _strip_unipotent(self, mat, batch_roots):
@@ -485,30 +515,6 @@ class ChevalleyGroup:
             for j in range(self.n):
                 target = 1 if i == j else 0
                 if not cur[i][j] == target:
-                    raise InternalError("unipotent strip left a remainder")
-        return params
-
-    def _strip_ints(self, cur, batch_roots):
-        """``_strip_unipotent`` on int rows modulo p^N, in place."""
-        mod, params = self._mod, []
-        for root in batch_roots:
-            dirs = self.dirs[root]
-            i0, j0, s0 = dirs[0]
-            x = cur[i0][j0] if s0 == 1 else -cur[i0][j0] % mod
-            for (i, j, s) in dirs[1:]:
-                if (cur[i][j] - (x if s == 1 else -x)) % mod:
-                    raise InternalError(f"paired entries for root {root} disagree")
-            params.append((root, x))
-            # left multiplication by u_root(-x)
-            for (i, j, s) in dirs:
-                f = -x if s == 1 else x
-                dst = cur[i]
-                for k, c in enumerate(cur[j]):
-                    if c:
-                        dst[k] = (dst[k] + f * c) % mod
-        for i, row in enumerate(cur):
-            for j, e in enumerate(row):
-                if (e - (i == j)) % mod:
                     raise InternalError("unipotent strip left a remainder")
         return params
 
@@ -600,8 +606,8 @@ class ChevalleyGroup:
     def from_coordinates(self, coords, w: WeylElement | None = None) -> "GroupElement":
         """Evaluate h_1^{x_1} ... h_d^{x_d} for the ordered basis of w, on int
         rows when every coordinate is an int in 1..p^N - 1 (Integer path)."""
-        _order, neg_batch, pos_batch = self._factor_plan(
-            self.datum.identity_weyl() if w is None else w, "lex")
+        plan = self._factor_plan(self.datum.identity_weyl() if w is None else w, "lex")
+        neg_batch, pos_batch = plan.neg_batch, plan.pos_batch
         a, b = len(neg_batch), len(neg_batch) + self.datum.rank
         d = b + len(pos_batch)
         if len(coords) != d:
@@ -622,7 +628,7 @@ class ChevalleyGroup:
             for row in rows:
                 row[:] = [e * dj % mod for e, dj in zip(row, diag)]
             rmul_batch(pos_batch, coords[b:])
-            return GroupElement._from_ints(self, tuple(map(tuple, rows)))
+            return GroupElement(self, None, tuple(map(tuple, rows)))
         coords = [self.ring.coerce(x) for x in coords]
         return self.from_parameters(
             zip(neg_batch, self._chart_scaled(zip(neg_batch, coords[:a]), 1)),
@@ -722,15 +728,31 @@ class OrderedBasis:
         return [e.omega for e in self.entries]
 
 
-@dataclass
 class Factorization:
-    group: ChevalleyGroup
-    w: WeylElement
-    negative: list          # [(root, parameter scalar)] for the wPhi- batch
-    torus_coordinates: list  # scalars on the cocharacter basis
-    torus_diagonal: list     # diagonal scalars of the torus part
-    positive: list          # [(root, parameter scalar)] for the wPhi+ batch
-    omega: PValue           # the least factor omega (``p_valuation`` at w = 1)
+    """[(root, parameter)] for the wPhi- batch, the torus coordinates on the
+    cocharacter basis and its diagonal, [(root, parameter)] for the wPhi+
+    batch, and the least factor omega (``p_valuation`` at w = 1).  Built on
+    ints, the four lists are wrapped as scalars the first time one is read."""
+
+    __slots__ = ("group", "w", "omega", "_parts", "_wrapped")
+
+    def __init__(self, group: ChevalleyGroup, w: WeylElement, negative, torus_coordinates,
+                 torus_diagonal, positive, omega: PValue, wrapped: bool = True):
+        self.group, self.w, self.omega, self._wrapped = group, w, omega, wrapped
+        self._parts = (negative, torus_coordinates, torus_diagonal, positive)
+
+    def _part(self, k):
+        if not self._wrapped:
+            wrap, (neg, coords, diag, pos) = self.group._wrap, self._parts
+            self._parts = ([(r, wrap(x)) for r, x in neg], [wrap(s) for s in coords],
+                           [wrap(d) for d in diag], [(r, wrap(x)) for r, x in pos])
+            self._wrapped = True
+        return self._parts[k]
+
+    negative = property(lambda self: self._part(0))
+    torus_coordinates = property(lambda self: self._part(1))
+    torus_diagonal = property(lambda self: self._part(2))
+    positive = property(lambda self: self._part(3))
 
     def torus_element(self) -> "GroupElement":
         g = self.group.identity()
@@ -812,16 +834,34 @@ def _adjugate_det(mat, n, zero):
     return adj, det
 
 
+def _strip_ints(cur, strip, mod):
+    """``ChevalleyGroup._strip_unipotent`` on int rows modulo p^N, in place,
+    through (root, directions) pairs whose directions index the rows of cur."""
+    params = []
+    for root, dirs in strip:
+        i0, j0, s0 = dirs[0]
+        x = cur[i0][j0] if s0 == 1 else -cur[i0][j0] % mod
+        for (i, j, s) in dirs[1:]:
+            if (cur[i][j] - (x if s == 1 else -x)) % mod:
+                raise InternalError(f"paired entries for root {root} disagree")
+        params.append((root, x))
+        # left multiplication by u_root(-x)
+        for (i, j, s) in dirs:
+            f = -x if s == 1 else x
+            dst = cur[i]
+            for k, c in enumerate(cur[j]):
+                if c:
+                    dst[k] = (dst[k] + f * c) % mod
+    for i, row in enumerate(cur):
+        for j, e in enumerate(row):
+            if (e - (i == j)) % mod:
+                raise InternalError("unipotent strip left a remainder")
+    return params
+
+
 def _permuted(mat, order):
     """Rows and columns of mat in the given order, as mutable lists."""
     return [[mat[i][j] for j in order] for i in order]
-
-
-def _inverse_order(order):
-    inv = [0] * len(order)
-    for k, idx in enumerate(order):
-        inv[idx] = k
-    return inv
 
 
 def _ldu(mat, n, ring):
@@ -850,50 +890,28 @@ def _ldu(mat, n, ring):
     return lmat, diag, umat
 
 
-def _ldu_ints(a, n, ring):
-    """``_ldu`` on int rows modulo p^N (ring precision N), in place; the
-    same non-unit pivot error."""
-    p, mod = ring.p, ring.ppow(ring.prec)
-    lmat = [[int(i == j) for j in range(n)] for i in range(n)]
-    umat = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        ak = a[k]
-        piv = ak[k]
-        if piv % p == 0:
-            shown = PadicScalar(ring, piv, ring.prec, False)
-            raise InternalError(f"elimination pivot {k} is not a unit: {shown!r}")
-        pivinv = pow(piv, -1, mod)
-        for i in range(k + 1, n):
-            ai = a[i]
-            f = ai[k] * pivinv % mod
-            lmat[i][k] = f
-            if f:
-                for j in range(k, n):
-                    ai[j] = (ai[j] - f * ak[j]) % mod
-        uk = umat[k]
-        for j in range(k + 1, n):
-            uk[j] = pivinv * ak[j] % mod
-    return lmat, [a[k][k] for k in range(n)], umat
-
-
 class GroupElement:
     """Square matrix over the scalar ring tagged with its group.
 
     ``_ints`` caches the entries as int rows modulo p^N for the integer
     path (see the module docstring), or None off it; it is read on first
-    use, or handed in by the integer path that built the element."""
+    use, or handed in, with ``mat`` None, by the integer path that built the
+    element, which builds ``mat`` the first time it is read."""
 
-    __slots__ = ("group", "mat", "_ints")
+    __slots__ = ("group", "_mat", "_ints")
 
     def __init__(self, group: ChevalleyGroup, mat, ints=_UNREAD):
         self.group = group
-        self.mat = mat
+        self._mat = mat
         self._ints = ints
 
-    @classmethod
-    def _from_ints(cls, group: ChevalleyGroup, rows) -> "GroupElement":
-        wrap = group._wrap
-        return cls(group, tuple(tuple(wrap(v) for v in row) for row in rows), rows)
+    @property
+    def mat(self):
+        mat = self._mat
+        if mat is None:
+            wrap = self.group._wrap
+            mat = self._mat = tuple(tuple(wrap(v) for v in row) for row in self._ints)
+        return mat
 
     def _int_rows(self):
         """The entries as int rows modulo p^N when every entry is inexact at
@@ -908,7 +926,7 @@ class GroupElement:
             raise ValueError("elements of different groups")
         a, b = self._int_rows(), other._int_rows()
         if a is not None and b is not None:
-            return GroupElement._from_ints(self.group, _matmul_ints(a, b, self.group._mod))
+            return GroupElement(self.group, None, _matmul_ints(a, b, self.group._mod))
         return GroupElement(self.group, _matmul(self.mat, other.mat, self.group.n))
 
     def __pow__(self, k: int) -> "GroupElement":
@@ -935,12 +953,13 @@ class GroupElement:
                 rows = tuple(tuple(sign * ints[3 - j][3 - i] % mod
                                    for j, sign in enumerate(signs))
                              for i, signs in enumerate(_SP4_INV_SIGN))
-                return GroupElement._from_ints(group, rows)
+                return GroupElement(group, None, rows)
             adj, det = _adjugate_det(ints, n, 0)
-            # the scalar inverse raises the same UnitError on a non-unit
-            dinv = group._wrap(det % mod).inv().co
-            return GroupElement._from_ints(
-                group, tuple(tuple(a * dinv % mod for a in row) for row in adj))
+            det %= mod
+            # a non-unit goes to the scalar inverse, which raises its UnitError
+            dinv = pow(det, -1, mod) if det % group.ring.p else group._wrap(det).inv().co
+            return GroupElement(
+                group, None, tuple(tuple(a * dinv % mod for a in row) for row in adj))
         if group.name == "sp4":
             # every entry is read at most at the ring precision and negated
             # at least once, so a nonzero exact entry comes out inexact
@@ -987,6 +1006,8 @@ class GroupElement:
         return (_det_recursive(ints, idx, idx, 0) - 1) % group._mod == 0
 
     def sub_identity_entry(self, i: int, j: int) -> PadicScalar:
+        if self._mat is None:  # one entry off the int rows, not the whole matrix
+            return self.group._wrap((self._ints[i][j] - (i == j)) % self.group._mod)
         e = self.mat[i][j]
         return e - 1 if i == j else e
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 INF = math.inf
 
@@ -355,16 +356,25 @@ def exp_int(xi: int, ring: ScalarRing) -> int:
     return _exp_loop(xi, ring, nmax, ring.prec + _vp_factorial(nmax, ring.p))
 
 
+@lru_cache(maxsize=64)
+def _series_terms(p: int, nmax: int, buf: int) -> tuple:
+    """(inverse of the unit part of n modulo p^buf, vp(n)) for n = 1..nmax,
+    read by the exp and log loops."""
+    out = []
+    for n in range(1, nmax + 1):
+        v = vp_int(n, p)
+        out.append((pow(n // p ** v, -1, p ** max(buf, 0)), v))
+    return tuple(out)
+
+
 def _exp_loop(xi, ring, nmax, buf):
     """sum_{n <= nmax} xi^n/n! modulo p^buf."""
     p, mod = ring.p, ring.ppow(buf)
     acc = term = 1
-    for n in range(1, nmax + 1):
+    for unit_inv, v in _series_terms(p, nmax, buf):
         term = term * xi % mod
-        v = vp_int(n, p)
-        unit = n // ring.ppow(v)
-        if unit != 1:
-            term = term * pow(unit, -1, mod) % mod
+        if unit_inv != 1:
+            term = term * unit_inv % mod
         if v:
             term = _divide_p_power_int(term, v, buf, p)
         acc = (acc + term) % mod
@@ -408,13 +418,11 @@ def _log_loop(yi, ring, nmax, buf):
     """sum_{n <= nmax} (-1)^(n-1) yi^n/n modulo p^buf."""
     p, mod = ring.p, ring.ppow(buf)
     acc, power = 0, 1
-    for n in range(1, nmax + 1):
+    for n, (unit_inv, v) in enumerate(_series_terms(p, nmax, buf), 1):
         power = power * yi % mod
-        v = vp_int(n, p)
-        unit = n // ring.ppow(v)
         term = power
-        if unit != 1:
-            term = term * pow(unit, -1, mod) % mod
+        if unit_inv != 1:
+            term = term * unit_inv % mod
         if v:
             term = _divide_p_power_int(term, v, buf, p)
         acc = (acc - term if n % 2 == 0 else acc + term) % mod

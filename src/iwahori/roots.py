@@ -141,7 +141,9 @@ class RootDatum:
 
     # -- Weyl group -------------------------------------------------------
 
+    @lru_cache(maxsize=None)
     def identity_weyl(self) -> WeylElement:
+        """The identity, built once per datum."""
         n = self.dim
         return WeylElement(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), ())
 

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .groups import ChevalleyGroup, PValue
 from .padic import (INF, InternalError, PadicScalar, UnitError, padic_exp, padic_log,
@@ -75,7 +76,9 @@ class SeriesContext:
         self.nvars = len(self.batch)
 
     def lambda_of(self, index) -> int:
-        return sum(w * i for w, i in zip(self.weights, index))
+        if len(index) != self.nvars:
+            raise SeriesError(f"monomial indices need {self.nvars} chart entries")
+        return sum(map(mul, self.weights, index))
 
     def slope_of(self, index):
         """v_p(lambda_I); infinity for the constant monomial."""
@@ -89,6 +92,7 @@ class SeriesContext:
 
     def point_from_cocharacter(self, mu_vec, c: PadicScalar):
         """Coordinate values of the torus point mu(c): a_i = c^<eps_i, mu>."""
+        _check_lengths(self.datum.dim, "cocharacters", mu_vec)
         return tuple(c ** e for e in mu_vec)
 
 
@@ -116,6 +120,7 @@ class Character:
         return Character(w.act(self.coeffs))
 
     def derivative_pairing(self, cochar) -> Fraction:
+        _check_lengths(len(self.coeffs), "cocharacters paired with this character", cochar)
         return sum((c * e for c, e in zip(self.coeffs, cochar)), Fraction(0))
 
     def evaluate(self, ctx: SeriesContext, point) -> PadicScalar:
@@ -162,6 +167,14 @@ class TruncatedSeries:
         self.coeffs = clean
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _from_checked(cls, ctx: SeriesContext, coeffs: dict, degree) -> "TruncatedSeries":
+        """A series on a map, kept as it is, that passes ``__init__``'s checks:
+        tuple indices of the chart's arity in the cap, no int or zero value."""
+        f = cls.__new__(cls)
+        f.ctx, f.coeffs, f.degree = ctx, coeffs, degree
+        return f
 
     @classmethod
     def constant(cls, ctx, c, degree=None):
@@ -216,11 +229,13 @@ class TruncatedSeries:
     def __add__(self, other):
         out = dict(self.coeffs)
         _add_into(out, other.coeffs.items())
+        if self.degree == other.degree and self.ctx.nvars == other.ctx.nvars:
+            return TruncatedSeries._from_checked(self.ctx, out, self.degree)
         return TruncatedSeries(self.ctx, out, self._merged_degree(other))
 
     def __neg__(self):
-        return TruncatedSeries(self.ctx, {i: -c for i, c in self.coeffs.items()},
-                               self.degree)
+        return TruncatedSeries._from_checked(
+            self.ctx, {i: -c for i, c in self.coeffs.items()}, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
@@ -382,13 +397,13 @@ def slope_split(f: TruncatedSeries, s: int):
     for idx, c in f.coeffs.items():
         sl = f.ctx.slope_of(idx)
         (atleast if sl is INF or sl >= s else below)[idx] = c
-    return (TruncatedSeries(f.ctx, below, f.degree),
-            TruncatedSeries(f.ctx, atleast, f.degree))
+    return (TruncatedSeries._from_checked(f.ctx, below, f.degree),
+            TruncatedSeries._from_checked(f.ctx, atleast, f.degree))
 
 
 def slope_exact(f: TruncatedSeries, s: int) -> TruncatedSeries:
     out = {idx: c for idx, c in f.coeffs.items() if f.ctx.slope_of(idx) == s}
-    return TruncatedSeries(f.ctx, out, f.degree)
+    return TruncatedSeries._from_checked(f.ctx, out, f.degree)
 
 
 PROJECTOR_EXPONENT_CAP = 10 ** 6
@@ -432,7 +447,7 @@ def hida_projector(f: TruncatedSeries, s: int, iterations: int) -> TruncatedSeri
         prod = c * cache[lam]
         if not coeff_is_zero(prod):
             out[idx] = prod
-    return TruncatedSeries(ctx, out, f.degree)
+    return TruncatedSeries._from_checked(ctx, out, f.degree)
 
 
 # -- translation --------------------------------------------------------------
@@ -576,7 +591,7 @@ def translate_action(f: TruncatedSeries, shift_coords) -> TruncatedSeries:
             for k, v in term.items():
                 total[k] = total.get(k, 0) + v
     _add_into(out, ((unpack(k), Fraction(v, den_f * den)) for k, v in total.items() if v))
-    return TruncatedSeries(ctx, out)
+    return TruncatedSeries._from_checked(ctx, out, None)
 
 
 def batch_coordinate_product(ctx: SeriesContext, coords_a, coords_b):

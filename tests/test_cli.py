@@ -390,6 +390,55 @@ def test_verify_all_builds_one_group(monkeypatch, capsys):
     assert len(built) == 1
 
 
+def test_verify_all_factorizes_each_element_and_twist_once(monkeypatch, capsys):
+    # the compat and oracle suites read the axiom suite's first draws and
+    # their factorizations at w = 1: 200 for the axioms (five per sample)
+    # and 7 twists for each of the 4 compat samples, none of them repeated
+    seen = []
+    factorize = ChevalleyGroup.iwahori_factorize
+
+    def recording(self, g, w=None, tie_break="lex"):
+        twist = self.datum.identity_weyl() if w is None else w
+        rows = g._int_rows()
+        seen.append((repr(g) if rows is None else rows, twist.matrix, tie_break))
+        return factorize(self, g, w, tie_break)
+
+    monkeypatch.setattr(ChevalleyGroup, "iwahori_factorize", recording)
+    code = main(["verify-all", "--group", "sp4", "--p", "7", "--precision", "12",
+                 "--n-samples", "40", "--seed", "1"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(seen) == 228 and len(set(seen)) == 228
+
+
+def test_verify_all_checks_the_samples_that_verify_draws(monkeypatch, capsys):
+    # the oracle and compat suites of verify-all check the elements that
+    # verify oracle and verify compat draw themselves, in the same order
+    checked = []
+    oracle, factorize = (ChevalleyGroup.p_valuation_by_conjugation,
+                         ChevalleyGroup.iwahori_factorize)
+
+    def recording_oracle(self, g):
+        checked.append(("oracle", g._int_rows()))
+        return oracle(self, g)
+
+    def recording_factorize(self, g, w=None, tie_break="lex"):
+        if w is not None:  # only the compat suite names a twist
+            checked.append(("compat", g._int_rows(), w.matrix))
+        return factorize(self, g, w, tie_break)
+
+    monkeypatch.setattr(ChevalleyGroup, "p_valuation_by_conjugation", recording_oracle)
+    monkeypatch.setattr(ChevalleyGroup, "iwahori_factorize", recording_factorize)
+    config = ["--group", "sl3", "--p", "5", "--precision", "6", "--seed", "3"]
+    assert main(["verify-all", *config, "--n-samples", "20"]) == 0
+    together = list(checked)
+    checked.clear()
+    assert main(["verify", "compat", *config, "--n-samples", "2"]) == 0
+    assert main(["verify", "oracle", *config, "--n-samples", "4"]) == 0
+    capsys.readouterr()
+    assert len(together) == 2 * 5 + 4 and together == checked
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

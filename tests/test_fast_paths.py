@@ -10,6 +10,9 @@
   PadicScalar route and the former scalar loops of exp/log, kept here,
   which ``scalar_route()`` forces, and the closure of the integer path
   under its own operations;
+* the plan-order int factorization kernel against the former int LDU,
+  strip and factorization, kept here, and the scalars that elements and
+  factorizations build when first read against the former eager wraps;
 * samples that ``from_coordinates`` builds on int rows against the same
   coordinates as scalars, and the omega that the factorization reads off
   its ints against the minimum of ``omega_of_factor_list``;
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from iwahori import groups, padic
-from iwahori.axioms import sample_iwahori
+from iwahori.axioms import check_pvaluation_axioms, sample_iwahori
 from iwahori.groups import ChevalleyGroup, GroupElement, MembershipError, PValue
 from iwahori.padic import (DomainError, InternalError, PadicScalar, PrecisionError, ScalarRing,
                            padic_exp, padic_log, vp_int)
@@ -561,12 +564,14 @@ def test_int_path_raises_on_a_forced_non_unit_pivot(config, monkeypatch):
 def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data):
     # unitriangular matrices with arbitrary (mostly non-unipotent-group)
     # entries: the strips return the same parameters or raise the same
-    # InternalError, paired-entry and remainder checks alike
+    # InternalError, paired-entry and remainder checks alike.  The library's
+    # int strip runs here on the batch roots' own directions.
     G = INT_GROUPS[config]
     w, tb = draw_twist(G, w_index, tie_break)
     mu, _a = G.datum.adapted_cocharacter(w)
     exps = G.exponents(mu)
-    batch = G._factor_plan(w, tb)[1 + which]
+    plan = G._factor_plan(w, tb)
+    batch = (plan.neg_batch, plan.pos_batch)[which]
     mod = G._mod
     ints, scalars = [], []
     for i in range(G.n):
@@ -588,12 +593,17 @@ def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data)
         scalars.append(srow)
 
     def strip_ints():
-        return [(r, state(G._wrap(x))) for r, x in G._strip_ints(ints, batch)]
+        strip = tuple((r, G.dirs[r]) for r in batch)
+        return [(r, state(G._wrap(x))) for r, x in
+                groups._strip_ints([list(row) for row in ints], strip, mod)]
+
+    def strip_ints_former():
+        return [(r, state(G._wrap(x))) for r, x in strip_ints_ref(G, ints, batch)]
 
     def strip_scalars():
         return [(r, state(x)) for r, x in G._strip_unipotent(scalars, batch)]
 
-    assert outcome(strip_ints) == outcome(strip_scalars)
+    assert outcome(strip_ints) == outcome(strip_ints_former) == outcome(strip_scalars)
 
 
 @seed(20229)
@@ -655,6 +665,183 @@ def test_int_path_skips_non_flat_elements():
     assert G.identity()._int_rows() is None
     assert G.root_element((1, -1), 7)._int_rows() is None
     assert reprecise(g, [[12] * 4] * 3 + [[12, 12, 12, 11]])._int_rows() is None
+
+
+# -- the plan-order kernel, against the former int LDU, strip and factorization ----
+
+
+def permuted_ref(mat, order):
+    return [[mat[i][j] for j in order] for i in order]
+
+
+def inverse_order_ref(order):
+    inv = [0] * len(order)
+    for k, idx in enumerate(order):
+        inv[idx] = k
+    return inv
+
+
+def ldu_ints_ref(a, n, ring):
+    """The former ``groups._ldu_ints``: the LDU of int rows modulo p^N, in
+    place, with the non-unit pivot error of the scalar ``_ldu``."""
+    p, mod = ring.p, ring.ppow(ring.prec)
+    lmat = [[int(i == j) for j in range(n)] for i in range(n)]
+    umat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        ak = a[k]
+        piv = ak[k]
+        if piv % p == 0:
+            shown = PadicScalar(ring, piv, ring.prec, False)
+            raise InternalError(f"elimination pivot {k} is not a unit: {shown!r}")
+        pivinv = pow(piv, -1, mod)
+        for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k] * pivinv % mod
+            lmat[i][k] = f
+            if f:
+                for j in range(k, n):
+                    ai[j] = (ai[j] - f * ak[j]) % mod
+        uk = umat[k]
+        for j in range(k + 1, n):
+            uk[j] = pivinv * ak[j] % mod
+    return lmat, [a[k][k] for k in range(n)], umat
+
+
+def strip_ints_ref(G, cur, batch_roots):
+    """The former ``ChevalleyGroup._strip_ints``: the strip on int rows in
+    the element's own basis order, in place."""
+    mod, params = G._mod, []
+    for root in batch_roots:
+        dirs = G.dirs[root]
+        i0, j0, s0 = dirs[0]
+        x = cur[i0][j0] if s0 == 1 else -cur[i0][j0] % mod
+        for (i, j, s) in dirs[1:]:
+            if (cur[i][j] - (x if s == 1 else -x)) % mod:
+                raise InternalError(f"paired entries for root {root} disagree")
+        params.append((root, x))
+        for (i, j, s) in dirs:
+            f = -x if s == 1 else x
+            dst = cur[i]
+            for k, c in enumerate(cur[j]):
+                if c:
+                    dst[k] = (dst[k] + f * c) % mod
+    for i, row in enumerate(cur):
+        for j, e in enumerate(row):
+            if (e - (i == j)) % mod:
+                raise InternalError("unipotent strip left a remainder")
+    return params
+
+
+def factor_ints_ref(G, ints, w, tie_break):
+    """The former ``ChevalleyGroup._factor_ints`` on ints, its basis order and
+    batches taken from the twist here, not from the plan: permute, LDU,
+    permute both factors back, strip them, then the torus and the checks.
+    Returns (negative, torus coordinates, diagonal, positive, omega)."""
+    p, mod, n = G.ring.p, G._mod, G.n
+    mu, _a = G.datum.adapted_cocharacter(w)
+    exps = G.exponents(mu)
+    order = sorted(range(n), key=lambda i: -exps[i])
+    neg_batch, pos_batch = G.batches(w, tie_break)
+    lmat, diag_sorted, umat = ldu_ints_ref(permuted_ref(ints, order), n, G.ring)
+    inv_order = inverse_order_ref(order)
+    neg = strip_ints_ref(G, permuted_ref(lmat, inv_order), neg_batch)
+    pos = strip_ints_ref(G, permuted_ref(umat, inv_order), pos_batch)
+    diag = [diag_sorted[k] for k in inv_order]
+    torus_coords = G._torus_coords_ints(diag)
+    if any((d - 1) % p for d in diag):
+        raise InternalError("torus part is not pro-p")
+    for root, x in neg + pos:
+        if G.datum.height(root) < 0 and x % p:
+            raise InternalError("upper root parameter not divisible by p")
+    omega = PValue.min([PValue.of(G._wrap(x), G._omega_offset[r]) for r, x in neg + pos]
+                       + [PValue.of(G._wrap((d - 1) % mod)) for d in diag])
+    return neg, torus_coords, diag, pos, omega
+
+
+def kernel_inputs(G, rng):
+    """Int rows for the kernel: members of I, flat non-members that keep the
+    group relation, rows congruent to the identity mod p (sl_n: mostly off
+    the torus lattice; sp4: mostly unpaired entries), uniform rows (mostly a
+    non-unit pivot or a unit upper parameter), and rows of p's."""
+    p, mod, n = G.ring.p, G._mod, G.n
+    out = [sample_iwahori(G, rng)._int_rows() for _ in range(3)]
+    out += [g._int_rows() for _message, g in relation_keeping_non_members(G)]
+    out += [tuple(tuple((int(i == j) + p * rng.randrange(mod)) % mod for j in range(n))
+                  for i in range(n)) for _ in range(3)]
+    out += [tuple(tuple(rng.randrange(mod) for _ in range(n)) for _ in range(n))
+            for _ in range(3)]
+    out.append(tuple(tuple(p % mod for _ in range(n)) for _ in range(n)))
+    return [rows for rows in out if rows is not None]
+
+
+KERNEL_CONFIGS = [(name, p, n) for name, p in (("sl2", 5), ("sl3", 5), ("sp4", 7))
+                  for n in (1, 2, 3, 12)]
+
+
+@pytest.mark.parametrize("config", KERNEL_CONFIGS, ids=lambda c: "-".join(map(str, c)))
+def test_plan_order_kernel_matches_the_former_kernel(config):
+    # every twist and tie-break, on members and on planted bad rows: the same
+    # ints and omega, or the same InternalError text
+    G = ChevalleyGroup(*config)
+    rng = Random(f"kernel-{config}")
+    seen = set()
+    for w in G.datum.weyl_group():
+        for tie_break in ("lex", "revlex"):
+            plan = G._factor_plan(w, tie_break)
+            for ints in kernel_inputs(G, rng):
+                fast = outcome(G._factor_ints, ints, plan)
+                assert fast == outcome(factor_ints_ref, G, ints, w, tie_break), (w.name, ints)
+                seen.add(fast[1].split(":")[0].split(" for root")[0]
+                         if fast[0] is InternalError else "value")
+    assert {"value", "elimination pivot 0 is not a unit", "torus part is not pro-p",
+            "upper root parameter not divisible by p"} <= seen
+    assert ("paired entries" if G.name == "sp4"
+            else "torus diagonal is not in the cocharacter lattice") in seen
+
+
+def test_int_built_elements_and_factorizations_read_as_the_eager_wraps():
+    # .mat and the four factor lists are built when first read, and equal the
+    # scalars the integer path used to wrap at once
+    G = INT_GROUPS[("sp4", 7, 12)]
+    rng = Random(7)
+    for _ in range(20):
+        g = sample_iwahori(G, rng) * sample_iwahori(G, rng)
+        rows = g._int_rows()
+        assert g._mat is None
+        assert mat_state(g) == [[state(G._wrap(v)) for v in row] for row in rows]
+        for w in G.datum.weyl_group():
+            fact = G.iwahori_factorize(g, w)
+            neg, coords, diag, pos, omega = G._factor_ints(rows, G._factor_plan(w, "lex"))
+            assert fact.omega == omega
+            assert fact_state(fact) == ([(r, state(G._wrap(x))) for r, x in neg],
+                                        [state(G._wrap(s)) for s in coords],
+                                        [state(G._wrap(d)) for d in diag],
+                                        [(r, state(G._wrap(x))) for r, x in pos])
+            with scalar_route():
+                assert fact_state(G.iwahori_factorize(fresh(g), w)) == fact_state(fact)
+
+
+def test_an_element_never_read_as_scalars_builds_none(monkeypatch):
+    # the axiom suite reads its samples, products, inverses and powers only
+    # through their int rows and the omega of their factorizations
+    built = []
+    init = PadicScalar.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    for config in (("sl3", 5, 10), ("sp4", 7, 12)):
+        G = ChevalleyGroup(*config)
+        monkeypatch.setattr(PadicScalar, "__init__", counting_init)
+        report = check_pvaluation_axioms(G, 6, seed=3)
+        g = sample_iwahori(G, Random(4))
+        facts = [G.iwahori_factorize(g, w) for w in G.datum.weyl_group()]
+        assert report.total_failures == 0 and built == []
+        assert g._mat is None and all(fact._wrapped is False for fact in facts)
+        assert len(g.mat) == G.n and len(built) == G.n ** 2  # built once read
+        monkeypatch.undo()
+        built.clear()
 
 
 # -- samples built on int rows, and omega read off the int factorization ----------

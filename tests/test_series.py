@@ -53,6 +53,41 @@ def random_series(ctx, rng, degree, terms, unit_den=False):
     return TruncatedSeries(ctx, coeffs, degree)
 
 
+def _revalidated(f):
+    """f rebuilt through ``TruncatedSeries.__init__``'s checks."""
+    return TruncatedSeries(f.ctx, f.coeffs, f.degree)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sp4"])
+def test_series_ops_return_series_that_pass_the_constructor_checks(name):
+    # the ops that skip the re-check give what it would keep: the same
+    # coefficients and cap, no int and no zero coefficient
+    ctx = ctx_for(name)
+    rng = random.Random(f"checked-{name}")
+    for trial in range(30):
+        f, g = random_series(ctx, rng, 6, 8, unit_den=True), random_series(ctx, rng, 6, 8)
+        scalar = TruncatedSeries(ctx, {k: ctx.ring.from_fraction(c)
+                                       for k, c in f.coeffs.items()}, 6)
+        s = trial % 2
+        below, atleast = slope_split(f, s)
+        shift = [Fraction(rng.randrange(-4, 5), rng.choice([1, 2])) for _ in range(ctx.nvars)]
+        outs = [-f, f + g, f - f, scalar + scalar, -scalar, below, atleast, slope_exact(f, s),
+                hida_projector(atleast, s, 2), hida_projector(slope_split(scalar, s)[1], s, 1),
+                translate_action(f, shift), translate_action(scalar, shift)]
+        for out in outs:
+            assert out.coeffs == _revalidated(out).coeffs and out.degree == _revalidated(out).degree
+            assert all(type(k) is tuple and len(k) == ctx.nvars for k in out.coeffs)
+            assert not any(isinstance(c, int) or (c == 0 if isinstance(c, Fraction)
+                                                  else c.is_exact_zero)
+                           for c in out.coeffs.values())
+    # different caps still merge through the checks
+    low = TruncatedSeries.monomial(ctx, (1,) + (0,) * (ctx.nvars - 1), 1, 1)
+    high = TruncatedSeries.monomial(ctx, (2,) + (0,) * (ctx.nvars - 1), 1, 2)
+    with pytest.raises(SeriesError, match="exceeds the degree cap 1"):
+        low + high
+    assert (low + low).degree == 1 and (low + TruncatedSeries(ctx, low.coeffs)).degree is None
+
+
 def test_lambda_values():
     ctx = ctx_for("sl2")
     assert ctx.lambda_of((0,)) == 0
@@ -96,12 +131,15 @@ def _wrong_length_calls():
     for n in (1, 5):
         z = [1] * n
         yield f"evaluate-{n}", 4, f.evaluate, (z,)
+        yield f"lambda_of-{n}", 4, ctx.lambda_of, (tuple(z),)
         yield f"lie_action-{n}", 4, lie_action, (f, 1, z)
         yield f"coordinate_change_polys-{n}", 4, coordinate_change_polys, (ctx, z)
         yield f"translate_action-{n}", 4, translate_action, (f, z)
         yield f"batch_coordinate_product-{n}", 4, batch_coordinate_product, (ctx, [1] * 4, z)
     for n in (1, 3):
         yield f"character_point-{n}", 2, chi.evaluate, (ctx, (one,) * n)
+        yield f"derivative_pairing-{n}", 2, chi.derivative_pairing, ((1,) * n,)
+        yield f"point_from_cocharacter-{n}", 2, ctx.point_from_cocharacter, ((1,) * n, one)
         bad = Character.from_rationals(*([Fraction(1, 3)] * n))
         yield f"character_coeffs-{n}", 2, bad.evaluate, (ctx, (one, one))
 
