@@ -293,7 +293,8 @@ def check_verma(group: ChevalleyGroup) -> SelfTestReport:
         simple, _ = bgg_simple(DerivedCharacter.of("sp4", 0, 0))
         if simple:
             failures.append("zero character must not be simple")
-    if summand_inventory(group.name)["count"] != len(group.datum.weyl_group()):
+    # the Weyl group orders of A1, A2 and C2
+    if summand_inventory(group.name)["count"] != {"sl2": 2, "sl3": 6, "sp4": 8}[group.name]:
         failures.append("summand count")
     return SelfTestReport(failures)
 

@@ -60,20 +60,21 @@ call, also when the same element was factorized before:
 Integer path
 ------------
 An element whose entries are all inexact and all at the ring precision N
-is read once into plain ints modulo p^N and cached on the element.  For
+is read into plain ints modulo p^N when it is built, and keeps them.  For
 such elements the group relation, the membership test, the factor minimum
 omega, products and inverses run on those ints, and so does the
-factorization, in plan order: the LDU of the rows permuted once into the
-twist's basis order, then both strips through the batch directions that the
-plan maps to that order.  Results stay ints until read: an element builds
-its scalar entries ``mat``, and a factorization wraps its four factor lists,
-the first time they are read, so ``p_valuation`` builds no scalar.
+factorization.  Results stay ints until read: an element builds its scalar
+entries ``mat``, and a factorization wraps its four factor lists, the first
+time they are read, so ``p_valuation`` builds no scalar.
 ``from_coordinates`` builds such elements on ints from int coordinates in
 1..p^N - 1, as ``sample_iwahori`` draws them.  The path gives the same
 (co, prec, exact) as the scalar route, runs the same self-checks and raises
 the same exceptions; its outputs are again inexact at N, so chained products
 stay on it.  Exact or mixed-precision entries (user matrices, the identity,
-root generators) take the scalar route.
+root generators) take the scalar route.  Both routes factor in plan order:
+the LDU of the rows permuted once into the twist's basis order, then both
+strips, in place, through the batch directions that the plan maps to that
+order.
 """
 
 from __future__ import annotations
@@ -309,19 +310,8 @@ class ChevalleyGroup:
         c = self.ring.coerce(c)
         return self._diagonal([c ** e for e in self.exponents(mu)])
 
-    # sparse one-parameter multiplications: a root element touches at most
-    # two entries, so row and column updates beat full matrix products
-    def _lmul_root_inplace(self, rows, root, x):
-        if x.is_exact_zero:
-            return
-        n = self.n
-        for (i, j, s) in self.dirs[tuple(root)]:
-            f = x if s == 1 else -x
-            src_row = rows[j]
-            dst = rows[i]
-            for k in range(n):
-                dst[k] = dst[k] + f * src_row[k]
-
+    # sparse one-parameter multiplication: a root element touches at most
+    # two entries, so column updates beat full matrix products
     def _rmul_root_inplace(self, rows, root, x):
         if x.is_exact_zero:
             return
@@ -372,7 +362,7 @@ class ChevalleyGroup:
             raise ValueError("element of a different group")
         if not g.satisfies_group_relation():
             return False
-        ints = g._int_rows()
+        ints = g._ints
         if ints is not None:
             # diagonal congruent to 1 and upper entries to 0 mod p
             p = self.ring.p
@@ -390,7 +380,7 @@ class ChevalleyGroup:
             raise MembershipError("factorization needs an element of the pro-p Iwahori")
         w = self.datum.identity_weyl() if w is None else w
         plan = self._factor_plan(w, tie_break)
-        ints = g._int_rows()
+        ints = g._ints
         if ints is not None:
             return Factorization(self, w, *self._factor_ints(ints, plan), wrapped=False)
         fact = Factorization(self, w, *self._factor_scalars(g.mat, plan), None)
@@ -399,13 +389,12 @@ class ChevalleyGroup:
 
     def _factor_scalars(self, mat, plan):
         """(negative params, torus coordinates, torus diagonal, positive
-        params) of an element of I, on PadicScalar entries."""
-        lmat, diag_sorted, umat = _ldu(_permuted(mat, plan.order), self.n, self.ring)
-        inv_order = plan.inv_order
-        n1, n2 = _permuted(lmat, inv_order), _permuted(umat, inv_order)
-        diag = [diag_sorted[k] for k in inv_order]
-        neg = self._strip_unipotent(n1, plan.neg_batch)
-        pos = self._strip_unipotent(n2, plan.pos_batch)
+        params) of an element of I, on PadicScalar entries in plan order."""
+        order = plan.order
+        lmat, diag_sorted, umat = _ldu([[mat[i][j] for j in order] for i in order], self.ring)
+        neg = _strip(lmat, plan.neg_strip)
+        pos = _strip(umat, plan.pos_strip)
+        diag = [diag_sorted[k] for k in plan.inv_order]
         torus_coords = self._torus_coords_from_diag(diag)
         if not all((d - 1).zero_mod(1) for d in diag):
             raise InternalError("torus part is not pro-p")
@@ -415,8 +404,8 @@ class ChevalleyGroup:
         return neg, torus_coords, diag, pos
 
     def _factor_ints(self, ints, plan):
-        """``_factor_scalars`` on the int rows of a flat element, modulo p^N in
-        plan order, with the same checks; the ints and omega.  The LDU factors
+        """``_factor_scalars`` on the int rows of a flat element, modulo p^N,
+        with the same checks; the ints and omega.  The LDU factors
         carry exact 0 and 1 outside their strict triangles, where the batch
         roots never lie (``_factor_plan``), so every output wraps inexact."""
         p, mod, n = self.ring.p, self._mod, self.n
@@ -492,31 +481,6 @@ class ChevalleyGroup:
                         for r in batch) for batch in batches]
         plan = _FACTOR_PLANS[key] = _FactorPlan(order, inv, *batches, *strips)
         return plan
-
-    def _strip_unipotent(self, mat, batch_roots):
-        """(root, parameter) pairs stripped in batch order off a unipotent
-        matrix of scalars, or of ``series._Poly`` polynomials (the batch-group
-        strip of ``series.coordinate_change_polys``)."""
-        params = []
-        cur = [list(row) for row in mat]
-        for root in batch_roots:
-            dirs = self.dirs[root]
-            i0, j0, s0 = dirs[0]
-            x = cur[i0][j0] if s0 == 1 else -cur[i0][j0]
-            for (i, j, s) in dirs[1:]:
-                expect = x if s == 1 else -x
-                if not cur[i][j] == expect:
-                    raise InternalError(f"paired entries for root {root} disagree")
-            params.append((root, x))
-            self._lmul_root_inplace(cur, root, -x)
-        # int targets, not ring constants: an entry known beyond the ring
-        # precision is checked at its own precision
-        for i in range(self.n):
-            for j in range(self.n):
-                target = 1 if i == j else 0
-                if not cur[i][j] == target:
-                    raise InternalError("unipotent strip left a remainder")
-        return params
 
     def _torus_coords_ints(self, diag):
         """``_torus_coords_from_diag`` on int units modulo p^N."""
@@ -704,7 +668,8 @@ class EtData:
         return True
 
     def root_values(self):
-        """val(alpha(t)) = ht(alpha)/(e*h) for the positive roots, exact."""
+        """val(alpha(t)) = ht(alpha)/h for the positive roots, exact: alpha(t) =
+        pi^(a*ht(alpha)) and val(pi) = 1/e = 1/(a*h)."""
         return {r: self.group._omega_offset[r] for r in self.group.datum.positive_roots}
 
 
@@ -780,10 +745,7 @@ def _matmul(a, b, n):
     return tuple(out)
 
 
-_UNREAD = object()  # GroupElement._ints before its entries are first read
-
-
-def _flat_int_rows(mat, ring):
+def _flat_ints(mat, ring):
     """Int rows of mat if every entry is an inexact scalar of the ring at
     its precision N, else None."""
     prec = ring.prec
@@ -834,9 +796,38 @@ def _adjugate_det(mat, n, zero):
     return adj, det
 
 
-def _strip_ints(cur, strip, mod):
-    """``ChevalleyGroup._strip_unipotent`` on int rows modulo p^N, in place,
+def _strip(cur, strip):
+    """(root, parameter) pairs stripped in place off a unipotent matrix cur
+    of scalars, or of ``series._Poly`` polynomials (the batch-group strip),
     through (root, directions) pairs whose directions index the rows of cur."""
+    params = []
+    for root, dirs in strip:
+        i0, j0, s0 = dirs[0]
+        x = cur[i0][j0] if s0 == 1 else -cur[i0][j0]
+        for (i, j, s) in dirs[1:]:
+            if not cur[i][j] == (x if s == 1 else -x):
+                raise InternalError(f"paired entries for root {root} disagree")
+        params.append((root, x))
+        y = -x  # left multiplication by u_root(y)
+        if y.is_exact_zero:
+            continue
+        for (i, j, s) in dirs:
+            f = y if s == 1 else -y
+            dst = cur[i]
+            for k, c in enumerate(cur[j]):
+                if c:  # a _Poly is falsy when zero; a scalar never is
+                    dst[k] = dst[k] + f * c
+    # int targets, not ring constants: an entry known beyond the ring
+    # precision is checked at its own precision
+    for i, row in enumerate(cur):
+        for j, e in enumerate(row):
+            if not e == (1 if i == j else 0):
+                raise InternalError("unipotent strip left a remainder")
+    return params
+
+
+def _strip_ints(cur, strip, mod):
+    """``_strip`` on int rows modulo p^N."""
     params = []
     for root, dirs in strip:
         i0, j0, s0 = dirs[0]
@@ -859,51 +850,48 @@ def _strip_ints(cur, strip, mod):
     return params
 
 
-def _permuted(mat, order):
-    """Rows and columns of mat in the given order, as mutable lists."""
-    return [[mat[i][j] for j in order] for i in order]
-
-
-def _ldu(mat, n, ring):
-    """Exact LDU of a matrix with unit leading minors; raises on a
-    non-unit pivot, which cannot happen for pro-p Iwahori inputs."""
-    a = [list(row) for row in mat]
+def _ldu(a, ring):
+    """Exact LDU of the rows a, in place, for unit leading minors: row k of U
+    is filled at step k from its pivot's inverse.  Raises on a non-unit pivot,
+    which cannot happen for pro-p Iwahori inputs."""
+    n = len(a)
     one, zero = ring.one(), ring.zero(exact=True)
     lmat = [[one if i == j else zero for j in range(n)] for i in range(n)]
     umat = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for k in range(n):
-        piv = a[k][k]
+        ak = a[k]
+        piv = ak[k]
         if not piv.is_unit():
             raise InternalError(f"elimination pivot {k} is not a unit: {piv!r}")
         pivinv = piv.inv()
         for i in range(k + 1, n):
-            f = a[i][k] * pivinv
+            ai = a[i]
+            f = ai[k] * pivinv
             lmat[i][k] = f
-            if not f.is_exact_zero:
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-    diag = [a[k][k] for k in range(n)]
-    for k in range(n):
-        pivinv = diag[k].inv()
+            if not f.is_exact_zero:  # column k of a is not read again
+                for j in range(k + 1, n):
+                    ai[j] = ai[j] - f * ak[j]
+        uk = umat[k]
         for j in range(k + 1, n):
-            umat[k][j] = pivinv * a[k][j]
-    return lmat, diag, umat
+            uk[j] = pivinv * ak[j]
+    return lmat, [a[k][k] for k in range(n)], umat
 
 
 class GroupElement:
     """Square matrix over the scalar ring tagged with its group.
 
-    ``_ints`` caches the entries as int rows modulo p^N for the integer
-    path (see the module docstring), or None off it; it is read on first
-    use, or handed in, with ``mat`` None, by the integer path that built the
-    element, which builds ``mat`` the first time it is read."""
+    ``_ints`` holds the entries as int rows modulo p^N for the integer path
+    (see the module docstring), or None off it; it is read off ``mat`` when
+    the element is built, or handed in, with ``mat`` None, by the integer
+    path that built the element, which builds ``mat`` the first time it is
+    read."""
 
     __slots__ = ("group", "_mat", "_ints")
 
-    def __init__(self, group: ChevalleyGroup, mat, ints=_UNREAD):
+    def __init__(self, group: ChevalleyGroup, mat, ints=None):
         self.group = group
         self._mat = mat
-        self._ints = ints
+        self._ints = _flat_ints(mat, group.ring) if ints is None else ints
 
     @property
     def mat(self):
@@ -913,18 +901,10 @@ class GroupElement:
             mat = self._mat = tuple(tuple(wrap(v) for v in row) for row in self._ints)
         return mat
 
-    def _int_rows(self):
-        """The entries as int rows modulo p^N when every entry is inexact at
-        the ring precision N, else None."""
-        ints = self._ints
-        if ints is _UNREAD:
-            ints = self._ints = _flat_int_rows(self.mat, self.group.ring)
-        return ints
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.group is not self.group:
             raise ValueError("elements of different groups")
-        a, b = self._int_rows(), other._int_rows()
+        a, b = self._ints, other._ints
         if a is not None and b is not None:
             return GroupElement(self.group, None, _matmul_ints(a, b, self.group._mod))
         return GroupElement(self.group, _matmul(self.mat, other.mat, self.group.n))
@@ -934,7 +914,7 @@ class GroupElement:
             return self.inv() ** (-k)
         # identity * base is base itself on the integer path, so the ladder
         # starts from the base there
-        result = None if self._int_rows() is not None else self.group.identity()
+        result = None if self._ints is not None else self.group.identity()
         base = self
         while k:
             if k & 1:
@@ -946,7 +926,7 @@ class GroupElement:
 
     def inv(self) -> "GroupElement":
         n, group = self.group.n, self.group
-        ints = self._int_rows()
+        ints = self._ints
         if ints is not None:
             mod = group._mod
             if group.name == "sp4":
@@ -979,7 +959,7 @@ class GroupElement:
 
     def satisfies_group_relation(self) -> bool:
         group = self.group
-        ints = self._int_rows()
+        ints = self._ints
         if group.name == "sp4":
             # g^T J g = J for the antidiagonal Gram matrix J, whose nonzero
             # entries are J[0][3] = J[1][2] = 1 and J[2][1] = J[3][0] = -1.

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .groups import ChevalleyGroup, PValue
+from .groups import ChevalleyGroup, PValue, _strip
 from .padic import (INF, InternalError, PadicScalar, UnitError, padic_exp, padic_log,
                     vp_fraction, vp_int)
 from .roots import WeylElement
@@ -141,8 +141,7 @@ def character_expand(c, r_max: int, p: int):
     as exact rationals, plus whether they tend to zero p-adically."""
     c = Fraction(c)
     coeffs = [Fraction(p) ** r * c ** r / math.factorial(r) for r in range(r_max + 1)]
-    converges = vp_fraction(c, p) is INF or vp_fraction(c, p) > Fraction(1, p - 1) - 1
-    return coeffs, converges
+    return coeffs, Character((c,)).is_rigid(p)
 
 
 class TruncatedSeries:
@@ -477,8 +476,8 @@ def _entry(c):
 class _Poly(dict):
     """A polynomial {packed multi-index: coefficient} with no zero coefficient,
     an int while it is integral: the entry type of the batch-group strip, never
-    changed once built, with what ``ChevalleyGroup._strip_unipotent`` and its
-    row helpers use."""
+    changed once built, with what ``groups._strip`` and
+    ``ChevalleyGroup._rmul_root_inplace`` use."""
 
     @property
     def is_exact_zero(self) -> bool:
@@ -525,8 +524,9 @@ def _batch_product(ctx: SeriesContext, first, second):
     for coords in (first, second):
         for root, scale, x in zip(ctx.batch, scales, coords):
             group._rmul_root_inplace(rows, root, x if scale == 1 else x * _Poly({0: scale}))
+    strip = [(root, group.dirs[root]) for root in ctx.batch]
     return [x if scale == 1 else x * _Poly({0: Fraction(1, scale)})
-            for (_, x), scale in zip(group._strip_unipotent(rows, ctx.batch), scales)]
+            for (_, x), scale in zip(_strip(rows, strip), scales)]
 
 
 def coordinate_change_polys(ctx: SeriesContext, shift_coords):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .padic import InternalError
 from .roots import RootDatum, WeylElement, get_root_datum
 
 
@@ -175,13 +176,13 @@ def sp4_conditions(c1, c2):
         diag = SP4_CARTAN_DIAGONALS[root]
         # consistency of the golden data with the symplectic chart
         if diag[2] != -diag[1] or diag[3] != -diag[0]:
-            raise AssertionError("golden Cartan matrix is not in the torus algebra")
+            raise InternalError("golden Cartan matrix is not in the torus algebra")
         shifted = (c1 + datum.delta[0], c2 + datum.delta[1])
         explicit.append(shifted[0] * diag[0] + shifted[1] * diag[1])
     _, certificate = bgg_simple(dchi)
     generic = {tuple(entry["root"]): entry["value"] for entry in certificate}
     if explicit != [generic[r] for r in SP4_CONDITION_ORDER]:
-        raise AssertionError("explicit Cartan path disagrees with the pairing path")
+        raise InternalError("explicit Cartan path disagrees with the pairing path")
     return tuple(explicit)
 
 
@@ -199,7 +200,7 @@ def summand_inventory(group: str):
                 continue
             witness = datum.intersection_witness(w, w2)
             if witness is None:
-                raise AssertionError(f"no witness root for {w.name} vs {w2.name}")
+                raise InternalError(f"no witness root for {w.name} vs {w2.name}")
             witnesses[(w.name, w2.name)] = witness
     return {
         "group": datum.name,

@@ -5,8 +5,10 @@ from iwahori.axioms import (
     check_et_embedding,
     check_oracle_agreement,
     check_pvaluation_axioms,
+    check_verma,
 )
 from iwahori.groups import ChevalleyGroup, GateError, PValue
+from iwahori.roots import RootDatum
 from fractions import Fraction
 
 
@@ -82,3 +84,14 @@ def test_et_gate_violation():
         check_et_embedding(ChevalleyGroup("sp4", p=5, prec=12))
     with pytest.raises(GateError):
         check_pvaluation_axioms(ChevalleyGroup("sp4", p=5, prec=8), 1)
+
+
+@pytest.mark.parametrize("name,p", [("sl2", 7), ("sl3", 7), ("sp4", 7)])
+def test_verma_summand_count_is_the_weyl_group_order(name, p, monkeypatch):
+    # the count is checked against |W| of A1, A2 and C2, not against the
+    # list it was counted from, so a Weyl group missing an element fails
+    group = ChevalleyGroup(name, p=p, prec=12)
+    assert check_verma(group).failures == []
+    weyl_group = RootDatum.weyl_group
+    monkeypatch.setattr(RootDatum, "weyl_group", lambda self: weyl_group(self)[:-1])
+    assert "summand count" in check_verma(group).failures

@@ -265,7 +265,9 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     from iwahori.groups import ChevalleyGroup
     from iwahori.padic import InternalError
     assert not issubclass(InternalError, ValueError)
-    monkeypatch.setattr(ChevalleyGroup, "_lmul_root_inplace", lambda self, rows, root, x: None)
+    plan = ChevalleyGroup._factor_plan
+    monkeypatch.setattr(ChevalleyGroup, "_factor_plan", lambda self, w, tie_break: plan(
+        self, w, tie_break)._replace(neg_strip=(), pos_strip=()))
     element = ("[[8310042483, 11069826243, 11969879208],"
                " [13417612307, 11596260964, 3897042877],"
                " [4957614081, 4178002876, 1291752323]]")
@@ -274,6 +276,34 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert code == 3
     assert err.startswith("internal error: unipotent strip left a remainder")
 
+
+
+@pytest.mark.parametrize("argv", [["sp4-golden"], ["verify", "verma", "--group", "sp4"]])
+def test_a_broken_golden_table_is_an_internal_error(argv, monkeypatch, capsys):
+    # the golden Cartan data is the library's own: a bad entry is a failed
+    # self-check, exit 3, not a traceback
+    from iwahori import verma
+    monkeypatch.setitem(verma.SP4_CARTAN_DIAGONALS, (2, 0), (1, 0, 0, 1))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: golden Cartan matrix is not in the torus algebra")
+
+
+def test_exact_inputs_keep_their_exactness_at_the_cli(capsys):
+    # the exact identity has omega infinity, not a cap marker, on both
+    # routes, and an exact entry 0 is reported as the exact "0"
+    code, out = run(capsys, "omega", "--group", "sl2", "--p", "7",
+                    "--element", '[["1","0"],["0","1"]]', "--oracle")
+    data = json.loads(out)
+    assert code == 0 and data["omega"] == "inf" and data["omega_oracle"] == "inf"
+    code, out = run(capsys, "factorize", "--group", "sl2", "--p", "7",
+                    "--element", '[["1","0"],["7","1"]]')
+    data = json.loads(out)
+    assert code == 0
+    assert data["negative_batch"] == [{"root": [-1, 1], "parameter": "0"}]
+    assert data["positive_batch"] == [{"root": [1, -1], "parameter": "p + O(p^12)"}]
+    assert data["torus_coordinates"] == ["1 + O(p^12)"]
 
 def test_slope_project_rejects_a_huge_exponent_quickly(tmp_path, capsys):
     # (p-1)*12! is about 2.9e9: the projector refuses before exponentiating
@@ -399,7 +429,7 @@ def test_verify_all_factorizes_each_element_and_twist_once(monkeypatch, capsys):
 
     def recording(self, g, w=None, tie_break="lex"):
         twist = self.datum.identity_weyl() if w is None else w
-        rows = g._int_rows()
+        rows = g._ints
         seen.append((repr(g) if rows is None else rows, twist.matrix, tie_break))
         return factorize(self, g, w, tie_break)
 
@@ -419,12 +449,12 @@ def test_verify_all_checks_the_samples_that_verify_draws(monkeypatch, capsys):
                          ChevalleyGroup.iwahori_factorize)
 
     def recording_oracle(self, g):
-        checked.append(("oracle", g._int_rows()))
+        checked.append(("oracle", g._ints))
         return oracle(self, g)
 
     def recording_factorize(self, g, w=None, tie_break="lex"):
         if w is not None:  # only the compat suite names a twist
-            checked.append(("compat", g._int_rows(), w.matrix))
+            checked.append(("compat", g._ints, w.matrix))
         return factorize(self, g, w, tie_break)
 
     monkeypatch.setattr(ChevalleyGroup, "p_valuation_by_conjugation", recording_oracle)

@@ -299,7 +299,7 @@ def scalar_route():
     ``from_coordinates`` given scalars, since it builds int coordinates in
     1..p^N - 1 on int rows."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups, "_flat_int_rows", lambda mat, ring: None)
+        mp.setattr(groups, "_flat_ints", lambda mat, ring: None)
         mp.setattr(padic, "_exp_loop", exp_loop_ref)
         mp.setattr(padic, "_log_loop", log_loop_ref)
         yield
@@ -386,14 +386,13 @@ def outcome(fn, *args):
 
 
 def assert_flat(g):
-    """Every entry inexact at the ring precision, and the cached int rows
-    (when present) equal to the entries."""
+    """Every entry inexact at the ring precision, and the int rows equal to
+    the entries."""
     ring = g.group.ring
     assert all(not e.exact and e.prec == ring.prec and e.ring == ring
                for row in g.mat for e in row)
     rows = tuple(tuple(e.co for e in row) for row in g.mat)
-    assert g._ints in (groups._UNREAD, rows)
-    assert g._int_rows() == rows
+    assert g._ints == rows
 
 
 CONFIGS = [(name, p, n) for name, ps in (("sl2", (5, 7, 11)), ("sl3", (5, 7, 11)),
@@ -418,7 +417,7 @@ def test_int_path_matches_scalar_route(config, seed_g, seed_h, w_index, tie_brea
     g, h = sample_iwahori(G, Random(seed_g)), sample_iwahori(G, Random(seed_h))
     # a coordinate drawn as 0 can leave an exact entry; such elements take
     # the scalar route on both sides
-    assume(g._int_rows() is not None and h._int_rows() is not None)
+    assume(g._ints is not None and h._ints is not None)
     w, tb = draw_twist(G, w_index, tie_break)
     ops = {
         "factorize": lambda a, b: a.group.iwahori_factorize(a, w, tb),
@@ -439,7 +438,7 @@ def test_int_path_matches_scalar_route(config, seed_g, seed_h, w_index, tie_brea
 def test_int_path_factorizations_match_for_every_twist(config):
     G = INT_GROUPS[config]
     g = sample_iwahori(G, Random(sum(config[1:])))
-    assert g._int_rows() is not None
+    assert g._ints is not None
     for w in G.datum.weyl_group():
         for tie_break in ("lex", "revlex"):
             fast = outcome(G.iwahori_factorize, fresh(g), w, tie_break)
@@ -461,7 +460,7 @@ def test_int_path_verdicts_match_on_members_and_bumps(config, sample_seed, i, j,
     if bump:
         rows[i][j] = rows[i][j] + c * G.ring.p ** k
     h = GroupElement(G, tuple(tuple(row) for row in rows))
-    assume(h._int_rows() is not None)
+    assume(h._ints is not None)
 
     def verdicts(x):
         return (x.satisfies_group_relation(), G.in_iwahori(x),
@@ -485,7 +484,7 @@ def test_int_path_bumps_are_rejected():
             rows = [list(row) for row in g.mat]
             rows[0][0] = rows[0][0] + G.ring.p ** k
             h = GroupElement(G, tuple(tuple(row) for row in rows))
-            assert h._int_rows() is not None and not G.in_iwahori(h)
+            assert h._ints is not None and not G.in_iwahori(h)
             with pytest.raises(MembershipError):
                 G.iwahori_factorize(h)
 
@@ -507,7 +506,7 @@ def test_int_relation_checks_every_upper_entry():
                 rows = [list(row) for row in flatten(G.identity()).mat]
                 rows[r][c] = rows[r][c] + G.ring.p ** k
                 h = GroupElement(G, tuple(tuple(row) for row in rows))
-                assert h._int_rows() is not None
+                assert h._ints is not None
                 assert not h.satisfies_group_relation()
                 with scalar_route():
                     assert not fresh(h).satisfies_group_relation()
@@ -527,7 +526,7 @@ def relation_keeping_non_members(G):
 def test_int_membership_rejects_relation_keeping_non_members(config, monkeypatch):
     G = INT_GROUPS[config]
     for message, g in relation_keeping_non_members(G):
-        assert g._int_rows() is not None and g.satisfies_group_relation()
+        assert g._ints is not None and g.satisfies_group_relation()
         assert not G.in_iwahori(g)
         with scalar_route():
             assert not G.in_iwahori(fresh(g))
@@ -549,7 +548,7 @@ def test_int_path_raises_on_a_forced_non_unit_pivot(config, monkeypatch):
     flat = G.ring.from_int(p).truncate(G.ring.prec)  # p + O(p^N), exact flag kept
     flat = PadicScalar(G.ring, flat.co, G.ring.prec, False)
     g = GroupElement(G, tuple(tuple(flat for _ in range(G.n)) for _ in range(G.n)))
-    assert g._int_rows() is not None
+    assert g._ints is not None
     fast = outcome(G.iwahori_factorize, g)
     with scalar_route():
         ref = outcome(G.iwahori_factorize, fresh(g))
@@ -592,8 +591,9 @@ def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data)
         ints.append(irow)
         scalars.append(srow)
 
+    strip = tuple((r, G.dirs[r]) for r in batch)
+
     def strip_ints():
-        strip = tuple((r, G.dirs[r]) for r in batch)
         return [(r, state(G._wrap(x))) for r, x in
                 groups._strip_ints([list(row) for row in ints], strip, mod)]
 
@@ -601,7 +601,7 @@ def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data)
         return [(r, state(G._wrap(x))) for r, x in strip_ints_ref(G, ints, batch)]
 
     def strip_scalars():
-        return [(r, state(x)) for r, x in G._strip_unipotent(scalars, batch)]
+        return [(r, state(x)) for r, x in groups._strip([list(row) for row in scalars], strip)]
 
     assert outcome(strip_ints) == outcome(strip_ints_former) == outcome(strip_scalars)
 
@@ -643,12 +643,12 @@ def test_int_path_outputs_stay_flat(config, seed_g, seed_h, w_index):
     # commutator, g**p) stay on the integer path
     G = INT_GROUPS[config]
     g, h = sample_iwahori(G, Random(seed_g)), sample_iwahori(G, Random(seed_h))
-    assume(g._int_rows() is not None and h._int_rows() is not None)
+    assume(g._ints is not None and h._ints is not None)
     assert_flat(g)
     assert_flat(h)
     w = G.datum.weyl_group()[w_index % len(G.datum.weyl_group())]
     for out in (g * h, g.inv(), h ** G.ring.p, g.inv() * h.inv() * g * h, g ** 1):
-        assert out._ints is not groups._UNREAD  # built from int rows
+        assert out._ints is not None  # built from int rows
         assert_flat(out)
     assert g ** 0 == G.identity()
     fact = G.iwahori_factorize(g, w)
@@ -662,9 +662,9 @@ def test_int_path_skips_non_flat_elements():
     # exact entries and mixed precisions stay on the scalar route
     G = INT_GROUPS[("sp4", 7, 12)]
     g = sample_iwahori(G, Random(1))
-    assert G.identity()._int_rows() is None
-    assert G.root_element((1, -1), 7)._int_rows() is None
-    assert reprecise(g, [[12] * 4] * 3 + [[12, 12, 12, 11]])._int_rows() is None
+    assert G.identity()._ints is None
+    assert G.root_element((1, -1), 7)._ints is None
+    assert reprecise(g, [[12] * 4] * 3 + [[12, 12, 12, 11]])._ints is None
 
 
 # -- the plan-order kernel, against the former int LDU, strip and factorization ----
@@ -764,8 +764,8 @@ def kernel_inputs(G, rng):
     the torus lattice; sp4: mostly unpaired entries), uniform rows (mostly a
     non-unit pivot or a unit upper parameter), and rows of p's."""
     p, mod, n = G.ring.p, G._mod, G.n
-    out = [sample_iwahori(G, rng)._int_rows() for _ in range(3)]
-    out += [g._int_rows() for _message, g in relation_keeping_non_members(G)]
+    out = [sample_iwahori(G, rng)._ints for _ in range(3)]
+    out += [g._ints for _message, g in relation_keeping_non_members(G)]
     out += [tuple(tuple((int(i == j) + p * rng.randrange(mod)) % mod for j in range(n))
                   for i in range(n)) for _ in range(3)]
     out += [tuple(tuple(rng.randrange(mod) for _ in range(n)) for _ in range(n))
@@ -806,7 +806,7 @@ def test_int_built_elements_and_factorizations_read_as_the_eager_wraps():
     rng = Random(7)
     for _ in range(20):
         g = sample_iwahori(G, rng) * sample_iwahori(G, rng)
-        rows = g._int_rows()
+        rows = g._ints
         assert g._mat is None
         assert mat_state(g) == [[state(G._wrap(v)) for v in row] for row in rows]
         for w in G.datum.weyl_group():
@@ -879,7 +879,7 @@ def test_int_samples_match_scalar_from_parameters(config):
                 ref = G.from_coordinates([G.ring.coerce(c) for c in coords], w)
             assert mat_state(fast) == mat_state(ref), (w.name, coords)
             if all(coords):
-                assert fast._ints is not groups._UNREAD  # built on int rows
+                assert fast._ints is not None  # built on int rows
                 assert_flat(fast)
         with pytest.raises(ValueError, match=f"need {d} coordinates"):
             G.from_coordinates([1] * (d - 1), w)
@@ -930,7 +930,7 @@ def test_factorization_omega_matches_factor_list_minimum(config):
     h, cap = G.coxeter_number, G.ring.prec
     assert G.p_valuation(flatten(G.identity())) == PValue.at_least(cap - Fraction(h - 1, h))
     tie = dict(omega_inputs(G))["tie"]
-    assert tie._int_rows() is not None
+    assert tie._ints is not None
     assert G.p_valuation(tie) == PValue.finite(cap - 1 + Fraction(1, h))
 
 
@@ -942,7 +942,7 @@ def test_int_samples_outside_the_iwahori_raise_membership_error(config):
         rows = [list(row) for row in g.mat]
         rows[0][0] = rows[0][0] + G.ring.p ** k
         h = GroupElement(G, tuple(tuple(row) for row in rows))
-        assert h._int_rows() is not None
+        assert h._ints is not None
         with pytest.raises(MembershipError):
             G.p_valuation(h)
         for w in G.datum.weyl_group():

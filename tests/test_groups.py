@@ -5,8 +5,10 @@ import pytest
 
 from iwahori.axioms import sample_iwahori
 from iwahori.groups import ChevalleyGroup, GateError, GroupElement, MembershipError, PValue
-from iwahori.padic import INF, PadicScalar, PrecisionError, ScalarRing, padic_exp
+from iwahori.padic import INF, InternalError, PadicScalar, PrecisionError, ScalarRing, padic_exp
 from ramified_ring import RamifiedRing
+from test_fast_paths import permuted_ref, reread, root_products, state
+from test_series import strip_unipotent_ref
 
 P, N = 7, 12
 
@@ -356,6 +358,107 @@ def test_conjugation_oracle_matches_the_ramified_embedding(name, p, prec):
             assert G.p_valuation(g).eq(oracle)[0] is not False, g
         else:
             assert outcome(G.p_valuation, g) is MembershipError, g
+
+
+# -- the scalar factorization route against the former one ------------------------
+
+
+def ldu_ref(mat, n, ring):
+    """The former ``groups._ldu``: U is filled after the elimination, each
+    pivot inverted a second time."""
+    a = [list(row) for row in mat]
+    one, zero = ring.one(), ring.zero(exact=True)
+    lmat = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    umat = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for k in range(n):
+        piv = a[k][k]
+        if not piv.is_unit():
+            raise InternalError(f"elimination pivot {k} is not a unit: {piv!r}")
+        pivinv = piv.inv()
+        for i in range(k + 1, n):
+            f = a[i][k] * pivinv
+            lmat[i][k] = f
+            if not f.is_exact_zero:
+                for j in range(k, n):
+                    a[i][j] = a[i][j] - f * a[k][j]
+    diag = [a[k][k] for k in range(n)]
+    for k in range(n):
+        pivinv = diag[k].inv()
+        for j in range(k + 1, n):
+            umat[k][j] = pivinv * a[k][j]
+    return lmat, diag, umat
+
+
+def factor_scalars_ref(G, mat, plan):
+    """The former ``ChevalleyGroup._factor_scalars``: permute into the plan's
+    basis order, LDU, permute both factors back and strip them in the
+    element's own basis order."""
+    lmat, diag_sorted, umat = ldu_ref(permuted_ref(mat, plan.order), G.n, G.ring)
+    inv_order = plan.inv_order
+    n1, n2 = permuted_ref(lmat, inv_order), permuted_ref(umat, inv_order)
+    diag = [diag_sorted[k] for k in inv_order]
+    neg = strip_unipotent_ref(G, n1, plan.neg_batch)
+    pos = strip_unipotent_ref(G, n2, plan.pos_batch)
+    torus_coords = G._torus_coords_from_diag(diag)
+    if not all((d - 1).zero_mod(1) for d in diag):
+        raise InternalError("torus part is not pro-p")
+    for root, x in neg + pos:
+        if G.datum.height(root) < 0 and not x.zero_mod(1):
+            raise InternalError("upper root parameter not divisible by p")
+    return neg, torus_coords, diag, pos
+
+
+def factor_state(fn, *args):
+    """The (co, prec, exact) of every factor, or the exception type and text."""
+    try:
+        neg, coords, diag, pos = fn(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+    return ([(r, state(x)) for r, x in neg], [state(s) for s in coords],
+            [state(d) for d in diag], [(r, state(x)) for r, x in pos])
+
+
+@pytest.mark.parametrize("name,p,prec", [("sl2", 5, 6), ("sl3", 5, 6), ("sp4", 7, 5),
+                                         ("sl2", 5, 1), ("sl3", 5, 2), ("sp4", 7, 1)])
+def test_scalar_factorization_matches_the_former_route(name, p, prec):
+    # exact inputs (the identity, basis generators, products of root
+    # elements, matrices read as the command line reads them), samples with a
+    # 0 coordinate, flat samples, and mixed-precision matrices (random ones,
+    # and root products with entries truncated below N), under every
+    # twist and both tie-breaks: the same (co, prec, exact) for every factor,
+    # or the same InternalError, also on inputs outside I
+    G = ChevalleyGroup(name, p, prec)
+    rng = random.Random(f"scalar-route-{name}-{p}-{prec}")
+    elements = sweep_elements(G, rng, 6) + [root_products(G, rng) for _ in range(12)]
+    for g in [root_products(G, rng) for _ in range(12)]:
+        rows = [list(row) for row in g.mat]
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.randrange(G.n), rng.randrange(G.n)
+            rows[i][j] = reread(rows[i][j], "truncated", rng)
+        elements.append(GroupElement(G, tuple(map(tuple, rows))))
+    d = len(G.ordered_basis())
+    for k in range(4):
+        coords = [rng.randrange(p ** prec) for _ in range(d)]
+        coords[k % d] = 0
+        elements.append(G.from_coordinates(coords))
+    rows = [[int(i == j) for j in range(G.n)] for i in range(G.n)]
+    for i, j, s in G.dirs[G.datum.positive_roots[-1]]:
+        rows[i][j] = s * Fraction(1, 2)
+    elements += [G.element(rows), G.torus_element(G.datum.cochar_basis[0], 1 + p)]
+    results = set()
+    for tie_break in ("lex", "revlex"):
+        for w in G.datum.weyl_group():
+            plan = G._factor_plan(w, tie_break)
+            for g in elements:
+                got = factor_state(G._factor_scalars, g.mat, plan)
+                assert got == factor_state(factor_scalars_ref, G, g.mat, plan), (w.name, g)
+                if got[0] is InternalError:
+                    results.add("raised")
+                    continue
+                neg, coords, diag, pos = got
+                exact = any(x[2] for x in [x for _r, x in neg + pos] + coords + diag)
+                results.add("exact" if exact else "inexact")
+    assert results == {"raised", "exact", "inexact"}
 
 
 def test_ordered_basis_shape_and_bounds():

@@ -377,6 +377,46 @@ def test_coordinate_change_is_exact_inverse():
                 assert vals == ab and all(type(x) is Fraction for x in ab)
 
 
+def lmul_root_inplace_ref(self, rows, root, x):
+    """The former ``ChevalleyGroup._lmul_root_inplace``, verbatim, the group
+    as ``self``: left multiplication of rows by u_root(x), in place."""
+    if x.is_exact_zero:
+        return
+    n = self.n
+    for (i, j, s) in self.dirs[tuple(root)]:
+        f = x if s == 1 else -x
+        src_row = rows[j]
+        dst = rows[i]
+        for k in range(n):
+            dst[k] = dst[k] + f * src_row[k]
+
+
+def strip_unipotent_ref(self, mat, batch_roots):
+    """The former ``ChevalleyGroup._strip_unipotent``, verbatim, the group as
+    ``self``: (root, parameter) pairs stripped in batch order off a copy of a
+    unipotent matrix in the element's own basis order."""
+    params = []
+    cur = [list(row) for row in mat]
+    for root in batch_roots:
+        dirs = self.dirs[root]
+        i0, j0, s0 = dirs[0]
+        x = cur[i0][j0] if s0 == 1 else -cur[i0][j0]
+        for (i, j, s) in dirs[1:]:
+            expect = x if s == 1 else -x
+            if not cur[i][j] == expect:
+                raise InternalError(f"paired entries for root {root} disagree")
+        params.append((root, x))
+        lmul_root_inplace_ref(self, cur, root, -x)
+    # int targets, not ring constants: an entry known beyond the ring
+    # precision is checked at its own precision
+    for i in range(self.n):
+        for j in range(self.n):
+            target = 1 if i == j else 0
+            if not cur[i][j] == target:
+                raise InternalError("unipotent strip left a remainder")
+    return params
+
+
 def _coordinate_change_polys_ref(ctx, shift_coords):
     """The former ``coordinate_change_polys``, kept as a differential
     reference: the symbolic strip written out on TruncatedSeries entries,
@@ -424,7 +464,7 @@ def _coordinate_change_polys_ref(ctx, shift_coords):
         else:
             coord = xpoly
         out.append(coord)
-        group._lmul_root_inplace(rows, root, -xpoly)
+        lmul_root_inplace_ref(group, rows, root, -xpoly)
     for i in range(n):
         for j in range(n):
             target = one if i == j else zero
@@ -487,7 +527,7 @@ def _batch_product_ref(ctx, first, shift_coords):
             group._rmul_root_inplace(rows, root, x.scale(group.filtration_scale(root)))
     # strip in the fixed batch order, then undo the chart scaling
     return [x.scale(Fraction(1, group.filtration_scale(root)))
-            for root, x in group._strip_unipotent(rows, ctx.batch)]
+            for root, x in strip_unipotent_ref(group, rows, ctx.batch)]
 
 
 def _batch_coordinate_product_ref(ctx, coords_a, coords_b):
