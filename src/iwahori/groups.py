@@ -53,8 +53,8 @@ call, also when the same element was factorized before:
       LDU triangle (once per twist);
     in each unipotent strip, agreement of the paired entries of a root
       and an identity remainder;
-    a torus diagonal rebuilt exactly from its cocharacter coordinates,
-      congruent to 1 mod p;
+    a torus diagonal in the image of the cocharacter lattice (see
+      ``_torus_coords_ints``), congruent to 1 mod p;
     upper root parameters divisible by p.
 
 Integer path
@@ -82,6 +82,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 from .padic import (INF, InternalError, PadicScalar, PrecisionError, ScalarRing, exp_int,
@@ -222,6 +223,8 @@ _TORUS_RECIPES = {
     "sl3": [[(0, -1)], [(2, 1)]],
     "sp4": [[(3, 1)], [(2, 1), (3, 1)]],
 }
+# the image of the cocharacter lattice: the diagonals where these products are 1
+_TORUS_EQUATIONS = {"sl2": [(0, 1)], "sl3": [(0, 1, 2)], "sp4": [(0, 3), (1, 2)]}
 
 _MATRIX_SIZE = {"sl2": 2, "sl3": 3, "sp4": 4}
 
@@ -244,7 +247,7 @@ class ChevalleyGroup:
         self.datum: RootDatum = get_root_datum(name)
         self.name = self.datum.name
         self.ring = ring = ScalarRing(p, prec)
-        self.n = _MATRIX_SIZE[self.name]
+        self.n = n = _MATRIX_SIZE[self.name]
         if self.name == "sp4":
             self.dirs = _SP4_DIRS
         else:
@@ -253,6 +256,7 @@ class ChevalleyGroup:
         # ring constants for the relation check, built once
         self._one, self._zero = ring.one(), ring.zero()
         self._mod = ring.ppow(ring.prec)  # the int path works modulo p^N
+        self._identity_ints = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         self.coxeter_number = h = self.datum.coxeter_number()
         self._height = {r: self.datum.height(r) for r in self.dirs}  # omega offsets ht(root)/h
         self._omega_offset = {r: Fraction(ht, h) for r, ht in self._height.items()}
@@ -411,8 +415,7 @@ class ChevalleyGroup:
         p, mod, n = self.ring.p, self._mod, self.n
         order = plan.order
         a = [[ints[i][j] for j in order] for i in order]
-        lmat = [[int(i == j) for j in range(n)] for i in range(n)]
-        umat = [[int(i == j) for j in range(n)] for i in range(n)]
+        lmat, umat = list(map(list, self._identity_ints)), list(map(list, self._identity_ints))
         for k in range(n):
             ak = a[k]
             piv = ak[k]
@@ -435,17 +438,25 @@ class ChevalleyGroup:
         torus_coords = self._torus_coords_ints(diag)
         if any((d - 1) % p for d in diag):
             raise InternalError("torus part is not pro-p")
-        height, h, cap = self._height, self.coxeter_number, self.ring.prec
-        for root, x in neg + pos:
-            if x % p and height[root] < 0:
-                raise InternalError("upper root parameter not divisible by p")
         # (h * omega, is a cap marker) of the factors off the ints: vp(x) h +
         # ht(root), or the cap N h + ht(root) where x = 0 mod p^N; the torus
-        # on d - 1 with offset 0.  A finite value wins a tie with a cap marker.
-        best, at_cap = min(((vp_int(x, p) if x else cap) * h + off, not x) for x, off in
-                           [(x, height[r]) for r, x in neg + pos] + [(d - 1, 0) for d in diag])
+        # on d - 1 with offset 0.  A finite value wins a tie with a cap marker,
+        # and vp(x) is taken only where vp(x) >= 1 can still lower the least.
+        height, h, cap = self._height, self.coxeter_number, self.ring.prec
+        best = (INF, True)
+        for x, off in [(x, height[r]) for r, x in neg + pos] + [(d - 1, 0) for d in diag]:
+            if x % p:
+                if off < 0:
+                    raise InternalError("upper root parameter not divisible by p")
+                value = (off, False)
+            elif h + off > best[0]:
+                continue
+            else:
+                value = (vp_int(x, p) * h + off, False) if x else (cap * h + off, True)
+            if value < best:
+                best = value
         return (neg, torus_coords, diag, pos,
-                PValue("at_least" if at_cap else "finite", Fraction(best, h)))
+                PValue("at_least" if best[1] else "finite", Fraction(best[0], h)))
 
     def _wrap(self, v: int) -> PadicScalar:
         return PadicScalar(self.ring, v, self.ring.prec, False)
@@ -483,16 +494,14 @@ class ChevalleyGroup:
         return plan
 
     def _torus_coords_ints(self, diag):
-        """``_torus_coords_from_diag`` on int units modulo p^N."""
-        mod, coords = self._mod, []
-        for recipe in self.torus_recipe:
-            s = 1
-            for idx, e in recipe:
-                s = s * pow(diag[idx], e, mod) % mod
-            coords.append(s)
-        if self._torus_diagonal_ints(coords) != diag:
+        """``_torus_coords_from_diag`` on int units modulo p^N; the diagonal
+        is checked against the equations of the lattice's image, which hold
+        exactly where the rebuild from the coordinates gives it back."""
+        mod = self._mod
+        if any(prod(diag[i] for i in eq) % mod != 1 for eq in _TORUS_EQUATIONS[self.name]):
             raise InternalError("torus diagonal is not in the cocharacter lattice")
-        return coords
+        return [prod(pow(diag[idx], e, mod) for idx, e in recipe) % mod
+                for recipe in self.torus_recipe]
 
     def _torus_diagonal_ints(self, coords):
         """``torus_diagonal`` on int units modulo p^N."""
@@ -578,7 +587,7 @@ class ChevalleyGroup:
             raise ValueError(f"need {d} coordinates, got {len(coords)}")
         p, mod = self.ring.p, self._mod
         if all(type(x) is int and 0 < x < mod for x in coords):
-            rows = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+            rows = list(map(list, self._identity_ints))
 
             def rmul_batch(batch, values):  # right multiplication by u_root(x)
                 for root, c in zip(batch, values):

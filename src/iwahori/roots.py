@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 def _dot(x, y):
@@ -49,7 +49,7 @@ class WeylElement:
         mat = tuple(tuple(row[i] for row in self.matrix) for i in range(len(self.matrix)))
         return WeylElement(mat, tuple(reversed(self.word)))
 
-    @property
+    @cached_property
     def name(self) -> str:
         return "e" if not self.word else "*".join(f"s{i + 1}" for i in self.word)
 
@@ -194,11 +194,14 @@ class RootDatum:
         """w*Phi+, built once per w."""
         return frozenset(self.act_root(w, r) for r in self.positive_roots)
 
+    @lru_cache(maxsize=None)
+    def negative_image(self, w: WeylElement):
+        """w*Phi-, built once per w."""
+        return frozenset(self.act_root(w, r) for r in self.negative_roots)
+
     def intersection_witness(self, w: WeylElement, w2: WeylElement):
-        """The least root of w*Phi+ inter w2*Phi-: w2*Phi- is -(w2*Phi+)."""
-        plus2 = self.positive_image(w2)
-        return min((r for r in self.positive_image(w) if tuple(-c for c in r) in plus2),
-                   default=None)
+        """The least root of w*Phi+ inter w2*Phi-."""
+        return min(self.positive_image(w) & self.negative_image(w2), default=None)
 
     # -- adapted cocharacters -----------------------------------------------
 

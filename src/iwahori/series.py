@@ -658,7 +658,8 @@ def haar_obstruction(max_degree: int):
         if diagonal == 0:
             raise InternalError(f"equation {k} has a zero diagonal entry")
         rest = sum(math.comb(k, i) * x for i, x in enumerate(solution))
-        solution.append(Fraction(-rest, diagonal))
+        # an int while the division is exact: str() reads the same either way
+        solution.append(-rest // diagonal if rest % diagonal == 0 else Fraction(-rest, diagonal))
     all_zero = all(x == 0 for x in solution)
     return {
         "schema": "iwahori.haar-obstruction/1",

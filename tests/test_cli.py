@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from iwahori import cli
 from iwahori.axioms import (
     SUITES,
     check_compatibility_all_w,
@@ -413,11 +414,25 @@ def test_verify_all_builds_one_group(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ChevalleyGroup, "__init__", counting_init)
-    code = main(["verify-all", "--group", "sp4", "--p", "7", "--precision", "6",
-                 "--n-samples", "10"])
-    capsys.readouterr()
-    assert code == 0
+    cli._gated_group.cache_clear()
+    argv = ["verify-all", "--group", "sp4", "--p", "7", "--precision", "6", "--n-samples", "10"]
+    assert main(argv) == 0
     assert len(built) == 1
+    # a later run in the same process checks the same group, basis included
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_verify_all_times_its_suites_on_a_monotonic_clock(monkeypatch, capsys, tmp_path):
+    # a wall clock that jumps back by a minute at every read
+    wall = iter(range(10 ** 6, 0, -60))
+    monkeypatch.setattr(time, "time", lambda: next(wall))
+    code, out = run(capsys, "verify-all", "--group", "sl2", "--p", "5", "--precision", "4",
+                    "--n-samples", "2", "--json", str(tmp_path))
+    assert code == 0
+    timings = [line.rsplit("(", 1)[1] for line in out.splitlines() if "(" in line]
+    assert len(timings) == len(SUITES) + 1 and not any(t.startswith("-") for t in timings)
 
 
 def test_verify_all_factorizes_each_element_and_twist_once(monkeypatch, capsys):

@@ -13,6 +13,9 @@
 * the plan-order int factorization kernel against the former int LDU,
   strip and factorization, kept here, and the scalars that elements and
   factorizations build when first read against the former eager wraps;
+* the lattice equations of the int torus check against the former rebuild,
+  also on planted off-lattice diagonals, and omega taken with a running
+  bound against the former full minimum;
 * samples that ``from_coordinates`` builds on int rows against the same
   coordinates as scalars, and the omega that the factorization reads off
   its ints against the minimum of ``omega_of_factor_list``;
@@ -635,6 +638,43 @@ def recipe_ints(G, diag):
     return coords
 
 
+def torus_coords_rebuild_ref(G, diag):
+    """The former ``_torus_coords_ints``: the recipe coordinates, checked by
+    rebuilding the diagonal from them."""
+    coords = recipe_ints(G, diag)
+    if G._torus_diagonal_ints(coords) != diag:
+        raise InternalError("torus diagonal is not in the cocharacter lattice")
+    return coords
+
+
+@pytest.mark.parametrize("config", [(name, p, n) for name, p in (("sl2", 5), ("sl3", 5),
+                                                                  ("sp4", 7)) for n in (2, 3, 12)],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_off_lattice_torus_diagonals_raise(config):
+    # planted: one entry of a pro-p torus diagonal times 1 + p^k stays pro-p
+    # but leaves the torus; the lattice equations, the former rebuild and the
+    # whole kernel on that diagonal matrix each reject it
+    G = ChevalleyGroup(*config)
+    p, mod, n = G.ring.p, G._mod, G.n
+    rng = Random(f"torus-{config}")
+    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    message = "torus diagonal is not in the cocharacter lattice"
+    for _ in range(4):
+        diag = G._torus_diagonal_ints([1 + p * rng.randrange(mod // p)
+                                       for _ in G.datum.cochar_basis])
+        assert G._torus_coords_ints(diag) == torus_coords_rebuild_ref(G, diag)
+        for i in range(n):
+            for k in range(1, G.ring.prec):
+                bad = list(diag)
+                bad[i] = bad[i] * (1 + p ** k) % mod
+                rows = tuple(tuple(bad[r] if r == c else 0 for c in range(n)) for r in range(n))
+                for call in (lambda: G._torus_coords_ints(bad),
+                             lambda: torus_coords_rebuild_ref(G, bad),
+                             lambda: G._factor_ints(rows, plan)):
+                    with pytest.raises(InternalError, match=message):
+                        call()
+
+
 @seed(20230)
 @settings(max_examples=100, deadline=None)
 @given(configs, member_seeds, member_seeds, st.integers(min_value=0, max_value=7))
@@ -747,7 +787,7 @@ def factor_ints_ref(G, ints, w, tie_break):
     neg = strip_ints_ref(G, permuted_ref(lmat, inv_order), neg_batch)
     pos = strip_ints_ref(G, permuted_ref(umat, inv_order), pos_batch)
     diag = [diag_sorted[k] for k in inv_order]
-    torus_coords = G._torus_coords_ints(diag)
+    torus_coords = torus_coords_rebuild_ref(G, diag)
     if any((d - 1) % p for d in diag):
         raise InternalError("torus part is not pro-p")
     for root, x in neg + pos:
@@ -932,6 +972,39 @@ def test_factorization_omega_matches_factor_list_minimum(config):
     tie = dict(omega_inputs(G))["tie"]
     assert tie._ints is not None
     assert G.p_valuation(tie) == PValue.finite(cap - 1 + Fraction(1, h))
+
+
+def omega_full_min_ref(G, neg, diag, pos):
+    """The former omega of ``_factor_ints``: the least (h * value, is a cap
+    marker) over every factor, the valuation of each taken."""
+    p, h, cap = G.ring.p, G.coxeter_number, G.ring.prec
+    values = [((vp_int(x, p) if x else cap) * h + off, not x) for x, off in
+              [(x, G._height[r]) for r, x in neg + pos] + [(d - 1, 0) for d in diag]]
+    best, at_cap = min(values)
+    return PValue("at_least" if at_cap else "finite", Fraction(best, h)), values
+
+
+@pytest.mark.parametrize("config", SAMPLE_CONFIGS, ids=lambda c: "-".join(map(str, c)))
+def test_running_bound_omega_matches_the_full_minimum(config):
+    # every twist, on samples and on flat elements at the cap: the identity
+    # (all cap markers) and the "tie" input, whose least finite value ties a
+    # cap marker
+    G = SAMPLE_GROUPS[config]
+    rng = Random(f"omega-{config}")
+    d = len(G.dirs) + G.datum.rank
+    seen = set()
+    for w in G.datum.weyl_group():
+        plan = G._factor_plan(w, "lex")
+        elements = [G.from_coordinates(c, w) for c in coordinate_vectors(G, d, rng)]
+        for ints in [flatten(g)._ints for g in elements + [g for _n, g in omega_inputs(G)]]:
+            neg, _coords, diag, pos, omega = G._factor_ints(ints, plan)
+            ref, values = omega_full_min_ref(G, neg, diag, pos)
+            assert omega == ref, (w.name, ints)
+            least = min(v for v, _cap in values)
+            seen.add(ref.kind)
+            if {(least, False), (least, True)} <= set(values):
+                seen.add("tie")
+    assert seen == {"finite", "at_least", "tie"}
 
 
 @pytest.mark.parametrize("config", SAMPLE_CONFIGS, ids=lambda c: "-".join(map(str, c)))

@@ -17,6 +17,7 @@ import hashlib
 
 import pytest
 
+from iwahori import cli
 from iwahori.cli import main
 
 PINS = [
@@ -43,6 +44,22 @@ def test_verify_all_report_bytes(config, digest, tmp_path, capsys):
     assert code == 0
     data = (tmp_path / f"verify-all-{group}.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_interleaved_runs_in_one_process_keep_the_report_bytes(tmp_path, capsys):
+    # each (group, p, N) is built once per process and reused by later runs
+    cli._gated_group.cache_clear()
+    pins = {config[:3]: (config, digest) for config, digest in PINS}
+    for key in [("sp4", 7, 12), ("sl3", 5, 10), ("sp4", 7, 4), ("sp4", 7, 12)]:
+        (group, p, precision, n_samples, seed), digest = pins[key]
+        code = main(["verify-all", "--group", group, "--p", str(p),
+                     "--precision", str(precision), "--n-samples", str(n_samples),
+                     "--seed", str(seed), "--json", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0
+        data = (tmp_path / f"verify-all-{group}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, key
+    assert cli._gated_group.cache_info().misses == 3
 
 
 # (group, p, check) at precision 1, 30 samples, seed 11

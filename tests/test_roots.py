@@ -69,6 +69,23 @@ def test_intersection_nonempty():
     assert SP4.intersection_witness(SP4.identity_weyl(), SP4.simple_reflection(0)) is not None
 
 
+def intersection_witness_ref(datum, w, w2):
+    """The former witness: a generator over w*Phi+ tested against
+    -(w2*Phi+), and its min."""
+    plus2 = datum.positive_image(w2)
+    return min((r for r in datum.positive_image(w) if tuple(-c for c in r) in plus2),
+               default=None)
+
+
+def test_witnesses_and_names_match_the_former_code():
+    for datum in (SL2, SL3, SP4):
+        W = datum.weyl_group()
+        for w in W:
+            assert w.name == ("e" if not w.word else "*".join(f"s{i + 1}" for i in w.word))
+            for v in W:
+                assert datum.intersection_witness(w, v) == intersection_witness_ref(datum, w, v)
+
+
 def test_adapted_cocharacters():
     mu, a = SL2.adapted_cocharacter(SL2.identity_weyl())
     assert a == 2 and mu == (1, -1)  # mu0 = coroot/2, doubled

@@ -360,6 +360,33 @@ def test_haar_obstruction():
     assert rep["ok"] and all(x == "0" for x in rep["solution"])
 
 
+def haar_obstruction_ref(max_degree):
+    """The former ``haar_obstruction``, forward substitution on Fractions."""
+    d = max_degree
+    solution = []
+    for k in range(1, d + 2):
+        diagonal = math.comb(k, k - 1)
+        if diagonal == 0:
+            raise InternalError(f"equation {k} has a zero diagonal entry")
+        rest = sum(math.comb(k, i) * x for i, x in enumerate(solution))
+        solution.append(Fraction(-rest, diagonal))
+    all_zero = all(x == 0 for x in solution)
+    return {
+        "schema": "iwahori.haar-obstruction/1",
+        "degree": d,
+        "equations": d + 1,
+        "solution": [str(x) for x in solution],
+        "unique": True,
+        "zero_functional_only": all_zero,
+        "ok": all_zero,
+    }
+
+
+def test_haar_obstruction_on_ints_matches_the_fraction_code():
+    for degree in range(31):
+        assert haar_obstruction(degree) == haar_obstruction_ref(degree)
+
+
 def test_coordinate_change_is_exact_inverse():
     # evaluating the symbolic coordinate change at a point agrees with the
     # product and strip of the two constant batch elements, on every group
