@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from .groups import ChevalleyGroup, PValue
@@ -76,11 +77,12 @@ class AxiomReport:
     def total_skipped(self) -> int:
         return sum(c.skipped for c in self.axioms.values())
 
-    def judge(self, axiom: str, sample_index: int, decision, detail: str,
+    def judge(self, axiom: str, sample_index: int, decision, detail,
               elements=None):
         """Count one sample's (verdict, margin).  A None verdict (undecided at
         the precision cap) is skipped; a False one is also recorded as a
-        failure, with its reproduction seed and the offending elements."""
+        failure, with its reproduction seed, the detail (a string, or a
+        callable that gives it, called only then) and the offending elements."""
         ok, margin = decision
         c = self.counts(axiom)
         if ok is None:
@@ -93,7 +95,7 @@ class AxiomReport:
             "axiom": axiom,
             "sample": sample_index,
             "seed": _sample_seed(self.seed, sample_index),
-            "detail": detail,
+            "detail": detail() if callable(detail) else detail,
         }
         if elements:
             entry["elements"] = {
@@ -179,15 +181,17 @@ def check_pvaluation_axioms(group: ChevalleyGroup, n_samples: int,
             lower = wg.value > lower_gate, wg.value - lower_gate
         else:  # infinity passes; a cap marker is skipped, whatever its bound
             lower = (True, None) if wg.kind == "infinite" else (None, None)
-        report.judge("lower_bound", k, lower, f"omega={wg.as_json()}", {"g": g})
-        report.judge("subadditive", k, group.p_valuation(g * h).ge(PValue.min((wg, wh))),
+        report.judge("lower_bound", k, lower, lambda: f"omega={wg.as_json()}", {"g": g})
+        gh = g * h
+        report.judge("subadditive", k, group.p_valuation(gh).ge(PValue.min((wg, wh))),
                      "omega(gh) < min", {"g": g, "h": h})
-        comm = g.inv() * h.inv() * g * h
+        # [g, h] = g^-1 h^-1 g h = (hg)^-1 gh
+        comm = (h * g).inv() * gh
         report.judge("commutator", k, group.p_valuation(comm).ge(wg + wh),
                      "omega([g,h]) < omega(g)+omega(h)", {"g": g, "h": h})
         wp = group.p_valuation(g ** p)
         report.judge("p_power", k, wp.eq(wg + PValue.finite(1)),
-                     f"omega(g^p)={wp.as_json()} omega(g)={wg.as_json()}", {"g": g})
+                     lambda: f"omega(g^p)={wp.as_json()} omega(g)={wg.as_json()}", {"g": g})
     return report
 
 
@@ -203,7 +207,7 @@ def check_compatibility_all_w(group: ChevalleyGroup, n_samples: int,
         for w in weyl:
             mins = wg if w is weyl[0] else group.iwahori_factorize(g, w).omega
             report.judge(f"compatible[{w.name}]", k, wg.eq(mins),
-                         f"omega={wg.as_json()} factor-min={mins.as_json()}", {"g": g})
+                         lambda: f"omega={wg.as_json()} factor-min={mins.as_json()}", {"g": g})
     return report
 
 
@@ -229,11 +233,11 @@ def check_et_embedding(group: ChevalleyGroup, seed: int = 1) -> AxiomReport:
     hi = 1 - Fraction(1, p - 1)  # 1/e - 1/(p-1) with e = 1
     for root, v in et.root_values().items():
         report.judge("root_value_interval", 0, (lo < v < hi, min(v - lo, hi - v)),
-                     f"{root}: {v}")
+                     lambda: f"{root}: {v}")
     report.counts("torus_containment").record(p - 1 > 1)  # middle factor in m_E^r: p-1 > e
     for vec in group.ordered_basis().entries:
         report.judge("basis_in_congruence", 0,
-                     (et.conjugate_in_congruence(vec.generator), None), f"{vec.label}")
+                     (et.conjugate_in_congruence(vec.generator), None), lambda: f"{vec.label}")
     return report
 
 
@@ -243,9 +247,9 @@ def check_padic(group: ChevalleyGroup) -> SelfTestReport:
     p, precision = ring.p, ring.prec
     failures = []
     x = ring.from_int(p)
-    if not padic_log(padic_exp(x)) == x:
+    if not padic_log(ex := padic_exp(x)) == x:
         failures.append("exp/log round trip")
-    if not padic_exp(x) * padic_exp(x) == padic_exp(ring.from_int(2 * p)):
+    if not ex * ex == padic_exp(ring.from_int(2 * p)):
         failures.append("exp additivity")
     # p^2 + p^3 has valuation 2, read as the cap marker with N <= 2 digits
     expected = PValue.finite(2) if precision > 2 else PValue.at_least(precision)
@@ -254,15 +258,17 @@ def check_padic(group: ChevalleyGroup) -> SelfTestReport:
     return SelfTestReport(failures)
 
 
+_series_context = lru_cache(maxsize=8)(SeriesContext)  # one chart per group
+
+
 def check_series(group: ChevalleyGroup, seed: int = 1) -> SelfTestReport:
     """Slope splits and the projector bound on seeded series, the Haar
     obstruction and the constants limit, on the chart of the group."""
     failures = []
-    ctx = SeriesContext(group)
-    rng = Random(seed)
+    ctx = _series_context(group)
+    draw, slots = Random(seed).randrange, range(ctx.nvars)
     for trial in range(10):
-        coeffs = {tuple(rng.randrange(6) for _ in range(ctx.nvars)):
-                  Fraction(rng.randrange(-20, 21)) for _ in range(8)}
+        coeffs = {tuple([draw(6) for _ in slots]): Fraction(draw(-20, 21)) for _ in range(8)}
         f = TruncatedSeries(ctx, coeffs, 5 * ctx.nvars)
         below, atleast = slope_split(f, 1)
         if not (below + atleast == f and slope_split(atleast, 1)[0].is_zero()):

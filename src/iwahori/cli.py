@@ -329,11 +329,12 @@ def cmd_verify_all(args) -> int:
         rep = (run(group, max(1, args.n_samples // divisor), args.seed, drawn) if divisor
                else run(group, None, args.seed))
         ok = rep.total_failures == 0
-        print(f"{name:<28} {'ok' if ok else 'FAIL'}  ({time.perf_counter() - start:.2f}s)")
+        ms = 1e3 * (time.perf_counter() - start)
+        print(f"{name:<28} {'ok' if ok else 'FAIL'}  ({ms:.1f} ms)")
         suites.append({"suite": name, "ok": ok, "report": rep.as_json()})
 
     ok = all(s["ok"] for s in suites)
-    print(f"total {'ok' if ok else 'FAIL'} ({time.perf_counter() - t0:.2f}s)")
+    print(f"total {'ok' if ok else 'FAIL'} ({1e3 * (time.perf_counter() - t0):.1f} ms)")
     # reports are timing-free so identical configurations give identical bytes
     payload = {
         "schema": "iwahori.verify-all/1",

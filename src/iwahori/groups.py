@@ -61,20 +61,22 @@ Integer path
 ------------
 An element whose entries are all inexact and all at the ring precision N
 is read into plain ints modulo p^N when it is built, and keeps them.  For
-such elements the group relation, the membership test, the factor minimum
-omega, products and inverses run on those ints, and so does the
-factorization.  Results stay ints until read: an element builds its scalar
-entries ``mat``, and a factorization wraps its four factor lists, the first
-time they are read, so ``p_valuation`` builds no scalar.
+such elements the group relation, the membership test, products, inverses,
+the factorization with its factor minimum omega, and the conjugation oracle
+run on those ints.  Results stay ints until read: an element builds its
+scalar entries ``mat``, and a factorization wraps its four factor lists, the
+first time they are read, so ``p_valuation`` builds no scalar.
 ``from_coordinates`` builds such elements on ints from int coordinates in
-1..p^N - 1, as ``sample_iwahori`` draws them.  The path gives the same
-(co, prec, exact) as the scalar route, runs the same self-checks and raises
-the same exceptions; its outputs are again inexact at N, so chained products
-stay on it.  Exact or mixed-precision entries (user matrices, the identity,
-root generators) take the scalar route.  Both routes factor in plan order:
-the LDU of the rows permuted once into the twist's basis order, then both
-strips, in place, through the batch directions that the plan maps to that
-order.
+1..p^N - 1, as ``sample_iwahori`` draws them, a torus coordinate c as
+exp(p)^c = exp(p c) mod p^N.  The path gives the same (co, prec, exact) as
+the scalar route, runs the same self-checks and raises the same exceptions;
+its outputs are again inexact at N, so chained products stay on it.  Exact or
+mixed-precision entries (user matrices, the identity, root generators) take
+the scalar route; on ints an exact zero entry would read as a cap marker, so
+the et suite's exact basis generators stay there.  Both routes factor in
+plan order: the LDU of the rows permuted once into the twist's basis order,
+then both strips, in place, through the batch directions that the plan maps
+to that order.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import prod
 from operator import mul
 
@@ -154,22 +157,24 @@ class PValue:
 
     def ge(self, other: "PValue"):
         """Decide self >= other; the margin is self - other when both are known."""
-        if other.kind == "infinite":
-            return (True, None) if self.kind == "infinite" else (None, None)
         if self.kind == "infinite":
             return True, None
-        if self.kind == "finite" and other.kind == "finite":
+        if other.kind == "finite" and (self.kind == "finite" or self.value >= other.value):
             return self.value >= other.value, self.value - other.value
-        if self.kind == "at_least" and other.kind == "finite" and self.value >= other.value:
-            return True, self.value - other.value
+        if self.kind == "finite" and (other.kind == "infinite" or self.value < other.value):
+            return False, None  # other is larger by an unknown amount
         return None, None
 
     def eq(self, other: "PValue"):
         """Decide self == other; the margin is -|self - other|."""
-        if self.kind == "finite" and other.kind == "finite":
-            return self.value == other.value, -abs(self.value - other.value)
-        if self.kind == "infinite" and other.kind == "infinite":
+        if self.kind == other.kind == "finite":
+            same = self.value == other.value
+            return same, _ZERO if same else -abs(self.value - other.value)
+        if self.kind == other.kind == "infinite":
             return True, None
+        lo, hi = (self, other) if self.kind == "finite" else (other, self)
+        if lo.kind == "finite" and (hi.kind == "infinite" or lo.value < hi.value):
+            return False, None  # a finite value below a cap marker or infinity
         return None, None
 
     def __repr__(self):
@@ -188,6 +193,14 @@ class PValue:
 
 
 _INFINITE = PValue("infinite")
+_ZERO = Fraction(0)
+
+
+@lru_cache(maxsize=4096)
+def _omega_value(key: int, den: int) -> PValue:
+    """The PValue of key = 2 den omega, plus 1 for a cap marker, so that a finite
+    value wins a tie; one object per (key, den), and key < 2 (N + 1) den."""
+    return PValue("at_least" if key & 1 else "finite", Fraction(key >> 1, den))
 
 
 # -- realization tables -------------------------------------------------
@@ -438,25 +451,28 @@ class ChevalleyGroup:
         torus_coords = self._torus_coords_ints(diag)
         if any((d - 1) % p for d in diag):
             raise InternalError("torus part is not pro-p")
-        # (h * omega, is a cap marker) of the factors off the ints: vp(x) h +
-        # ht(root), or the cap N h + ht(root) where x = 0 mod p^N; the torus
-        # on d - 1 with offset 0.  A finite value wins a tie with a cap marker,
-        # and vp(x) is taken only where vp(x) >= 1 can still lower the least.
+        # the least key (``_omega_value``) of the factors off the ints: h omega is
+        # vp(x) h + ht(root), or the cap N h + ht(root) where x = 0 mod p^N, and
+        # vp(x) is taken only where vp(x) >= 1 can still lower the least.  The
+        # torus factors d - 1, offset 0, are all divisible by p (checked above).
         height, h, cap = self._height, self.coxeter_number, self.ring.prec
-        best = (INF, True)
-        for x, off in [(x, height[r]) for r, x in neg + pos] + [(d - 1, 0) for d in diag]:
+        best = INF
+        for r, x in neg + pos:
+            off = height[r]
             if x % p:
                 if off < 0:
                     raise InternalError("upper root parameter not divisible by p")
-                value = (off, False)
-            elif h + off > best[0]:
+                key = 2 * off
+            elif 2 * (h + off) >= best:
                 continue
             else:
-                value = (vp_int(x, p) * h + off, False) if x else (cap * h + off, True)
-            if value < best:
-                best = value
-        return (neg, torus_coords, diag, pos,
-                PValue("at_least" if best[1] else "finite", Fraction(best[0], h)))
+                key = 2 * (vp_int(x, p) * h + off) if x else 2 * (cap * h + off) + 1
+            if key < best:
+                best = key
+        for d in diag:
+            if 2 * h < best:
+                best = min(best, 2 * vp_int(d - 1, p) * h if d != 1 else 2 * cap * h + 1)
+        return neg, torus_coords, diag, pos, _omega_value(best, h)
 
     def _wrap(self, v: int) -> PadicScalar:
         return PadicScalar(self.ring, v, self.ring.prec, False)
@@ -597,7 +613,8 @@ class ChevalleyGroup:
                             row[j] = (row[j] + s * x * row[i]) % mod
 
             rmul_batch(neg_batch, coords[:a])
-            diag = self._torus_diagonal_ints([exp_int(p * c, self.ring) for c in coords[a:b]])
+            # exp(p c) = exp(p)^c for an int c, so this is exact mod p^N
+            diag = self._torus_diagonal_ints([pow(self._exp_p, c, mod) for c in coords[a:b]])
             for row in rows:
                 row[:] = [e * dj % mod for e, dj in zip(row, diag)]
             rmul_batch(pos_batch, coords[b:])
@@ -607,6 +624,11 @@ class ChevalleyGroup:
             zip(neg_batch, self._chart_scaled(zip(neg_batch, coords[:a]), 1)),
             [padic_exp(x.shift(1)) for x in coords[a:b]],
             zip(pos_batch, self._chart_scaled(zip(pos_batch, coords[b:]), 1)))
+
+    @cached_property
+    def _exp_p(self) -> int:
+        """exp(p) modulo p^N, for the draws of ``from_coordinates``."""
+        return exp_int(self.ring.p, self.ring) % self._mod
 
     # -- the p-valuation ------------------------------------------------------
 
@@ -638,7 +660,21 @@ class ChevalleyGroup:
         """omega via conjugation into the congruence filtration of E, the
         independent oracle: the least val(g_ij - delta_ij) + (d_i - d_j)/e."""
         et = self.et_data()
-        return PValue.min(PValue.of(x, Fraction(k, et.e)) for x, k in et.shifted_entries(g))
+        ints = g._ints
+        if ints is None:
+            return PValue.min(PValue.of(x, Fraction(k, et.e)) for x, k in et.shifted_entries(g))
+        # ``shifted_entries`` on the ints: e omega is vp(x) e + k, or N e + k at the cap
+        p, mod, e, cap = self.ring.p, self._mod, et.e, self.ring.prec
+        exps = self.exponents(et.mu)
+        best = INF
+        for i, row in enumerate(ints):
+            for j, y in enumerate(row):
+                x, k = (y - (i == j)) % mod, exps[i] - exps[j]
+                v = vp_int(x, p) if x else cap
+                if k < 0 and e * v < -k:
+                    raise PrecisionError(f"entry ({i}, {j}) is not divisible by pi^{-k}")
+                best = min(best, 2 * (v * e + k) + (not x))
+        return _omega_value(best, e)
 
 
 @dataclass
@@ -768,8 +804,8 @@ def _flat_ints(mat, ring):
 
 
 def _matmul_ints(a, b, mod):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) % mod for col in cols) for row in a)
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in a])
 
 
 def _det_recursive(mat, idx_rows, idx_cols, zero):

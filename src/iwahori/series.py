@@ -74,13 +74,14 @@ class SeriesContext:
         self.batch = [self.datum.act_root(self.w, r) for r in self.datum.positive_roots]
         self.weights = [self.datum.pairing(g, self.mu) for g in self.batch]
         self.nvars = len(self.batch)
+        self.slope_of = lru_cache(maxsize=4096)(self.slope_of)  # remembered per index
 
     def lambda_of(self, index) -> int:
         if len(index) != self.nvars:
             raise SeriesError(f"monomial indices need {self.nvars} chart entries")
         return sum(map(mul, self.weights, index))
 
-    def slope_of(self, index):
+    def slope_of(self, index: tuple):
         """v_p(lambda_I); infinity for the constant monomial."""
         return vp_int(self.lambda_of(index), self.ring.p)
 
@@ -292,6 +293,8 @@ class TruncatedSeries:
             theirs = other.coeffs
         else:
             return NotImplemented
+        if self.coeffs == theirs:
+            return True
         zero = Fraction(0)
         return all(self.coeffs.get(k, zero) == theirs.get(k, zero)
                    for k in set(self.coeffs) | set(theirs))

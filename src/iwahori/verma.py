@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .padic import InternalError
 from .roots import RootDatum, WeylElement, get_root_datum
@@ -108,16 +109,19 @@ def is_positive_integer(q: Fraction) -> bool:
 def bgg_simple(dchi: DerivedCharacter):
     """The simplicity test on exact rationals: simple exactly when
     (dchi + delta) pairs with no positive coroot in a positive integer.
-    Returns the verdict and the per-root certificate."""
+    Returns the verdict and the per-root certificate; the pairings run on
+    ints over the common denominator of dchi + delta."""
     datum = dchi.datum
-    shifted = tuple(c + d for c, d in zip(dchi.coeffs, datum.delta))
+    big_d = math.lcm(*(c.denominator for c in (*dchi.coeffs, *datum.delta)))
+    shifted = [c.numerator * (big_d // c.denominator) + d.numerator * (big_d // d.denominator)
+               for c, d in zip(dchi.coeffs, datum.delta)]
     certificate = []
     simple = True
     for root in datum.positive_roots:
-        value = sum((s * e for s, e in zip(shifted, datum.coroot(root))), Fraction(0))
-        hit = is_positive_integer(value)
+        value = sum(map(mul, shifted, datum.coroot(root)))
+        hit = value > 0 and value % big_d == 0
         simple = simple and not hit
-        certificate.append({"root": root, "value": value, "positive_integer": hit})
+        certificate.append({"root": root, "value": Fraction(value, big_d), "positive_integer": hit})
     return simple, certificate
 
 

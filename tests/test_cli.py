@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -433,6 +434,18 @@ def test_verify_all_times_its_suites_on_a_monotonic_clock(monkeypatch, capsys, t
     assert code == 0
     timings = [line.rsplit("(", 1)[1] for line in out.splitlines() if "(" in line]
     assert len(timings) == len(SUITES) + 1 and not any(t.startswith("-") for t in timings)
+
+
+def test_verify_all_prints_each_suite_in_milliseconds(capsys, tmp_path):
+    # one decimal in ms, so a suite that takes a fraction of a millisecond
+    # does not print as zero seconds; the report bytes carry no timing
+    code, out = run(capsys, "verify-all", "--group", "sl2", "--p", "5", "--precision", "4",
+                    "--n-samples", "2", "--json", str(tmp_path))
+    assert code == 0
+    lines = [line for line in out.splitlines() if "(" in line]
+    assert len(lines) == len(SUITES) + 1 and lines[-1].startswith("total ok (")
+    assert all(re.fullmatch(r".* \(\d+\.\d ms\)", line) for line in lines), lines
+    assert " ms)" not in (tmp_path / "verify-all-sl2.json").read_text()
 
 
 def test_verify_all_factorizes_each_element_and_twist_once(monkeypatch, capsys):

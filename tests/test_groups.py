@@ -605,13 +605,14 @@ UNDECIDED = (None, None)
     (C(1), F(1), (True, 0)),
     (C(1), F(2), UNDECIDED),
     (F(2), C(1), UNDECIDED),
-    (F(1), C(2), UNDECIDED),
+    (F(1), C(2), (False, None)),  # the cap marker is above 1, by an unknown amount
     (C(2), C(1), UNDECIDED),
     (INFTY, F(1), (True, None)),
     (INFTY, C(1), (True, None)),
     (INFTY, INFTY, (True, None)),
-    (F(1), INFTY, UNDECIDED),
+    (F(1), INFTY, (False, None)),
     (C(1), INFTY, UNDECIDED),
+    (F(2), C(2), UNDECIDED),
 ])
 def test_pvalue_ge(lhs, rhs, expected):
     assert lhs.ge(rhs) == expected
@@ -625,10 +626,13 @@ def test_pvalue_ge(lhs, rhs, expected):
     (F(1), C(1), UNDECIDED),
     (C(1), F(1), UNDECIDED),
     (C(1), C(1), UNDECIDED),
-    (F(1), INFTY, UNDECIDED),
-    (INFTY, F(1), UNDECIDED),
+    (F(1), INFTY, (False, None)),
+    (INFTY, F(1), (False, None)),
     (C(1), INFTY, UNDECIDED),
     (INFTY, C(1), UNDECIDED),
+    (F(1), C(2), (False, None)),  # a cap marker above a finite value, either side
+    (C(2), F(1), (False, None)),
+    (F(2), C(1), UNDECIDED),
 ])
 def test_pvalue_eq(lhs, rhs, expected):
     assert lhs.eq(rhs) == expected

@@ -1,0 +1,356 @@
+"""Differential tests for the checks that verify-all runs around the int kernel.
+
+* the conjugation oracle on int rows against the former scalar loop, kept
+  here, with cap markers and its ``PrecisionError``;
+* draws whose torus coordinate c enters as exp(p)^c against the former
+  exp(p c) form, kept here;
+* the commutator (hg)^-1 gh against the four-factor product g^-1 h^-1 g h;
+* omega keys off the int factorization, failure details built only for a
+  failed verdict, and the series self-test's draws and chart;
+* planted mutants: each new form, changed in one place by a source edit,
+  is caught by the comparison that passes the form itself.
+"""
+
+import inspect
+import textwrap
+from fractions import Fraction
+from operator import mul
+from random import Random
+
+import pytest
+
+from iwahori import axioms
+from iwahori.axioms import AxiomReport, check_pvaluation_axioms, check_series
+from iwahori.groups import ChevalleyGroup, GroupElement, PValue, _matmul_ints, _omega_value
+from iwahori.padic import PrecisionError, exp_int
+from iwahori.series import SeriesContext, SeriesError, TruncatedSeries
+from test_fast_paths import (SAMPLE_CONFIGS, SAMPLE_GROUPS, coordinate_vectors, flatten,
+                             omega_full_min_ref, omega_inputs)
+
+IDS = {"ids": lambda c: "-".join(map(str, c))}
+
+
+def mutant(func, old, new):
+    """func with the one occurrence of the source text old replaced by new,
+    compiled against the globals of func's module."""
+    src = textwrap.dedent(inspect.getsource(func))
+    assert src.count(old) == 1, old
+    found = {}
+    exec(compile(src.replace(old, new), inspect.getsourcefile(func), "exec"),
+         func.__globals__, found)
+    return found[func.__name__]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionError as err:
+        return PrecisionError, str(err)
+
+
+# -- the conjugation oracle ----------------------------------------------------
+
+
+def oracle_scalar_ref(G, g):
+    """The former ``p_valuation_by_conjugation``: the least PValue.of(x, k/e)
+    over the scalar entries of ``shifted_entries``, which raises."""
+    et = G.et_data()
+    return PValue.min(PValue.of(x, Fraction(k, et.e)) for x, k in et.shifted_entries(g))
+
+
+def oracle_inputs(G, rng):
+    """Elements for the oracle: samples on every twist, the omega inputs (exact
+    and flat, with cap markers), and flat upper-root elements at a unit
+    parameter, whose upper entry is not divisible by pi^(-shift)."""
+    d = len(G.dirs) + G.datum.rank
+    out = [G.from_coordinates(c, w) for w in G.datum.weyl_group()
+           for c in coordinate_vectors(G, d, rng)]
+    out += [g for _name, g in omega_inputs(G)]
+    out += [flatten(G.root_element(r, 1)) for r in sorted(G.dirs) if G.datum.height(r) < 0]
+    return out + [flatten(g) for g in out]
+
+
+def oracle_mismatches(G, rng):
+    """(mismatches, outcome kinds seen) of the oracle against the scalar loop."""
+    bad, seen = [], set()
+    for g in oracle_inputs(G, rng):
+        got = outcome(G.p_valuation_by_conjugation, g)
+        want = outcome(oracle_scalar_ref, G, g)
+        seen.add(want.kind if isinstance(want, PValue) else "raises")
+        if got != want:
+            bad.append((g, got, want))
+    return bad, seen
+
+
+@pytest.mark.parametrize("config", SAMPLE_CONFIGS, **IDS)
+def test_int_oracle_matches_the_scalar_loop(config):
+    # int rows and scalar entries, with cap markers, and the same
+    # PrecisionError text where an upper entry is a unit
+    G = SAMPLE_GROUPS[config]
+    bad, seen = oracle_mismatches(G, Random(f"oracle-{config}"))
+    assert not bad
+    assert seen == {"finite", "at_least", "infinite", "raises"}
+
+
+ORACLE_MUTANTS = [
+    ("+ (not x)", "+ 0"),  # cap markers read as finite values
+    ("if x else cap", "if x else cap - 1"),  # the cap one digit short
+    ("if k < 0 and e * v < -k:", "if False:"),  # the precision check dropped
+]
+
+
+@pytest.mark.parametrize("old,new", ORACLE_MUTANTS)
+def test_int_oracle_mutants_are_caught(old, new, monkeypatch):
+    bad = mutant(ChevalleyGroup.p_valuation_by_conjugation, old, new)
+    monkeypatch.setattr(ChevalleyGroup, "p_valuation_by_conjugation", bad)
+    caught = [config for config in SAMPLE_CONFIGS if config[2] in (1, 12)
+              and oracle_mismatches(SAMPLE_GROUPS[config], Random(f"oracle-{config}"))[0]]
+    assert caught
+
+
+# -- draws ---------------------------------------------------------------------------
+
+
+def draw_rows_ref(G, coords, w):
+    """The former int rows of ``from_coordinates``: each torus coordinate c
+    enters as exp_int(p c); the same right multiplications otherwise."""
+    plan = G._factor_plan(w, "lex")
+    p, mod = G.ring.p, G._mod
+    a, b = len(plan.neg_batch), len(plan.neg_batch) + G.datum.rank
+    rows = [list(r) for r in G._identity_ints]
+    for batch, values in ((plan.neg_batch, coords[:a]), (None, coords[a:b]),
+                          (plan.pos_batch, coords[b:])):
+        if batch is None:
+            diag = G._torus_diagonal_ints([exp_int(p * c, G.ring) for c in values])
+            rows = [[e * dj % mod for e, dj in zip(row, diag)] for row in rows]
+            continue
+        for root, c in zip(batch, values):
+            x = c * p if G.datum.height(root) < 0 else c
+            for i, j, s in G.dirs[root]:
+                for row in rows:
+                    row[j] = (row[j] + s * x * row[i]) % mod
+    return tuple(map(tuple, rows))
+
+
+def draw_mismatches(G, rng):
+    d = len(G.dirs) + G.datum.rank
+    bad = []
+    for w in G.datum.weyl_group():
+        # the last vector of coordinate_vectors has a 0; p^N - 1 is the largest exponent
+        for coords in coordinate_vectors(G, d, rng)[:-1] + [[G._mod - 1] * d]:
+            if G.from_coordinates(coords, w)._ints != draw_rows_ref(G, coords, w):
+                bad.append((w.name, coords))
+    return bad
+
+
+@pytest.mark.parametrize("config", SAMPLE_CONFIGS, **IDS)
+def test_draw_rows_match_the_exp_of_p_c_form(config):
+    G = SAMPLE_GROUPS[config]
+    assert G._exp_p == exp_int(G.ring.p, G.ring) % G._mod
+    assert not draw_mismatches(G, Random(f"draw-{config}"))
+
+
+def test_draw_mutant_is_caught(monkeypatch):
+    # exp(p)^c raised only modulo p^(N-1)
+    bad = mutant(ChevalleyGroup.from_coordinates, "pow(self._exp_p, c, mod)",
+                 "pow(self._exp_p, c, mod // p)")
+    monkeypatch.setattr(ChevalleyGroup, "from_coordinates", bad)
+    assert all(draw_mismatches(SAMPLE_GROUPS[c], Random(f"draw-{c}"))
+               for c in SAMPLE_CONFIGS if c[2] in (2, 12))
+
+
+# -- the commutator ------------------------------------------------------------------
+
+
+def commutator_pairs(G, rng, n):
+    """n pairs of draws; with N <= 3 about half the draws or more have a zero
+    coordinate and take the scalar route."""
+    d, mod = len(G.dirs) + G.datum.rank, G._mod
+
+    def draw():
+        coords = [rng.randrange(mod) for _ in range(d)]
+        if G.ring.prec <= 3 and rng.random() < 0.5:
+            coords[rng.randrange(d)] = 0
+        return G.from_coordinates(coords)
+
+    return [(draw(), draw()) for _ in range(n)]
+
+
+def four_factor(g, h):
+    return g.inv() * h.inv() * g * h
+
+
+def new_form(g, h):
+    return (h * g).inv() * (g * h)
+
+
+@pytest.mark.parametrize("config", SAMPLE_CONFIGS, **IDS)
+def test_commutator_form_matches_the_four_factor_product(config):
+    # identical int rows, and the same omega on the scalar route
+    G = SAMPLE_GROUPS[config]
+    routes = set()
+    for g, h in commutator_pairs(G, Random(f"comm-{config}"), 30):
+        old, new = four_factor(g, h), new_form(g, h)
+        routes.add(g._ints is not None and h._ints is not None)
+        if new._ints is not None:
+            assert new._ints == old._ints
+        assert G.p_valuation(new) == G.p_valuation(old)
+    assert (False in routes) == (G.ring.prec <= 3)  # a draw on the scalar route
+
+
+@pytest.mark.parametrize("form", [
+    lambda g, h: (g * h).inv() * (h * g),  # [h, g], the inverse commutator
+    lambda g, h: (h * g).inv() * (h * g),  # the identity
+])
+def test_commutator_mutants_are_caught(form):
+    G = SAMPLE_GROUPS[("sp4", 7, 12)]
+    pairs = commutator_pairs(G, Random("comm-mutant"), 10)
+    assert any(form(g, h)._ints != four_factor(g, h)._ints for g, h in pairs)
+
+
+def test_the_axiom_suite_forms_the_commutator_once(monkeypatch):
+    # one product and one inverse fewer per sample than the four-factor form
+    G = ChevalleyGroup("sp4", 7, 12)
+    calls = {"mul": 0, "inv": 0}
+    product, inverse = GroupElement.__mul__, GroupElement.inv
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return product(self, other)
+
+    def counting_inv(self):
+        calls["inv"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counting_mul)
+    monkeypatch.setattr(GroupElement, "inv", counting_inv)
+    check_pvaluation_axioms(G, 1, seed=3)
+    # gh, hg and (hg)^-1 gh, and g^7 as two squarings and two products; the
+    # four-factor form took 8 products and 2 inverses
+    assert calls == {"mul": 3 + 4, "inv": 1}
+
+
+def matmul_mismatches(matmul):
+    """Products that differ from the former generator form, over random rows."""
+    rng, bad = Random(5), []
+    for n, mod in ((2, 5 ** 3), (3, 5 ** 10), (4, 7 ** 12)):
+        for _ in range(20):
+            a, b = ([[rng.randrange(mod) for _ in range(n)] for _ in range(n)] for _ in "ab")
+            ref = tuple(tuple(sum(map(mul, row, col)) % mod for col in zip(*b)) for row in a)
+            if matmul(a, b, mod) != ref:
+                bad.append((a, b))
+    return bad
+
+
+def test_matmul_ints_matches_the_generator_form():
+    assert not matmul_mismatches(_matmul_ints)
+    # planted: the rows left unreduced, and the columns read off a
+    assert matmul_mismatches(mutant(_matmul_ints, ") % mod for", ") for"))
+    assert matmul_mismatches(mutant(_matmul_ints, "zip(*b)", "zip(*a)"))
+
+
+# -- omega keys ----------------------------------------------------------------------
+
+
+def omega_mismatches(G, rng):
+    d = len(G.dirs) + G.datum.rank
+    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    elements = [G.from_coordinates(c) for c in coordinate_vectors(G, d, rng)]
+    bad = []
+    for g in elements + [flatten(g) for _name, g in omega_inputs(G)]:
+        neg, _coords, diag, pos, omega = G._factor_ints(flatten(g)._ints, plan)
+        if omega != omega_full_min_ref(G, neg, diag, pos)[0]:
+            bad.append(g)
+    return bad
+
+
+@pytest.mark.parametrize("old,new", [
+    ("2 * (cap * h + off) + 1", "2 * (cap * h + off)"),  # a root cap read as finite
+    ("elif 2 * (h + off) >= best:", "elif 2 * (h + off) > best - 2:"),  # a factor skipped
+    ("2 * vp_int(d - 1, p) * h", "2 * (vp_int(d - 1, p) + 1) * h"),  # torus valuation
+])
+def test_factor_omega_mutants_are_caught(old, new, monkeypatch):
+    monkeypatch.setattr(ChevalleyGroup, "_factor_ints",
+                        mutant(ChevalleyGroup._factor_ints, old, new))
+    assert any(omega_mismatches(SAMPLE_GROUPS[c], Random(f"omega-{c}")) for c in SAMPLE_CONFIGS)
+
+
+def test_omega_values_are_shared_per_key_and_denominator():
+    assert _omega_value(6, 4) == PValue.finite(Fraction(3, 4))
+    assert _omega_value(7, 4) == PValue.at_least(Fraction(3, 4))
+    assert _omega_value(6, 8) == PValue.finite(Fraction(3, 8))
+    assert _omega_value(6, 4) is _omega_value(6, 4)
+    G = ChevalleyGroup("sp4", 7, 3)
+    g = G.from_coordinates([1] * 10)
+    assert G.p_valuation(g) is G.p_valuation(G.from_coordinates([1] * 10))
+    # the oracle and the factorization use different denominators e and h
+    assert G.p_valuation(g) == G.p_valuation_by_conjugation(g)
+
+
+# -- verdicts ------------------------------------------------------------------------
+
+
+def test_judge_builds_a_callable_detail_only_for_a_failure():
+    G = ChevalleyGroup("sl2", 5, 4)
+    report = AxiomReport(G, 3, 1)
+    called = []
+
+    def detail():
+        called.append(1)
+        return "omega=1/2"
+
+    report.judge("a", 0, (True, Fraction(0)), detail)
+    report.judge("a", 1, (None, None), detail)
+    assert not called and report.failures == []
+    report.judge("a", 2, (False, Fraction(-1)), detail)
+    report.judge("b", 2, (False, None), "plain text")
+    assert called == [1]
+    assert [f["detail"] for f in report.failures] == ["omega=1/2", "plain text"]
+    assert report.counts("a").as_json() == {"passed": 1, "failed": 1, "skipped": 1,
+                                            "worst_margin": "-1"}
+
+
+def test_pvalue_eq_margin_of_equal_values_is_zero():
+    for v in (0, Fraction(1, 4), 12):
+        verdict, margin = PValue.finite(v).eq(PValue.finite(v))
+        assert verdict is True and margin == 0 and str(margin) == "0"
+
+
+# -- the series self-test ----------------------------------------------------------
+
+
+def test_check_series_draws_the_former_stream_on_one_chart(monkeypatch):
+    G = ChevalleyGroup("sp4", 7, 12)
+    built = []
+
+    class Recording(TruncatedSeries):
+        def __init__(self, ctx, coeffs=None, degree=None):
+            if degree == 5 * ctx.nvars:  # a trial's series, not the constants check's
+                built.append((ctx, dict(coeffs)))
+            super().__init__(ctx, coeffs, degree)
+
+    monkeypatch.setattr(axioms, "TruncatedSeries", Recording)
+    for seed in (1, 2):
+        built.clear()
+        assert check_series(G, seed).failures == []
+        rng = Random(seed)
+        for ctx, coeffs in built:
+            want = {tuple(rng.randrange(6) for _ in range(ctx.nvars)):
+                    Fraction(rng.randrange(-20, 21)) for _ in range(8)}
+            assert coeffs == want
+        assert len(built) == 10 and len({id(ctx) for ctx, _c in built}) == 1
+    assert axioms._series_context(G) is axioms._series_context(G)
+
+
+def test_slope_of_is_remembered_per_index():
+    ctx = SeriesContext("sp4", p=7, prec=12)
+    for idx in [(0, 0, 0, 0), (7, 0, 0, 0), (1, 2, 3, 4), (49, 0, 0, 0)]:
+        for _ in range(2):
+            slope = ctx.slope_of(idx)
+            lam = ctx.lambda_of(idx)
+            assert slope == (float("inf") if lam == 0 else
+                             next(v for v in range(99) if lam % 7 ** (v + 1)))
+    assert ctx.slope_of.cache_info().hits == 4
+    for _ in range(2):
+        with pytest.raises(SeriesError):
+            ctx.slope_of((1, 2))

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from iwahori import verma
 from iwahori.roots import WeylElement, get_root_datum
 from iwahori.verma import (
     DerivedCharacter,
@@ -17,6 +18,7 @@ from iwahori.verma import (
     weight_multiplicity,
     weyl_twist,
 )
+from test_int_checks import mutant
 
 
 def brute_force_multiplicity(datum, dchi, lam, w, max_total=14):
@@ -277,6 +279,71 @@ def _bgg_simple_twisted_ref(dchi, w):
     return simple
 
 
+def sweep_dchis(datum, rng):
+    """Generic rational dchi, and dchi on each positive-root hyperplane
+    <dchi + delta, alpha^v> = n for n in -1..5."""
+    dchis = []
+    for _ in range(10):
+        base = [Fraction(rng.randrange(-12, 13), rng.choice([1, 2, 3, 4, 6, 7, 9]))
+                for _ in range(datum.dim)]
+        dchis.append(base)
+        for root in datum.positive_roots:
+            cov = datum.coroot(root)
+            pair = sum((b + d) * e for b, d, e in zip(base, datum.delta, cov))
+            for n in (-1, 0, 1, rng.randrange(2, 6)):
+                t = (n - pair) / sum(e * e for e in cov)
+                dchis.append([b + t * e for b, e in zip(base, cov)])
+    return dchis
+
+
+def _bgg_simple_ref(dchi):
+    """The former ``bgg_simple``: dchi + delta and each pairing summed as
+    Fractions."""
+    datum = dchi.datum
+    shifted = tuple(c + d for c, d in zip(dchi.coeffs, datum.delta))
+    certificate = []
+    simple = True
+    for root in datum.positive_roots:
+        value = sum((s * e for s, e in zip(shifted, datum.coroot(root))), Fraction(0))
+        hit = is_positive_integer(value)
+        simple = simple and not hit
+        certificate.append({"root": root, "value": value, "positive_integer": hit})
+    return simple, certificate
+
+
+def bgg_simple_mismatches(group):
+    datum = get_root_datum(group)
+    bad = []
+    for coeffs in sweep_dchis(datum, random.Random(32)):
+        dchi = DerivedCharacter.of(group, *coeffs)
+        got = verma.bgg_simple(dchi)
+        if got != _bgg_simple_ref(dchi) or any(type(e["value"]) is not Fraction
+                                               for e in got[1]):
+            bad.append(coeffs)
+    return bad
+
+
+@pytest.mark.parametrize("group", ["sl2", "sl3", "sp4"])
+def test_bgg_simple_certificate_matches_the_fraction_code(group):
+    # generic rational dchi and dchi on every positive-root hyperplane (on sp4
+    # those of a, b, a + b and 2a + b): the same verdict and certificate, and
+    # the verdict of bgg_simple_twisted at w = e, an independent int path
+    assert not bgg_simple_mismatches(group)
+    datum = get_root_datum(group)
+    for coeffs in sweep_dchis(datum, random.Random(33)):
+        dchi = DerivedCharacter.of(group, *coeffs)
+        assert bgg_simple_twisted(dchi, datum.identity_weyl()) == bgg_simple(dchi)[0]
+
+
+@pytest.mark.parametrize("old,new", [
+    ("value > 0 and", "value >= 0 and"),  # n = 0 read as a positive integer
+    ("(*dchi.coeffs, *datum.delta)", "dchi.coeffs"),  # delta's denominator lost
+])
+def test_bgg_simple_mutants_are_caught(old, new, monkeypatch):
+    monkeypatch.setattr(verma, "bgg_simple", mutant(verma.bgg_simple, old, new))
+    assert any(bgg_simple_mismatches(group) for group in ("sl2", "sl3", "sp4"))
+
+
 def _raised(fn, *args):
     try:
         fn(*args)
@@ -290,19 +357,8 @@ def test_bgg_simple_twisted_matches_the_fraction_code(group):
     # every Weyl twist, at generic rational dchi and at dchi on each
     # positive-root hyperplane <dchi + delta, alpha^v> = n, n in -1..5:
     # the same bool
-    rng = random.Random(31)
     datum = get_root_datum(group)
-    dchis = []
-    for _ in range(10):
-        base = [Fraction(rng.randrange(-12, 13), rng.choice([1, 2, 3, 4, 6, 7, 9]))
-                for _ in range(datum.dim)]
-        dchis.append(base)
-        for root in datum.positive_roots:
-            cov = datum.coroot(root)
-            pair = sum((b + d) * e for b, d, e in zip(base, datum.delta, cov))
-            for n in (-1, 0, 1, rng.randrange(2, 6)):
-                t = (n - pair) / sum(e * e for e in cov)
-                dchis.append([b + t * e for b, e in zip(base, cov)])
+    dchis = sweep_dchis(datum, random.Random(31))
     verdicts = []
     for coeffs in dchis:
         dchi = DerivedCharacter.of(group, *coeffs)
