@@ -227,17 +227,18 @@ def check_et_embedding(group: ChevalleyGroup, seed: int = 1) -> AxiomReport:
     """Exact interval checks for the conjugating pair and the congruence
     embedding of the ordered basis."""
     report = _new_report(group, 1, seed)
-    p = group.ring.p
-    et = group.et_data()
+    p, h = group.ring.p, group.coxeter_number
     lo = Fraction(1, p - 1)
     hi = 1 - Fraction(1, p - 1)  # 1/e - 1/(p-1) with e = 1
-    for root, v in et.root_values().items():
+    for root in group.datum.positive_roots:
+        # val(alpha(t)) = ht(alpha)/h, exact: alpha(t) = pi^(a*ht(alpha)), val(pi) = 1/(a*h)
+        v = Fraction(group.datum.height(root), h)
         report.judge("root_value_interval", 0, (lo < v < hi, min(v - lo, hi - v)),
                      lambda: f"{root}: {v}")
     report.counts("torus_containment").record(p - 1 > 1)  # middle factor in m_E^r: p-1 > e
     for vec in group.ordered_basis().entries:
         report.judge("basis_in_congruence", 0,
-                     (et.conjugate_in_congruence(vec.generator), None), lambda: f"{vec.label}")
+                     (group.conjugate_in_congruence(vec.generator), None), lambda: f"{vec.label}")
     return report
 
 

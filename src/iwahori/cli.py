@@ -249,6 +249,8 @@ def cmd_slope(args) -> int:
             "gauss_valuation_at_least": atleast.gauss_valuation().as_json(),
         }
     else:
+        if args.iterations < 0:
+            raise ValueError(f"--iterations must be non-negative, got {args.iterations}")
         try:
             projected = hida_projector(atleast, args.slope, args.iterations)
             projected_json = _series_to_json(projected)

@@ -61,22 +61,23 @@ Integer path
 ------------
 An element whose entries are all inexact and all at the ring precision N
 is read into plain ints modulo p^N when it is built, and keeps them.  For
-such elements the group relation, the membership test, products, inverses,
-the factorization with its factor minimum omega, and the conjugation oracle
-run on those ints.  Results stay ints until read: an element builds its
-scalar entries ``mat``, and a factorization wraps its four factor lists, the
-first time they are read, so ``p_valuation`` builds no scalar.
+such elements the group relation, the membership test, products, inverses
+and the factorization with its factor minimum omega run on those ints.
+Results stay ints until read: an element builds its scalar entries ``mat``,
+and a factorization wraps its four factor lists, the first time they are
+read, so ``p_valuation`` builds no scalar.  The conjugation oracle's one
+scan reads an entry off the ints, or off a scalar's (co, prec, exact).
 ``from_coordinates`` builds such elements on ints from int coordinates in
 1..p^N - 1, as ``sample_iwahori`` draws them, a torus coordinate c as
 exp(p)^c = exp(p c) mod p^N.  The path gives the same (co, prec, exact) as
 the scalar route, runs the same self-checks and raises the same exceptions;
 its outputs are again inexact at N, so chained products stay on it.  Exact or
-mixed-precision entries (user matrices, the identity, root generators) take
-the scalar route; on ints an exact zero entry would read as a cap marker, so
-the et suite's exact basis generators stay there.  Both routes factor in
-plan order: the LDU of the rows permuted once into the twist's basis order,
-then both strips, in place, through the batch directions that the plan maps
-to that order.
+mixed-precision entries (user matrices, the identity, root generators and
+the basis generators that the et suite tests) take the scalar route, where
+an exact zero keeps valuation infinity; on ints it would read as a cap
+marker.  Both routes factor in plan order: the LDU of the rows permuted once
+into the twist's basis order, then both strips, in place, through the batch
+directions that the plan maps to that order.
 """
 
 from __future__ import annotations
@@ -274,6 +275,13 @@ class ChevalleyGroup:
         self._height = {r: self.datum.height(r) for r in self.dirs}  # omega offsets ht(root)/h
         self._omega_offset = {r: Fraction(ht, h) for r, ht in self._height.items()}
         self._basis_cache = {}
+        # the oracle's data: t = mu(pi), pi^e = p, for the height cocharacter mu at
+        # w = 1 scales entry (i, j) by pi^(d_i - d_j), d = exponents(mu); e = a h,
+        # and r is the least congruence level above e/(p - 1)
+        mu, a = self.datum.adapted_cocharacter(self.datum.identity_weyl())
+        d = self.exponents(mu)
+        self._conj_shift = tuple(tuple(di - dj for dj in d) for di in d)
+        self._conj_e, self._conj_r = a * h, a * h // (p - 1) + 1
 
     # -- gates ---------------------------------------------------------
 
@@ -647,75 +655,51 @@ class ChevalleyGroup:
 
     # -- the conjugation oracle ------------------------------------------------
 
-    def et_data(self):
-        """The conjugation data over E = Q_p(p^(1/e)): the height cocharacter
-        mu at w = 1, its scale a, the ramification index e = a*h, and the
-        congruence level r, the least integer above e/(p-1)."""
-        self.check_gate()
-        mu, a = self.datum.adapted_cocharacter(self.datum.identity_weyl())
-        e = a * self.coxeter_number
-        return EtData(self, mu, a, e, e // (self.ring.p - 1) + 1)
-
     def p_valuation_by_conjugation(self, g: "GroupElement") -> PValue:
         """omega via conjugation into the congruence filtration of E, the
         independent oracle: the least val(g_ij - delta_ij) + (d_i - d_j)/e."""
-        et = self.et_data()
-        ints = g._ints
-        if ints is None:
-            return PValue.min(PValue.of(x, Fraction(k, et.e)) for x, k in et.shifted_entries(g))
-        # ``shifted_entries`` on the ints: e omega is vp(x) e + k, or N e + k at the cap
-        p, mod, e, cap = self.ring.p, self._mod, et.e, self.ring.prec
-        exps = self.exponents(et.mu)
-        best = INF
-        for i, row in enumerate(ints):
-            for j, y in enumerate(row):
-                x, k = (y - (i == j)) % mod, exps[i] - exps[j]
-                v = vp_int(x, p) if x else cap
-                if k < 0 and e * v < -k:
-                    raise PrecisionError(f"entry ({i}, {j}) is not divisible by pi^{-k}")
-                best = min(best, 2 * (v * e + k) + (not x))
-        return _omega_value(best, e)
-
-
-@dataclass
-class EtData:
-    """Conjugation by t = mu(pi), pi^e = p, multiplies entry (i, j) by
-    pi^(d_i - d_j), d = exponents(mu): it is read off g, not computed in E."""
-
-    group: ChevalleyGroup
-    mu: tuple
-    a: int
-    e: int
-    r: int
-
-    def shifted_entries(self, g: "GroupElement"):
-        """(g_ij - delta_ij, d_i - d_j) for every position in row order; the
-        entry of t g t^(-1) - 1 there is the first times pi^(second).  Raises
-        PrecisionError if an entry is not divisible by pi^(-shift)."""
-        exps = self.group.exponents(self.mu)
-        n, out = self.group.n, []
-        for i in range(n):
-            for j in range(n):
-                x, k = g.sub_identity_entry(i, j), exps[i] - exps[j]
-                w = x.pival()
-                if k < 0 and w is not INF and self.e * (x.prec if w is None else w) < -k:
-                    raise PrecisionError(f"entry ({i}, {j}) is not divisible by pi^{-k}")
-                out.append((x, k))
-        return out
+        best = self._conjugation_scan(g)[0]
+        return _INFINITE if best == INF else _omega_value(best, self._conj_e)
 
     def conjugate_in_congruence(self, g: "GroupElement") -> bool:
         """t g t^(-1) = 1 mod pi^r; PrecisionError below r pi-digits."""
-        for x, k in self.shifted_entries(g):
-            if self.e * x.prec + k < self.r:
-                raise PrecisionError("not enough digits to test the congruence level")
-            if not x.zero_mod(-((k - self.r) // self.e)):  # val(x) + k/e >= r/e
-                return False
-        return True
+        verdict = self._conjugation_scan(g)[1]
+        if verdict is None:
+            raise PrecisionError("not enough digits to test the congruence level")
+        return verdict
 
-    def root_values(self):
-        """val(alpha(t)) = ht(alpha)/h for the positive roots, exact: alpha(t) =
-        pi^(a*ht(alpha)) and val(pi) = 1/e = 1/(a*h)."""
-        return {r: self.group._omega_offset[r] for r in self.group.datum.positive_roots}
+    def _conjugation_scan(self, g: "GroupElement"):
+        """One pass in row order over x = g_ij - delta_ij, read off the int rows of
+        g or the (co, prec, exact) of a scalar entry, where t g t^(-1) - 1 is
+        x pi^k: the least key (``_omega_value``, INF for none) of val(x) + k/e,
+        and the verdict val(x) + k/e >= r/e at every position, None where too
+        few digits come first.  PrecisionError where any x is not divisible by
+        pi^(-k)."""
+        self.check_gate()
+        if g.group is not self:
+            raise ValueError("element of a different group")
+        p, e, r, ppow = self.ring.p, self._conj_e, self._conj_r, self.ring.ppow
+        ints, prec, exact, mod = g._ints, self.ring.prec, False, self._mod
+        best, verdict = INF, True
+        for i, (row, shifts) in enumerate(zip(g.mat if ints is None else ints, self._conj_shift)):
+            for j, (y, k) in enumerate(zip(row, shifts)):
+                if ints is None:
+                    y, prec, exact = y.co, y.prec, y.exact
+                    mod = ppow(prec)
+                x = (y - (i == j)) % mod
+                # e val(x) + k, the valuation in pi-digits of the entry of t g t^(-1) - 1
+                u = (vp_int(x, p) if x else INF if exact else prec) * e + k
+                if u < 0:
+                    raise PrecisionError(f"entry ({i}, {j}) is not divisible by pi^{-k}")
+                key = 2 * u + (not x)  # odd for a cap marker, inf for an exact zero
+                if key < best:
+                    best = key
+                if verdict:  # the first position that decides it, in row order
+                    if e * prec + k < r:
+                        verdict = None
+                    elif u < r:
+                        verdict = False
+        return best, verdict
 
 
 @dataclass
@@ -1031,8 +1015,6 @@ class GroupElement:
         return (_det_recursive(ints, idx, idx, 0) - 1) % group._mod == 0
 
     def sub_identity_entry(self, i: int, j: int) -> PadicScalar:
-        if self._mat is None:  # one entry off the int rows, not the whole matrix
-            return self.group._wrap((self._ints[i][j] - (i == j)) % self.group._mod)
         e = self.mat[i][j]
         return e - 1 if i == j else e
 

@@ -334,6 +334,16 @@ def test_slope_project_names_iterations_when_the_report_is_too_large(tmp_path, c
     assert code == 0 and json.loads(capsys.readouterr().out)["iterations"] == 3
 
 
+def test_slope_project_rejects_a_negative_iteration_count(tmp_path, capsys):
+    # a usage error of its own: fewer iterations would not help
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([{"index": [1], "coeff": "1"}, {"index": [3], "coeff": "2"}]))
+    code = main(["slope", "project", "--group", "sl2", "--s", "0", "--iterations", "-1",
+                 "--series", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: --iterations must be non-negative, got -1\n"
+
+
 def test_verify_all_at_two_digits(tmp_path, capsys):
     # p^2 + p^3 reads as the cap marker >= 2 with two digits, which the
     # p-adic self-test expects there

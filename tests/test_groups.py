@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -8,6 +9,7 @@ from iwahori.groups import ChevalleyGroup, GateError, GroupElement, MembershipEr
 from iwahori.padic import INF, InternalError, PadicScalar, PrecisionError, ScalarRing, padic_exp
 from ramified_ring import RamifiedRing
 from test_fast_paths import permuted_ref, reread, root_products, state
+from test_int_checks import mutant
 from test_series import strip_unipotent_ref
 
 P, N = 7, 12
@@ -251,11 +253,34 @@ def test_omega_conventions_and_oracle():
 
 def test_et_embedding_sl2():
     G = group("sl2")
-    et = G.et_data()
-    assert et.e == et.a * G.coxeter_number == 4 and et.r == 1
-    assert et.root_values()[(1, -1)] == Fraction(1, 2)
+    a = G.datum.adapted_cocharacter(G.datum.identity_weyl())[1]
+    assert G._conj_e == a * G.coxeter_number == 4 and G._conj_r == 1
+    # u_(1,-1) sits at (1, 0), shifted by pi^2: val = 2/e = ht/h = 1/2
+    assert Fraction(G._conj_shift[1][0], G._conj_e) == Fraction(1, 2)
     for vec in G.ordered_basis().entries:
-        assert et.conjugate_in_congruence(vec.generator)
+        assert G.conjugate_in_congruence(vec.generator)
+
+
+def test_conjugation_shifts_are_the_root_values():
+    # the oracle's shift k/e at each root direction is ht(root)/h, though
+    # it is read off exponents(mu), not off the heights
+    for name in ("sl2", "sl3", "sp4"):
+        G = group(name)
+        for root, dirs in G.dirs.items():
+            for i, j, _s in dirs:
+                assert (Fraction(G._conj_shift[i][j], G._conj_e)
+                        == Fraction(G.datum.height(root), G.coxeter_number)), (name, root)
+
+
+def test_conjugation_refuses_an_element_of_another_group():
+    G = group("sp4")
+    others = [sample_iwahori(ChevalleyGroup("sl2", 7, 12), random.Random(1)),
+              sample_iwahori(ChevalleyGroup("sp4", 11, 5), random.Random(1)),
+              ChevalleyGroup("sl2", 7, 12).identity()]
+    for g in others:
+        for check in (G.p_valuation_by_conjugation, G.conjugate_in_congruence):
+            with pytest.raises(ValueError, match="^element of a different group$"):
+                check(g)
 
 
 # The conjugation oracle computed in E = Q_p(p^(1/(a*h))): every Z_p entry
@@ -336,9 +361,41 @@ def sweep_elements(G, rng, count):
     return out
 
 
+def digitless_copies(G, elements, rng):
+    """Copies of the elements with one diagonal entry known to no digit: only
+    there, and only on scalar entries, does the congruence test run out of
+    digits, since e N + k >= a >= r for N >= 1 when p - 1 > h."""
+    out = []
+    for g in elements:
+        i = rng.randrange(G.n)
+        rows = [list(row) for row in g.mat]
+        rows[i][i] = PadicScalar(G.ring, 0, 0, False)
+        out.append(GroupElement(G, tuple(map(tuple, rows))))
+    return out
+
+
 SWEEP = [(name, p, prec) for name, ps in (("sl2", (5, 7, 11, 13)), ("sl3", (5, 7, 11, 13)),
                                           ("sp4", (7, 11, 13)))
          for p in ps for prec in (1, 2, 3, 6, 12)]
+
+
+@lru_cache(maxsize=None)
+def sweep_config(name, p, prec):
+    """The group, its sweep elements, and digitless copies of the last 14."""
+    G = ChevalleyGroup(name, p, prec)
+    rng = random.Random(f"oracle-{name}-{p}-{prec}")
+    elements = sweep_elements(G, rng, 14)
+    return G, elements, digitless_copies(G, elements[-14:], rng)
+
+
+def ramified_mismatches(G, elements):
+    """The elements where the oracle or the congruence test gives another
+    PValue, verdict or exception type than the embed-and-shift reference."""
+    return [g for g in elements
+            if outcome(G.p_valuation_by_conjugation, g)
+            != outcome(ramified_valuation_by_conjugation, G, g)
+            or outcome(G.conjugate_in_congruence, g)
+            != outcome(ramified_conjugate_in_congruence, G, g)]
 
 
 @pytest.mark.parametrize("name,p,prec", SWEEP)
@@ -346,18 +403,38 @@ def test_conjugation_oracle_matches_the_ramified_embedding(name, p, prec):
     # the same PValue, the same congruence verdict and the same exception
     # type as the embed-and-shift reference; on elements of I the formula
     # agrees wherever the cap decides, on others it refuses
-    G = ChevalleyGroup(name, p, prec)
-    rng = random.Random(f"oracle-{name}-{p}-{prec}")
-    et = G.et_data()
-    for g in sweep_elements(G, rng, 14):
-        oracle = outcome(G.p_valuation_by_conjugation, g)
-        assert oracle == outcome(ramified_valuation_by_conjugation, G, g), g
-        assert (outcome(et.conjugate_in_congruence, g)
-                == outcome(ramified_conjugate_in_congruence, G, g)), g
+    G, elements, digitless = sweep_config(name, p, prec)
+    assert not ramified_mismatches(G, elements + digitless)
+    # not on the digitless copies: one that passes ``in_iwahori`` stops the
+    # factorization at its digitless pivot with an InternalError
+    for g in elements:
         if G.in_iwahori(g):
-            assert G.p_valuation(g).eq(oracle)[0] is not False, g
+            assert G.p_valuation(g).eq(G.p_valuation_by_conjugation(g))[0] is not False, g
         else:
             assert outcome(G.p_valuation, g) is MembershipError, g
+
+
+# (old, new, the routes on which the sweep must catch it: True for int rows)
+SCAN_MUTANTS = [
+    ("self._conj_r,", "self._conj_r + 1,", (True, False)),  # r off by one
+    # the "not enough digits" check dropped; int rows never reach it, since
+    # e N + k >= e - a (h - 1) = a >= r when p - 1 > h
+    ("if e * prec + k < r:", "if False:", (False,)),
+    # a verdict before every position is read
+    ("verdict = False", "return best, False", (True, False)),
+    ("verdict = None", "return best, None", (False,)),
+]
+
+
+@pytest.mark.parametrize("old,new,routes", SCAN_MUTANTS)
+def test_ramified_sweep_catches_scan_mutants(old, new, routes, monkeypatch):
+    configs = [sweep_config(*config) for config in SWEEP]
+    monkeypatch.setattr(ChevalleyGroup, "_conjugation_scan",
+                        mutant(ChevalleyGroup._conjugation_scan, old, new))
+    for on_ints in routes:
+        assert any(ramified_mismatches(G, [g for g in elements + digitless
+                                           if (g._ints is not None) == on_ints])
+                   for G, elements, digitless in configs), on_ints
 
 
 # -- the scalar factorization route against the former one ------------------------

@@ -1,7 +1,8 @@
 """Differential tests for the checks that verify-all runs around the int kernel.
 
-* the conjugation oracle on int rows against the former scalar loop, kept
-  here, with cap markers and its ``PrecisionError``;
+* the conjugation oracle and the congruence test, on int rows and on scalar
+  entries, against the former scalar loop, kept here, with cap markers and
+  its ``PrecisionError``;
 * draws whose torus coordinate c enters as exp(p)^c against the former
   exp(p c) form, kept here;
 * the commutator (hg)^-1 gh against the four-factor product g^-1 h^-1 g h;
@@ -22,7 +23,7 @@ import pytest
 from iwahori import axioms
 from iwahori.axioms import AxiomReport, check_pvaluation_axioms, check_series
 from iwahori.groups import ChevalleyGroup, GroupElement, PValue, _matmul_ints, _omega_value
-from iwahori.padic import PrecisionError, exp_int
+from iwahori.padic import INF, PrecisionError, exp_int
 from iwahori.series import SeriesContext, SeriesError, TruncatedSeries
 from test_fast_paths import (SAMPLE_CONFIGS, SAMPLE_GROUPS, coordinate_vectors, flatten,
                              omega_full_min_ref, omega_inputs)
@@ -51,11 +52,42 @@ def outcome(fn, *args):
 # -- the conjugation oracle ----------------------------------------------------
 
 
+def shifted_entries_ref(G, g):
+    """The former ``EtData.shifted_entries``, with its data: e = a h, r, and
+    (g_ij - delta_ij, d_i - d_j) for every position in row order, d =
+    exponents(mu) at w = 1; raises PrecisionError where an entry is not
+    divisible by pi^(-shift)."""
+    G.check_gate()
+    mu, a = G.datum.adapted_cocharacter(G.datum.identity_weyl())
+    e = a * G.coxeter_number
+    exps = G.exponents(mu)
+    out = []
+    for i in range(G.n):
+        for j in range(G.n):
+            x, k = g.mat[i][j] - 1 if i == j else g.mat[i][j], exps[i] - exps[j]
+            w = x.pival()
+            if k < 0 and w is not INF and e * (x.prec if w is None else w) < -k:
+                raise PrecisionError(f"entry ({i}, {j}) is not divisible by pi^{-k}")
+            out.append((x, k))
+    return e, e // (G.ring.p - 1) + 1, out
+
+
 def oracle_scalar_ref(G, g):
-    """The former ``p_valuation_by_conjugation``: the least PValue.of(x, k/e)
-    over the scalar entries of ``shifted_entries``, which raises."""
-    et = G.et_data()
-    return PValue.min(PValue.of(x, Fraction(k, et.e)) for x, k in et.shifted_entries(g))
+    """The former scalar ``p_valuation_by_conjugation``: the least
+    PValue.of(x, k/e) over the scalar entries of ``shifted_entries_ref``."""
+    e, _r, entries = shifted_entries_ref(G, g)
+    return PValue.min(PValue.of(x, Fraction(k, e)) for x, k in entries)
+
+
+def congruence_scalar_ref(G, g):
+    """The former ``EtData.conjugate_in_congruence`` over the same entries."""
+    e, r, entries = shifted_entries_ref(G, g)
+    for x, k in entries:
+        if e * x.prec + k < r:
+            raise PrecisionError("not enough digits to test the congruence level")
+        if not x.zero_mod(-((k - r) // e)):  # val(x) + k/e >= r/e
+            return False
+    return True
 
 
 def oracle_inputs(G, rng):
@@ -71,13 +103,15 @@ def oracle_inputs(G, rng):
 
 
 def oracle_mismatches(G, rng):
-    """(mismatches, outcome kinds seen) of the oracle against the scalar loop."""
+    """(mismatches, outcome kinds seen) of the oracle and the congruence test
+    against the scalar loop."""
     bad, seen = [], set()
     for g in oracle_inputs(G, rng):
         got = outcome(G.p_valuation_by_conjugation, g)
         want = outcome(oracle_scalar_ref, G, g)
         seen.add(want.kind if isinstance(want, PValue) else "raises")
-        if got != want:
+        if got != want or (outcome(G.conjugate_in_congruence, g)
+                           != outcome(congruence_scalar_ref, G, g)):
             bad.append((g, got, want))
     return bad, seen
 
@@ -94,15 +128,15 @@ def test_int_oracle_matches_the_scalar_loop(config):
 
 ORACLE_MUTANTS = [
     ("+ (not x)", "+ 0"),  # cap markers read as finite values
-    ("if x else cap", "if x else cap - 1"),  # the cap one digit short
-    ("if k < 0 and e * v < -k:", "if False:"),  # the precision check dropped
+    ("if exact else prec", "if exact else prec - 1"),  # the cap one digit short
+    ("if u < 0:", "if False:"),  # the precision check dropped
 ]
 
 
 @pytest.mark.parametrize("old,new", ORACLE_MUTANTS)
 def test_int_oracle_mutants_are_caught(old, new, monkeypatch):
-    bad = mutant(ChevalleyGroup.p_valuation_by_conjugation, old, new)
-    monkeypatch.setattr(ChevalleyGroup, "p_valuation_by_conjugation", bad)
+    bad = mutant(ChevalleyGroup._conjugation_scan, old, new)
+    monkeypatch.setattr(ChevalleyGroup, "_conjugation_scan", bad)
     caught = [config for config in SAMPLE_CONFIGS if config[2] in (1, 12)
               and oracle_mismatches(SAMPLE_GROUPS[config], Random(f"oracle-{config}"))[0]]
     assert caught
