@@ -76,18 +76,21 @@ mixed-precision entries (user matrices, the identity, root generators and
 the basis generators that the et suite tests) take the scalar route, where
 an exact zero keeps valuation infinity; on ints it would read as a cap
 marker.  Both routes factor in plan order: the LDU of the rows permuted once
-into the twist's basis order, then both strips, in place, through the batch
-directions that the plan maps to that order.
+into the twist's basis order, then both strips through the batch directions
+that the plan maps to that order.  On ints, products and that factorization
+run as straight-line code generated once, a matmul per matrix size and a
+kernel per plan, with every check above; linecache serves its lines under
+names like ``<iwahori kernel sp4 w=s1*s2 lex>``, so tracebacks show them.
 """
 
 from __future__ import annotations
 
+import linecache
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import prod
-from operator import mul
 
 from .padic import (INF, InternalError, PadicScalar, PrecisionError, ScalarRing, exp_int,
                     padic_exp, padic_log, vp_int)
@@ -248,8 +251,10 @@ _SP4_INV_SIGN = tuple(tuple(-_SP4_GRAM[i][3 - i] * _SP4_GRAM[3 - j][j] for j in 
 
 
 # the basis order by descending weight and its inverse, the two batches, and
-# per batch its (root, directions) pairs with each (i, j, s) mapped to plan order
-_FactorPlan = namedtuple("_FactorPlan", "order inv_order neg_batch pos_batch neg_strip pos_strip")
+# per batch its (root, directions) pairs with each (i, j, s) mapped to plan order,
+# and the int kernel of ``_factor_kernel``
+_FactorPlan = namedtuple("_FactorPlan",
+                         "order inv_order neg_batch pos_batch neg_strip pos_strip kernel")
 # plans by (group name, w.matrix, tie_break): at most 36 over the three groups
 _FACTOR_PLANS = {}
 
@@ -430,32 +435,10 @@ class ChevalleyGroup:
 
     def _factor_ints(self, ints, plan):
         """``_factor_scalars`` on the int rows of a flat element, modulo p^N,
-        with the same checks; the ints and omega.  The LDU factors
-        carry exact 0 and 1 outside their strict triangles, where the batch
-        roots never lie (``_factor_plan``), so every output wraps inexact."""
-        p, mod, n = self.ring.p, self._mod, self.n
-        order = plan.order
-        a = [[ints[i][j] for j in order] for i in order]
-        lmat, umat = list(map(list, self._identity_ints)), list(map(list, self._identity_ints))
-        for k in range(n):
-            ak = a[k]
-            piv = ak[k]
-            if piv % p == 0:
-                raise InternalError(f"elimination pivot {k} is not a unit: {self._wrap(piv)!r}")
-            pivinv = pow(piv, -1, mod)
-            for i in range(k + 1, n):
-                ai = a[i]
-                f = ai[k] * pivinv % mod
-                lmat[i][k] = f
-                if f:  # column k of a is not read again
-                    for j in range(k + 1, n):
-                        ai[j] = (ai[j] - f * ak[j]) % mod
-            uk = umat[k]
-            for j in range(k + 1, n):
-                uk[j] = pivinv * ak[j] % mod
-        neg = _strip_ints(lmat, plan.neg_strip, mod)
-        pos = _strip_ints(umat, plan.pos_strip, mod)
-        diag = [a[k][k] for k in plan.inv_order]
+        with the same checks; the ints and omega.  The plan's kernel runs the
+        LDU and both strips (``_factor_kernel``); every output wraps inexact."""
+        p = self.ring.p
+        neg, pos, diag = plan.kernel(ints, p, self._mod, self._wrap)
         torus_coords = self._torus_coords_ints(diag)
         if any((d - 1) % p for d in diag):
             raise InternalError("torus part is not pro-p")
@@ -514,7 +497,9 @@ class ChevalleyGroup:
         inv = tuple(order.index(i) for i in range(self.n))
         strips = [tuple((r, tuple((inv[i], inv[j], s) for i, j, s in self.dirs[r]))
                         for r in batch) for batch in batches]
-        plan = _FACTOR_PLANS[key] = _FactorPlan(order, inv, *batches, *strips)
+        kernel = _factor_kernel(order, *strips,
+                                f"<iwahori kernel {self.name} w={w.name} {tie_break}>")
+        plan = _FACTOR_PLANS[key] = _FactorPlan(order, inv, *batches, *strips, kernel)
         return plan
 
     def _torus_coords_ints(self, diag):
@@ -787,9 +772,31 @@ def _flat_ints(mat, ring):
     return tuple(rows)
 
 
-def _matmul_ints(a, b, mod):
-    cols = list(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in a])
+def _compiled(src, filename, fn):
+    """The function fn that the source src defines, compiled under filename,
+    which linecache serves so that a traceback shows the generated lines."""
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    scope = {"InternalError": InternalError}
+    exec(compile(src, filename, "exec"), scope)
+    return scope[fn]
+
+
+def _unpack(names):
+    return ", ".join("(" + ", ".join(row) + ")" for row in names)
+
+
+def _matmul_ints(n):
+    """The product modulo mod of two n x n int row tuples, as straight-line
+    code: both unpacked into locals, each entry one dot product reduced once."""
+    a = [[f"a{i}{k}" for k in range(n)] for i in range(n)]
+    b = [[f"b{k}{j}" for j in range(n)] for k in range(n)]
+    rows = ", ".join("(" + ", ".join("(" + " + ".join(f"{a[i][k]} * {b[k][j]}" for k in range(n))
+                                     + ") % mod" for j in range(n)) + ")" for i in range(n))
+    return _compiled(f"def matmul(a, b, mod):\n    {_unpack(a)} = a\n    {_unpack(b)} = b\n"
+                     f"    return {rows}\n", f"<iwahori matmul {n}x{n}>", "matmul")
+
+
+_MATMULS = {n: _matmul_ints(n) for n in _MATRIX_SIZE.values()}
 
 
 def _det_recursive(mat, idx_rows, idx_cols, zero):
@@ -855,28 +862,59 @@ def _strip(cur, strip):
     return params
 
 
-def _strip_ints(cur, strip, mod):
-    """``_strip`` on int rows modulo p^N."""
+def _factor_kernel(order, neg_strip, pos_strip, filename):
+    """The int LDU and both strips of one plan as straight-line code:
+    kernel(ints, p, mod, wrap) -> (negative, positive, diagonal) modulo mod =
+    p^N, which with the group's ``_wrap`` is passed in, since plans are shared
+    across (p, N).  Locals named by the row and column of ints make the load
+    in plan order a renaming; then the LDU with its pivot check, and each
+    strip as ``_strip`` on ints.  The generator knows each strip entry as the
+    local that holds it, or as the identity's 0 or 1 where nothing was ever
+    written, which the remainder check skips; it checks every local."""
+    n = len(order)
+    ints = [[f"x{i}{j}" for j in range(n)] for i in range(n)]
+    a = [[ints[i][j] for j in order] for i in order]
+    code = [f"{_unpack(ints)} = ints"]
+    for k in range(n):
+        code += [f"if {a[k][k]} % p == 0:",
+                 f"    raise InternalError(f'elimination pivot {k} is not a unit: "
+                 f"{{wrap({a[k][k]})!r}}')"]
+        if k < n - 1:
+            code.append(f"q = pow({a[k][k]}, -1, mod)")
+        for i in range(k + 1, n):
+            code.append(f"l{i}{k} = {a[i][k]} * q % mod")
+            code += [f"{a[i][j]} = ({a[i][j]} - l{i}{k} * {a[k][j]}) % mod"
+                     for j in range(k + 1, n)]
+        code += [f"u{k}{j} = q * {a[k][j]} % mod" for j in range(k + 1, n)]
     params = []
-    for root, dirs in strip:
-        i0, j0, s0 = dirs[0]
-        x = cur[i0][j0] if s0 == 1 else -cur[i0][j0] % mod
-        for (i, j, s) in dirs[1:]:
-            if (cur[i][j] - (x if s == 1 else -x)) % mod:
-                raise InternalError(f"paired entries for root {root} disagree")
-        params.append((root, x))
-        # left multiplication by u_root(-x)
-        for (i, j, s) in dirs:
-            f = -x if s == 1 else x
-            dst = cur[i]
-            for k, c in enumerate(cur[j]):
-                if c:
-                    dst[k] = (dst[k] + f * c) % mod
-    for i, row in enumerate(cur):
-        for j, e in enumerate(row):
-            if (e - (i == j)) % mod:
-                raise InternalError("unipotent strip left a remainder")
-    return params
+    for prefix, batch, strip in (("l", "neg", neg_strip), ("u", "pos", pos_strip)):
+        cur = [[f"{prefix}{i}{j}" if (i > j) == (prefix == "l") and i != j else int(i == j)
+                for j in range(n)] for i in range(n)]
+        out = []
+        for root, dirs in strip:
+            i0, j0, s0 = dirs[0]
+            x = f"{batch}{len(out)}"
+            code.append(f"{x} = {cur[i0][j0]}" if s0 == 1 else f"{x} = -{cur[i0][j0]} % mod")
+            for i, j, s in dirs[1:]:
+                code += [f"if ({cur[i][j]} {'-' if s == 1 else '+'} {x}) % mod:",
+                         f"    raise InternalError('paired entries for root {root} disagree')"]
+            out.append(f"({root!r}, {x})")
+            for i, j, s in dirs:  # left multiplication by u_root(-x)
+                for k, c in enumerate(cur[j]):
+                    if c != 0:
+                        name = f"{prefix}{i}{k}_{len(code)}"
+                        code.append(f"{name} = ({cur[i][k]} {'-' if s == 1 else '+'} {x}"
+                                    f"{'' if c == 1 else f' * {c}'}) % mod")
+                        cur[i][k] = name
+        left = [f"{e} != 1" if i == j else e for i, row in enumerate(cur)
+                for j, e in enumerate(row) if type(e) is str]
+        code += [f"if {' or '.join(left)}:",
+                 "    raise InternalError('unipotent strip left a remainder')"]
+        params.append("[" + ", ".join(out) + "]")
+    diag = ", ".join(ints[i][i] for i in range(n))
+    code.append(f"return {params[0]}, {params[1]}, [{diag}]")
+    src = "def kernel(ints, p, mod, wrap):\n" + "".join(f"    {line}\n" for line in code)
+    return _compiled(src, filename, "kernel")
 
 
 def _ldu(a, ring):
@@ -935,7 +973,7 @@ class GroupElement:
             raise ValueError("elements of different groups")
         a, b = self._ints, other._ints
         if a is not None and b is not None:
-            return GroupElement(self.group, None, _matmul_ints(a, b, self.group._mod))
+            return GroupElement(self.group, None, _MATMULS[self.group.n](a, b, self.group._mod))
         return GroupElement(self.group, _matmul(self.mat, other.mat, self.group.n))
 
     def __pow__(self, k: int) -> "GroupElement":

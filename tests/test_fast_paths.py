@@ -11,7 +11,9 @@
   which ``scalar_route()`` forces, and the closure of the integer path
   under its own operations;
 * the plan-order int factorization kernel against the former int LDU,
-  strip and factorization, kept here, and the scalars that elements and
+  strip and factorization, kept here, each plan's generated kernel against
+  the loops it replaced, also at two (p, N) of one group in one process, the
+  generated lines in tracebacks, and the scalars that elements and
   factorizations build when first read against the former eager wraps;
 * the lattice equations of the int torus check against the former rebuild,
   also on planted off-lattice diagonals, and omega taken with a running
@@ -29,6 +31,8 @@
 Hypothesis runs with fixed seeds, so every run draws the same examples.
 """
 
+import linecache
+import traceback
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
@@ -566,8 +570,10 @@ def test_int_path_raises_on_a_forced_non_unit_pivot(config, monkeypatch):
 def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data):
     # unitriangular matrices with arbitrary (mostly non-unipotent-group)
     # entries: the strips return the same parameters or raise the same
-    # InternalError, paired-entry and remainder checks alike.  The library's
-    # int strip runs here on the batch roots' own directions.
+    # InternalError, paired-entry and remainder checks alike.  The former int
+    # strips run on the batch roots' own directions and on the plan's; the
+    # plan's kernel, whose LDU leaves a unit triangle as it is, strips it too
+    # where its diagonal is 1, and the other batch reads all zeros.
     G = INT_GROUPS[config]
     w, tb = draw_twist(G, w_index, tie_break)
     mu, _a = G.datum.adapted_cocharacter(w)
@@ -595,18 +601,30 @@ def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data)
         scalars.append(srow)
 
     strip = tuple((r, G.dirs[r]) for r in batch)
+    plan_strip = (plan.neg_strip, plan.pos_strip)[which]
 
-    def strip_ints():
-        return [(r, state(G._wrap(x))) for r, x in
-                groups._strip_ints([list(row) for row in ints], strip, mod)]
+    def strip_plan_ints():
+        cur = permuted_ref(ints, plan.order)
+        return [(r, state(G._wrap(x))) for r, x in strip_plan_ints_ref(cur, plan_strip, mod)]
 
     def strip_ints_former():
-        return [(r, state(G._wrap(x))) for r, x in strip_ints_ref(G, ints, batch)]
+        cur = [list(row) for row in ints]
+        return [(r, state(G._wrap(x))) for r, x in strip_ints_ref(G, cur, batch)]
 
     def strip_scalars():
         return [(r, state(x)) for r, x in groups._strip([list(row) for row in scalars], strip)]
 
-    assert outcome(strip_ints) == outcome(strip_ints_former) == outcome(strip_scalars)
+    ref = outcome(strip_scalars)
+    assert outcome(strip_plan_ints) == outcome(strip_ints_former) == ref
+    if all(ints[i][i] == 1 for i in range(G.n)):
+        try:
+            neg, pos, diag = plan.kernel(ints, G.ring.p, mod, G._wrap)
+        except InternalError as err:
+            assert ref == (InternalError, str(err))
+        else:
+            stripped, other = (neg, pos) if which == 0 else (pos, neg)
+            assert [(r, state(G._wrap(x))) for r, x in stripped] == ref
+            assert all(x == 0 for _r, x in other) and diag == [1] * G.n
 
 
 @seed(20229)
@@ -772,6 +790,43 @@ def strip_ints_ref(G, cur, batch_roots):
     return params
 
 
+def strip_plan_ints_ref(cur, strip, mod):
+    """The former ``groups._strip_ints``: ``_strip`` on int rows in plan order
+    modulo p^N, in place, through the plan's (root, directions) pairs."""
+    params = []
+    for root, dirs in strip:
+        i0, j0, s0 = dirs[0]
+        x = cur[i0][j0] if s0 == 1 else -cur[i0][j0] % mod
+        for (i, j, s) in dirs[1:]:
+            if (cur[i][j] - (x if s == 1 else -x)) % mod:
+                raise InternalError(f"paired entries for root {root} disagree")
+        params.append((root, x))
+        # left multiplication by u_root(-x)
+        for (i, j, s) in dirs:
+            f = -x if s == 1 else x
+            dst = cur[i]
+            for k, c in enumerate(cur[j]):
+                if c:
+                    dst[k] = (dst[k] + f * c) % mod
+    for i, row in enumerate(cur):
+        for j, e in enumerate(row):
+            if (e - (i == j)) % mod:
+                raise InternalError("unipotent strip left a remainder")
+    return params
+
+
+def kernel_loops_ref(G, ints, plan):
+    """What a plan's kernel returns, by the loops it replaced: the int LDU
+    loop of the former ``_factor_ints`` (``ldu_ints_ref``) on the rows
+    permuted into plan order, then ``strip_plan_ints_ref`` on both factors.
+    Returns (negative, positive, diagonal), the diagonal in the element's
+    own basis order."""
+    lmat, diag_sorted, umat = ldu_ints_ref(permuted_ref(ints, plan.order), G.n, G.ring)
+    neg = strip_plan_ints_ref(lmat, plan.neg_strip, G._mod)
+    pos = strip_plan_ints_ref(umat, plan.pos_strip, G._mod)
+    return neg, pos, [diag_sorted[k] for k in plan.inv_order]
+
+
 def factor_ints_ref(G, ints, w, tie_break):
     """The former ``ChevalleyGroup._factor_ints`` on ints, its basis order and
     batches taken from the twist here, not from the plan: permute, LDU,
@@ -837,6 +892,112 @@ def test_plan_order_kernel_matches_the_former_kernel(config):
             "upper root parameter not divisible by p"} <= seen
     assert ("paired entries" if G.name == "sp4"
             else "torus diagonal is not in the cocharacter lattice") in seen
+
+
+def sweep_kernel_inputs(G, w, rng):
+    """Int rows for a plan's kernel under the twist w: members of I (drawn in
+    the basis of w, and uniformly), for each pivot k rows whose plan-order
+    LDU has the non-unit pivot p u at k, and members with one entry moved by
+    p^e u, at every position."""
+    p, mod, n = G.ring.p, G._mod, G.n
+    order = G._factor_plan(w, "lex").order
+    d = len(G.dirs) + G.datum.rank
+    members = [G.from_coordinates([rng.randrange(1, mod) for _ in range(d)], w)._ints,
+               flatten(sample_iwahori(G, rng))._ints]
+    out = list(members)
+    for k in range(n):
+        pivots = [p * rng.randrange(1, p) if i == k else 1 + p * rng.randrange(mod)
+                  for i in range(n)]
+        low = [[rng.randrange(mod) if i > j else int(i == j) for j in range(n)] for i in range(n)]
+        up = [[rng.randrange(mod) if i < j else int(i == j) for j in range(n)] for i in range(n)]
+        sorted_rows = [[sum(low[i][m] * pivots[m] * up[m][j] for m in range(n)) % mod
+                        for j in range(n)] for i in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                rows[order[i]][order[j]] = sorted_rows[i][j]
+        out.append(tuple(map(tuple, rows)))
+    for i in range(n):
+        for j in range(n):
+            rows = [list(row) for row in members[(i + j) % 2]]
+            rows[i][j] = (rows[i][j] + p ** rng.randrange(G.ring.prec) * rng.randrange(1, p)) % mod
+            out.append(tuple(map(tuple, rows)))
+    return out
+
+
+KERNEL_SWEEP = KERNEL_CONFIGS + [("sl2", 7, 5), ("sl3", 11, 4), ("sp4", 11, 5)]
+
+
+@pytest.mark.parametrize("config", KERNEL_SWEEP, ids=lambda c: "-".join(map(str, c)))
+def test_every_plan_kernel_matches_the_loop_forms(config):
+    # every plan of the group, on members, forced non-unit pivots and moved
+    # entries: the same (negative, positive, diagonal) ints, or the same
+    # exception type and text, as the int LDU loop and the plan-order strip
+    G = ChevalleyGroup(*config)
+    rng = Random(f"sweep-{config}")
+    p, mod = G.ring.p, G._mod
+    seen = set()
+    for w in G.datum.weyl_group():
+        for tie_break in ("lex", "revlex"):
+            plan = G._factor_plan(w, tie_break)
+            for ints in sweep_kernel_inputs(G, w, rng):
+                fast = outcome(plan.kernel, ints, p, mod, G._wrap)
+                assert fast == outcome(kernel_loops_ref, G, ints, plan), (w.name, tie_break, ints)
+                seen.add(fast[1].split(" is not")[0].split(" for root")[0]
+                         if len(fast) == 2 else "value")
+    assert {"value"} | {f"elimination pivot {k}" for k in range(G.n)} <= seen
+    assert ("paired entries" in seen) == (G.name == "sp4")
+
+
+@pytest.mark.parametrize("name,configs", [("sl2", ((5, 4), (5, 12))),
+                                          ("sl3", ((5, 12), (7, 2))),
+                                          ("sp4", ((7, 3), (11, 12)))])
+def test_a_plan_shared_across_p_and_n_gives_each_group_its_own_outcome(name, configs,
+                                                                       monkeypatch):
+    # plans are keyed by the group name, so two groups of one name share them;
+    # each must still get its own modulus and its own pivot text
+    monkeypatch.setattr(groups, "_FACTOR_PLANS", {})
+    pair = [ChevalleyGroup(name, p, n) for p, n in configs]
+    for G in pair + pair[::-1]:
+        rng = Random(f"shared-{G.ring.p}-{G.ring.prec}")
+        for w in G.datum.weyl_group():
+            plan = G._factor_plan(w, "lex")
+            assert plan is pair[0]._factor_plan(w, "lex")
+            for ints in kernel_inputs(G, rng):
+                assert (outcome(G._factor_ints, ints, plan)
+                        == outcome(factor_ints_ref, G, ints, w, "lex")), (w.name, ints)
+        p, n = G.ring.p, G.n
+        fast = outcome(G._factor_ints, tuple((p,) * n for _ in range(n)), plan)
+        assert fast == (InternalError, f"elimination pivot 0 is not a unit: {G._wrap(p)!r}")
+
+
+def test_a_failed_kernel_check_shows_its_generated_line():
+    # each kernel's source is served by linecache, so a traceback out of a
+    # failed check shows the generated line that raised
+    G = ChevalleyGroup("sl3", 5, 6)
+    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    g = sample_iwahori(G, Random(3))
+    assert linecache.getline("<iwahori kernel sl3 w=e lex>", 1) == (
+        "def kernel(ints, p, mod, wrap):\n")
+    # forced: a strip one root short leaves that root's entry, as the loops say
+    short = plan._replace(neg_strip=plan.neg_strip[:-1])
+    kernel = groups._factor_kernel(short.order, short.neg_strip, short.pos_strip,
+                                   "<iwahori kernel sl3 short>")
+    with pytest.raises(InternalError, match="unipotent strip left a remainder") as info:
+        kernel(g._ints, G.ring.p, G._mod, G._wrap)
+    assert outcome(kernel_loops_ref, G, g._ints, short) == (
+        InternalError, "unipotent strip left a remainder")
+    last = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert last.filename == "<iwahori kernel sl3 short>"
+    assert last.line == "raise InternalError('unipotent strip left a remainder')"
+    text = "".join(traceback.format_exception(info.value))
+    assert "raise InternalError('unipotent strip left a remainder')" in text
+    # through the factorization, with a plan's own kernel
+    with pytest.raises(InternalError, match="elimination pivot 0") as info:
+        G._factor_ints(((5,) * 3,) * 3, plan)
+    last = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert last.filename == "<iwahori kernel sl3 w=e lex>"
+    assert last.line.startswith("raise InternalError(f'elimination pivot 0 is not a unit")
 
 
 def test_int_built_elements_and_factorizations_read_as_the_eager_wraps():

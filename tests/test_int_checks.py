@@ -13,6 +13,7 @@
 """
 
 import inspect
+import linecache
 import textwrap
 from fractions import Fraction
 from operator import mul
@@ -20,13 +21,14 @@ from random import Random
 
 import pytest
 
-from iwahori import axioms
+from iwahori import axioms, groups
 from iwahori.axioms import AxiomReport, check_pvaluation_axioms, check_series
 from iwahori.groups import ChevalleyGroup, GroupElement, PValue, _matmul_ints, _omega_value
 from iwahori.padic import INF, PrecisionError, exp_int
 from iwahori.series import SeriesContext, SeriesError, TruncatedSeries
 from test_fast_paths import (SAMPLE_CONFIGS, SAMPLE_GROUPS, coordinate_vectors, flatten,
-                             omega_full_min_ref, omega_inputs)
+                             kernel_loops_ref, omega_full_min_ref, omega_inputs,
+                             outcome as value_or_error, sweep_kernel_inputs)
 
 IDS = {"ids": lambda c: "-".join(map(str, c))}
 
@@ -264,23 +266,71 @@ def test_the_axiom_suite_forms_the_commutator_once(monkeypatch):
     assert calls == {"mul": 3 + 4, "inv": 1}
 
 
-def matmul_mismatches(matmul):
-    """Products that differ from the former generator form, over random rows."""
+def matmul_ints_ref(a, b, mod):
+    """The former ``groups._matmul_ints``: one comprehension for every size."""
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in a])
+
+
+def matmul_mismatches(generator):
+    """Products of the generator's functions that differ from the former
+    comprehension, over random rows of every matrix size."""
     rng, bad = Random(5), []
     for n, mod in ((2, 5 ** 3), (3, 5 ** 10), (4, 7 ** 12)):
+        matmul = generator(n)
         for _ in range(20):
             a, b = ([[rng.randrange(mod) for _ in range(n)] for _ in range(n)] for _ in "ab")
-            ref = tuple(tuple(sum(map(mul, row, col)) % mod for col in zip(*b)) for row in a)
-            if matmul(a, b, mod) != ref:
+            if matmul(a, b, mod) != matmul_ints_ref(a, b, mod):
                 bad.append((a, b))
     return bad
 
 
-def test_matmul_ints_matches_the_generator_form():
+def test_matmul_ints_matches_the_generator_form(monkeypatch):
     assert not matmul_mismatches(_matmul_ints)
-    # planted: the rows left unreduced, and the columns read off a
-    assert matmul_mismatches(mutant(_matmul_ints, ") % mod for", ") for"))
-    assert matmul_mismatches(mutant(_matmul_ints, "zip(*b)", "zip(*a)"))
+    assert not matmul_mismatches(groups._MATMULS.__getitem__)  # what products call
+    # planted in the generator: the entries left unreduced, and b read
+    # transposed; the mutants register their lines under the same names
+    monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
+    assert matmul_mismatches(mutant(_matmul_ints, '+ ") % mod" for j', '+ ")" for j'))
+    assert matmul_mismatches(mutant(_matmul_ints, "{b[k][j]}", "{b[j][k]}"))
+
+
+def kernel_mismatches(factor_kernel):
+    """Inputs where kernels that factor_kernel builds differ from the loop
+    forms, on every sl3 and sp4 plan, and on plans one root short, where the
+    loops find a remainder."""
+    bad = []
+    for config in (("sl3", 5, 2), ("sp4", 7, 1), ("sp4", 7, 12)):
+        G = ChevalleyGroup(*config)
+        rng = Random(f"kernel-mutant-{config}")
+        for w in G.datum.weyl_group():
+            plan = G._factor_plan(w, "lex")
+            for short in (plan, plan._replace(neg_strip=plan.neg_strip[:-1]),
+                          plan._replace(pos_strip=plan.pos_strip[:-1])):
+                kernel = factor_kernel(short.order, short.neg_strip, short.pos_strip,
+                                       f"<kernel mutant {config} {w.name}>")
+                for ints in sweep_kernel_inputs(G, w, rng):
+                    got = value_or_error(kernel, ints, G.ring.p, G._mod, G._wrap)
+                    if got != value_or_error(kernel_loops_ref, G, ints, short):
+                        bad.append((config, w.name, ints))
+    return bad
+
+
+@pytest.mark.parametrize("old,new", [
+    ("% p == 0:", "% (p * p) == 0:"),  # a pivot of valuation 1 passes
+    ("{{wrap({a[k][k]})!r}}", "{{{a[k][k]}!r}}"),  # the pivot shown as an int
+    ("{'-' if s == 1 else '+'} {x}) % mod:", "{'+' if s == 1 else '-'} {x}) % mod:"),  # pairs
+    ("({cur[i][k]} {'-' if s == 1 else '+'} {x}", "({cur[i][k]} {'+' if s == 1 else '-'} {x}"),
+    ("a = [[ints[i][j] for j in order]", "a = [[ints[j][i] for j in order]"),  # the load
+    ("else e for i, row", 'else "0" for i, row'),  # off-diagonal remainders let through
+])
+def test_kernel_generator_mutants_are_caught(old, new, monkeypatch):
+    monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
+    assert kernel_mismatches(mutant(groups._factor_kernel, old, new))
+
+
+def test_kernels_of_plans_one_root_short_match_the_loop_forms():
+    assert not kernel_mismatches(groups._factor_kernel)
 
 
 # -- omega keys ----------------------------------------------------------------------
