@@ -37,13 +37,15 @@ strictly larger weight than a single one.
 Self-checks
 -----------
 ``iwahori_factorize`` runs these checks; a failed input check raises
-``GateError`` or ``MembershipError``, a failed invariant raises
-``InternalError``.  The checks on the twist alone run once per (group
-name, w, tie_break) in a process, when its plan is built and cached, since
-the root datum, the matrix model and w fix them; the others run on every
-call, also when the same element was factorized before:
+``GateError``, ``ValueError`` or ``MembershipError``, a failed invariant
+raises ``InternalError``.  The checks on the twist alone run once per
+(group name, w, tie_break) in a process, when its plan is built and
+cached, since the root datum, the matrix model and w fix them; the others
+run on every call, in the order listed, also when the same element was
+factorized before:
 
-    the parameter gate p - 1 > h;
+    the parameter gate p - 1 > h, and an element of this group;
+    w in the Weyl group of the root datum (once per twist);
     membership in I: the group relation (g^T J g = J on Sp4, det g = 1
       on SL_n, see ``satisfies_group_relation``), unit diagonal congruent
       to 1 and upper entries divisible by p;
@@ -53,9 +55,12 @@ call, also when the same element was factorized before:
       LDU triangle (once per twist);
     in each unipotent strip, agreement of the paired entries of a root
       and an identity remainder;
-    a torus diagonal in the image of the cocharacter lattice (see
-      ``_torus_coords_ints``), congruent to 1 mod p;
+    a torus diagonal in the image of the cocharacter lattice (the
+      equations ``_TORUS_EQUATIONS``), congruent to 1 mod p;
     upper root parameters divisible by p.
+
+On int rows every per-call check after the group's runs in the plan's
+generated kernel (see Integer path), with the same text.
 
 Integer path
 ------------
@@ -77,10 +82,16 @@ the basis generators that the et suite tests) take the scalar route, where
 an exact zero keeps valuation infinity; on ints it would read as a cap
 marker.  Both routes factor in plan order: the LDU of the rows permuted once
 into the twist's basis order, then both strips through the batch directions
-that the plan maps to that order.  On ints, products and that factorization
-run as straight-line code generated once, a matmul per matrix size and a
-kernel per plan, with every check above; linecache serves its lines under
-names like ``<iwahori kernel sp4 w=s1*s2 lex>``, so tracebacks show them.
+that the plan maps to that order.  On ints the work runs as straight-line
+code generated once and compiled with ``exec``: a matmul per matrix size; a
+membership function per group, from the relation and congruence tests that
+the kernels share (``_membership_tests``); a kernel per plan that runs every
+check above from membership on and returns the factors, the torus
+coordinates and the least omega key, with the root heights as constants
+(``_factor_kernel``); and a draw per twist that ``from_coordinates`` draws
+on, with the identity's 0 and 1 entries folded (``_draw_kernel``).
+linecache serves their lines under names like ``<iwahori kernel sp4
+w=s1*s2 lex>``, so tracebacks show them.
 """
 
 from __future__ import annotations
@@ -90,7 +101,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import prod
 
 from .padic import (INF, InternalError, PadicScalar, PrecisionError, ScalarRing, exp_int,
                     padic_exp, padic_log, vp_int)
@@ -103,6 +113,9 @@ class GateError(ValueError):
 
 class MembershipError(ValueError):
     """The element does not belong to the required subgroup."""
+
+
+_NOT_IN_I = "factorization needs an element of the pro-p Iwahori"
 
 
 @dataclass(frozen=True)
@@ -257,6 +270,8 @@ _FactorPlan = namedtuple("_FactorPlan",
                          "order inv_order neg_batch pos_batch neg_strip pos_strip kernel")
 # plans by (group name, w.matrix, tie_break): at most 36 over the three groups
 _FACTOR_PLANS = {}
+# the int draws of ``from_coordinates`` by (group name, w.matrix), built at first use
+_DRAWS = {}
 
 
 class ChevalleyGroup:
@@ -266,7 +281,7 @@ class ChevalleyGroup:
         self.datum: RootDatum = get_root_datum(name)
         self.name = self.datum.name
         self.ring = ring = ScalarRing(p, prec)
-        self.n = n = _MATRIX_SIZE[self.name]
+        self.n = _MATRIX_SIZE[self.name]
         if self.name == "sp4":
             self.dirs = _SP4_DIRS
         else:
@@ -275,7 +290,6 @@ class ChevalleyGroup:
         # ring constants for the relation check, built once
         self._one, self._zero = ring.one(), ring.zero()
         self._mod = ring.ppow(ring.prec)  # the int path works modulo p^N
-        self._identity_ints = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         self.coxeter_number = h = self.datum.coxeter_number()
         self._height = {r: self.datum.height(r) for r in self.dirs}  # omega offsets ht(root)/h
         self._omega_offset = {r: Fraction(ht, h) for r, ht in self._height.items()}
@@ -390,14 +404,12 @@ class ChevalleyGroup:
     def in_iwahori(self, g: "GroupElement") -> bool:
         if g.group is not self:
             raise ValueError("element of a different group")
-        if not g.satisfies_group_relation():
-            return False
         ints = g._ints
         if ints is not None:
-            # diagonal congruent to 1 and upper entries to 0 mod p
-            p = self.ring.p
-            return all((row[j] - (i == j)) % p == 0
-                       for i, row in enumerate(ints) for j in range(i, self.n))
+            return _MEMBERSHIPS[self.name](ints, self.ring.p, self._mod) == 2
+        if not g.satisfies_group_relation():
+            return False
+        # diagonal congruent to 1 and upper entries to 0 mod p
         return all(g.sub_identity_entry(i, j).zero_mod(1)
                    for i in range(self.n) for j in range(i, self.n))
 
@@ -406,13 +418,15 @@ class ChevalleyGroup:
     def iwahori_factorize(self, g: "GroupElement", w: WeylElement | None = None,
                           tie_break: str = "lex") -> "Factorization":
         self.check_gate()
-        if not self.in_iwahori(g):
-            raise MembershipError("factorization needs an element of the pro-p Iwahori")
+        if g.group is not self:
+            raise ValueError("element of a different group")
         w = self.datum.identity_weyl() if w is None else w
         plan = self._factor_plan(w, tie_break)
         ints = g._ints
-        if ints is not None:
+        if ints is not None:  # the plan's kernel runs the membership test
             return Factorization(self, w, *self._factor_ints(ints, plan), wrapped=False)
+        if not self.in_iwahori(g):
+            raise MembershipError(_NOT_IN_I)
         fact = Factorization(self, w, *self._factor_scalars(g.mat, plan), None)
         fact.omega = PValue.min(self.omega_of_factor_list(fact))
         return fact
@@ -434,36 +448,12 @@ class ChevalleyGroup:
         return neg, torus_coords, diag, pos
 
     def _factor_ints(self, ints, plan):
-        """``_factor_scalars`` on the int rows of a flat element, modulo p^N,
-        with the same checks; the ints and omega.  The plan's kernel runs the
-        LDU and both strips (``_factor_kernel``); every output wraps inexact."""
-        p = self.ring.p
-        neg, pos, diag = plan.kernel(ints, p, self._mod, self._wrap)
-        torus_coords = self._torus_coords_ints(diag)
-        if any((d - 1) % p for d in diag):
-            raise InternalError("torus part is not pro-p")
-        # the least key (``_omega_value``) of the factors off the ints: h omega is
-        # vp(x) h + ht(root), or the cap N h + ht(root) where x = 0 mod p^N, and
-        # vp(x) is taken only where vp(x) >= 1 can still lower the least.  The
-        # torus factors d - 1, offset 0, are all divisible by p (checked above).
-        height, h, cap = self._height, self.coxeter_number, self.ring.prec
-        best = INF
-        for r, x in neg + pos:
-            off = height[r]
-            if x % p:
-                if off < 0:
-                    raise InternalError("upper root parameter not divisible by p")
-                key = 2 * off
-            elif 2 * (h + off) >= best:
-                continue
-            else:
-                key = 2 * (vp_int(x, p) * h + off) if x else 2 * (cap * h + off) + 1
-            if key < best:
-                best = key
-        for d in diag:
-            if 2 * h < best:
-                best = min(best, 2 * vp_int(d - 1, p) * h if d != 1 else 2 * cap * h + 1)
-        return neg, torus_coords, diag, pos, _omega_value(best, h)
+        """The membership test and ``_factor_scalars`` on the int rows of a flat
+        element, modulo p^N, with the same checks, all in the plan's kernel
+        (``_factor_kernel``); the ints and omega.  Every output wraps inexact."""
+        neg, coords, diag, pos, key = plan.kernel(ints, self.ring.p, self._mod, self.ring.prec,
+                                                  self._wrap)
+        return neg, coords, diag, pos, _omega_value(key, self.coxeter_number)
 
     def _wrap(self, v: int) -> PadicScalar:
         return PadicScalar(self.ring, v, self.ring.prec, False)
@@ -479,6 +469,9 @@ class ChevalleyGroup:
         cached = _FACTOR_PLANS.get(key)
         if cached is not None:
             return cached
+        if w.matrix not in {v.matrix for v in self.datum.weyl_group()}:
+            raise ValueError(f"w = {w.name} with matrix {w.matrix} is not in the Weyl group "
+                             f"of {self.name}")
         mu, _a = self.datum.adapted_cocharacter(w)
         exps = self.exponents(mu)
         if len(set(exps)) != self.n:
@@ -497,29 +490,10 @@ class ChevalleyGroup:
         inv = tuple(order.index(i) for i in range(self.n))
         strips = [tuple((r, tuple((inv[i], inv[j], s) for i, j, s in self.dirs[r]))
                         for r in batch) for batch in batches]
-        kernel = _factor_kernel(order, *strips,
+        kernel = _factor_kernel(self.datum, order, *strips,
                                 f"<iwahori kernel {self.name} w={w.name} {tie_break}>")
         plan = _FACTOR_PLANS[key] = _FactorPlan(order, inv, *batches, *strips, kernel)
         return plan
-
-    def _torus_coords_ints(self, diag):
-        """``_torus_coords_from_diag`` on int units modulo p^N; the diagonal
-        is checked against the equations of the lattice's image, which hold
-        exactly where the rebuild from the coordinates gives it back."""
-        mod = self._mod
-        if any(prod(diag[i] for i in eq) % mod != 1 for eq in _TORUS_EQUATIONS[self.name]):
-            raise InternalError("torus diagonal is not in the cocharacter lattice")
-        return [prod(pow(diag[idx], e, mod) for idx, e in recipe) % mod
-                for recipe in self.torus_recipe]
-
-    def _torus_diagonal_ints(self, coords):
-        """``torus_diagonal`` on int units modulo p^N."""
-        mod, diag = self._mod, [1] * self.n
-        for mu_i, s in zip(self.datum.cochar_basis, coords):
-            for k, e in enumerate(self.exponents(mu_i)):
-                if e:
-                    diag[k] = diag[k] * pow(s, e, mod) % mod
-        return diag
 
     def _torus_coords_from_diag(self, diag):
         coords = []
@@ -588,30 +562,21 @@ class ChevalleyGroup:
     def from_coordinates(self, coords, w: WeylElement | None = None) -> "GroupElement":
         """Evaluate h_1^{x_1} ... h_d^{x_d} for the ordered basis of w, on int
         rows when every coordinate is an int in 1..p^N - 1 (Integer path)."""
-        plan = self._factor_plan(self.datum.identity_weyl() if w is None else w, "lex")
+        w = self.datum.identity_weyl() if w is None else w
+        plan = self._factor_plan(w, "lex")
         neg_batch, pos_batch = plan.neg_batch, plan.pos_batch
         a, b = len(neg_batch), len(neg_batch) + self.datum.rank
         d = b + len(pos_batch)
         if len(coords) != d:
             raise ValueError(f"need {d} coordinates, got {len(coords)}")
-        p, mod = self.ring.p, self._mod
+        mod = self._mod
         if all(type(x) is int and 0 < x < mod for x in coords):
-            rows = list(map(list, self._identity_ints))
-
-            def rmul_batch(batch, values):  # right multiplication by u_root(x)
-                for root, c in zip(batch, values):
-                    x = c * p if self._height[root] < 0 else c
-                    for i, j, s in self.dirs[root]:
-                        for row in rows:
-                            row[j] = (row[j] + s * x * row[i]) % mod
-
-            rmul_batch(neg_batch, coords[:a])
-            # exp(p c) = exp(p)^c for an int c, so this is exact mod p^N
-            diag = self._torus_diagonal_ints([pow(self._exp_p, c, mod) for c in coords[a:b]])
-            for row in rows:
-                row[:] = [e * dj % mod for e, dj in zip(row, diag)]
-            rmul_batch(pos_batch, coords[b:])
-            return GroupElement(self, None, tuple(map(tuple, rows)))
+            key = (self.name, w.matrix)
+            draw = _DRAWS.get(key)
+            if draw is None:  # built for the twists that draw
+                draw = _DRAWS[key] = _draw_kernel(self, plan,
+                                                  f"<iwahori draw {self.name} w={w.name}>")
+            return GroupElement(self, None, draw(coords, self.ring.p, mod, self._exp_p))
         coords = [self.ring.coerce(x) for x in coords]
         return self.from_parameters(
             zip(neg_batch, self._chart_scaled(zip(neg_batch, coords[:a]), 1)),
@@ -776,7 +741,8 @@ def _compiled(src, filename, fn):
     """The function fn that the source src defines, compiled under filename,
     which linecache serves so that a traceback shows the generated lines."""
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    scope = {"InternalError": InternalError}
+    scope = {"InternalError": InternalError, "MembershipError": MembershipError,
+             "vp_int": vp_int}
     exec(compile(src, filename, "exec"), scope)
     return scope[fn]
 
@@ -797,6 +763,52 @@ def _matmul_ints(n):
 
 
 _MATMULS = {n: _matmul_ints(n) for n in _MATRIX_SIZE.values()}
+
+
+def _det_source(x, rows, cols):
+    """The determinant of the names x on rows and cols as source, by cofactor
+    expansion along the first row."""
+    if len(rows) == 1:
+        return x[rows[0]][cols[0]]
+    out = ""
+    for k, c in enumerate(cols):
+        minor = _det_source(x, rows[1:], cols[:k] + cols[k + 1:])
+        out += (" - " if k % 2 else " + " if k else "") + f"{x[rows[0]][c]} * " + (
+            f"({minor})" if len(rows) > 2 else minor)
+    return out
+
+
+def _membership_tests(name, n):
+    """Membership in I of int rows unpacked into locals x00, x01, ..., as two
+    conditions that hold where it fails: the group relation modulo mod (the six
+    upper entries of g^T J g - J on Sp4, see ``satisfies_group_relation``, and
+    det g - 1 on SL_n), then the congruence mod p to a lower unitriangular
+    matrix, diagonal first in each row."""
+    x = [[f"x{i}{j}" for j in range(n)] for i in range(n)]
+    if name == "sp4":
+        relation = [f"({x[0][i]} * {x[3][j]} + {x[1][i]} * {x[2][j]} - {x[2][i]} * {x[1][j]}"
+                    f" - {x[3][i]} * {x[0][j]}{' - 1' if i + j == 3 else ''}) % mod"
+                    for i in range(3) for j in range(i + 1, 4)]
+    else:
+        idx = tuple(range(n))
+        relation = [f"({_det_source(x, idx, idx)} - 1) % mod"]
+    congruence = [f"({x[i][j]} - 1) % p" if i == j else f"{x[i][j]} % p"
+                  for i in range(n) for j in range(i, n)]
+    return " or ".join(relation), " or ".join(congruence)
+
+
+def _membership(name, n):
+    """member(ints, p, mod) of the group: 0 where the int rows fail the group
+    relation, 1 where they keep it but fail the congruence, 2 in I."""
+    relation, congruence = _membership_tests(name, n)
+    x = [[f"x{i}{j}" for j in range(n)] for i in range(n)]
+    return _compiled(f"def member(ints, p, mod):\n    {_unpack(x)} = ints\n"
+                     f"    if {relation}:\n        return 0\n"
+                     f"    return 1 if {congruence} else 2\n",
+                     f"<iwahori membership {name}>", "member")
+
+
+_MEMBERSHIPS = {name: _membership(name, n) for name, n in _MATRIX_SIZE.items()}
 
 
 def _det_recursive(mat, idx_rows, idx_cols, zero):
@@ -862,19 +874,27 @@ def _strip(cur, strip):
     return params
 
 
-def _factor_kernel(order, neg_strip, pos_strip, filename):
-    """The int LDU and both strips of one plan as straight-line code:
-    kernel(ints, p, mod, wrap) -> (negative, positive, diagonal) modulo mod =
-    p^N, which with the group's ``_wrap`` is passed in, since plans are shared
-    across (p, N).  Locals named by the row and column of ints make the load
-    in plan order a renaming; then the LDU with its pivot check, and each
-    strip as ``_strip`` on ints.  The generator knows each strip entry as the
-    local that holds it, or as the identity's 0 or 1 where nothing was ever
-    written, which the remainder check skips; it checks every local."""
+def _factor_kernel(datum, order, neg_strip, pos_strip, filename, member=True):
+    """One plan's factorization of int rows as straight-line code: kernel(ints,
+    p, mod, cap, wrap) -> (negative, torus coordinates, diagonal, positive,
+    omega key) modulo mod = p^N, cap = N; these and the group's ``_wrap`` are
+    passed in, since plans are shared across (p, N).  Locals named by the row
+    and column of ints make the load in plan order a renaming.  The code runs
+    the membership test (``_membership_tests``; member=False leaves it out, for
+    rows that reach the later checks only by skipping it), the LDU with its
+    pivot check, each strip as ``_strip`` on ints, the lattice equations, the
+    torus coordinates of the recipes, the pro-p and upper-root checks, and the
+    least key (``_omega_value``) of the factors with the heights as constants.
+    The generator knows each strip entry as the local that holds it, or as the
+    identity's 0 or 1 where nothing was ever written, which the remainder check
+    skips; it checks every local."""
     n = len(order)
     ints = [[f"x{i}{j}" for j in range(n)] for i in range(n)]
     a = [[ints[i][j] for j in order] for i in order]
     code = [f"{_unpack(ints)} = ints"]
+    if member:
+        for test in _membership_tests(datum.name, n):
+            code += [f"if {test}:", f"    raise MembershipError({_NOT_IN_I!r})"]
     for k in range(n):
         code += [f"if {a[k][k]} % p == 0:",
                  f"    raise InternalError(f'elimination pivot {k} is not a unit: "
@@ -886,7 +906,7 @@ def _factor_kernel(order, neg_strip, pos_strip, filename):
             code += [f"{a[i][j]} = ({a[i][j]} - l{i}{k} * {a[k][j]}) % mod"
                      for j in range(k + 1, n)]
         code += [f"u{k}{j} = q * {a[k][j]} % mod" for j in range(k + 1, n)]
-    params = []
+    params, factors = [], []
     for prefix, batch, strip in (("l", "neg", neg_strip), ("u", "pos", pos_strip)):
         cur = [[f"{prefix}{i}{j}" if (i > j) == (prefix == "l") and i != j else int(i == j)
                 for j in range(n)] for i in range(n)]
@@ -899,6 +919,7 @@ def _factor_kernel(order, neg_strip, pos_strip, filename):
                 code += [f"if ({cur[i][j]} {'-' if s == 1 else '+'} {x}) % mod:",
                          f"    raise InternalError('paired entries for root {root} disagree')"]
             out.append(f"({root!r}, {x})")
+            factors.append((datum.height(root), x))
             for i, j, s in dirs:  # left multiplication by u_root(-x)
                 for k, c in enumerate(cur[j]):
                     if c != 0:
@@ -911,10 +932,104 @@ def _factor_kernel(order, neg_strip, pos_strip, filename):
         code += [f"if {' or '.join(left)}:",
                  "    raise InternalError('unipotent strip left a remainder')"]
         params.append("[" + ", ".join(out) + "]")
-    diag = ", ".join(ints[i][i] for i in range(n))
-    code.append(f"return {params[0]}, {params[1]}, [{diag}]")
-    src = "def kernel(ints, p, mod, wrap):\n" + "".join(f"    {line}\n" for line in code)
+    diag = [ints[i][i] for i in range(n)]
+    lattice = [" * ".join(diag[i] for i in eq) + " % mod != 1"
+               for eq in _TORUS_EQUATIONS[datum.name]]
+    coords = [" * ".join(diag[i] if e == 1 else f"pow({diag[i]}, {e}, mod)" for i, e in recipe)
+              + " % mod" for recipe in _TORUS_RECIPES[datum.name]]
+    code += [f"if {' or '.join(lattice)}:",
+             "    raise InternalError('torus diagonal is not in the cocharacter lattice')",
+             f"if {' or '.join(f'({d} - 1) % p' for d in diag)}:",
+             "    raise InternalError('torus part is not pro-p')",
+             f"if {' or '.join(f'{x} % p' for ht, x in factors if ht < 0)}:",
+             "    raise InternalError('upper root parameter not divisible by p')"]
+    # the least key: h omega is vp(x) h + ht(root), or the cap N h + ht(root)
+    # where x = 0 mod p^N, and vp(x) is taken only where vp(x) >= 1 can still
+    # lower the least.  The factors go by their least possible key, lower roots
+    # first, so that a unit parameter of a simple root ends most of the work.
+    # The torus factors d - 1, offset 0, are all divisible by p.
+    h2 = 2 * datum.coxeter_number()
+    factors.sort(key=lambda f: (2 * f[0], 0) if f[0] > 0 else (h2 + 2 * f[0], 1))
+    for k, (ht, x) in enumerate(factors):
+        sign = "+" if ht > 0 else "-"
+        deep = (f"{h2} * vp_int({x}, p) {sign} {abs(2 * ht)} if {x} "
+                f"else cap * {h2} {sign} {abs(2 * ht + 1)}")
+        if k == 0:  # best is not set yet
+            code += ([f"if {x} % p:", f"    best = {2 * ht}", "else:", f"    best = {deep}"]
+                     if ht > 0 else [f"best = {deep}"])
+        elif ht > 0:
+            code += [f"if {x} % p:", f"    if {2 * ht} < best:", f"        best = {2 * ht}",
+                     f"elif {h2 + 2 * ht} < best:", f"    best = min(best, {deep})"]
+        else:
+            code += [f"if {h2 + 2 * ht} < best:", f"    best = min(best, {deep})"]
+    for d in diag:
+        code += [f"if {h2} < best:",
+                 f"    best = min(best, {h2} * vp_int({d} - 1, p) if {d} != 1 "
+                 f"else cap * {h2} + 1)"]
+    code.append(f"return {params[0]}, [{', '.join(coords)}], [{', '.join(diag)}], {params[1]}, "
+                "best")
+    src = "def kernel(ints, p, mod, cap, wrap):\n" + "".join(f"    {line}\n" for line in code)
     return _compiled(src, filename, "kernel")
+
+
+def _draw_kernel(group, plan, filename):
+    """``from_coordinates`` of one plan's twist on int coordinates in 1..p^N - 1
+    as straight-line code: draw(coords, p, mod, exp_p) -> int rows modulo mod.
+    From the identity, u_root(x) for x = c, or p c on an upper root, adds s x
+    times column i to column j at each of its directions (i, j, s); the torus
+    scales column k by its diagonal entry, exp(p)^c per cocharacter basis
+    vector raised to the exponent at k.  As in ``_factor_kernel``, the
+    generator knows each entry as the local that holds it or as the identity's
+    0 or 1, and folds the constants."""
+    n, a, rank = group.n, len(plan.neg_batch), group.datum.rank
+    cs = [f"c{k}" for k in range(a + rank + len(plan.pos_batch))]
+    code = [f"{', '.join(cs)} = coords"]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def put(r, j, expr):
+        name = f"r{r}{j}_{len(code)}"
+        code.append(f"{name} = {expr}")
+        rows[r][j] = name
+
+    def rmul(batch, values):  # right multiplication by u_root(x)
+        for root, x in zip(batch, values):
+            if group.datum.height(root) < 0:
+                code.append(f"p{x} = {x} * p % mod")
+                x = f"p{x}"
+            for i, j, s in group.dirs[root]:
+                for r, row in enumerate(rows):
+                    src, dst = row[i], row[j]
+                    if src == 0:
+                        continue
+                    term = x if src == 1 else f"{x} * {src}"
+                    if dst != 0:
+                        put(r, j, f"({dst} {'+' if s == 1 else '-'} {term}) % mod")
+                    elif s == 1 and src == 1:
+                        row[j] = x
+                    else:
+                        put(r, j, f"{'' if s == 1 else '-'}{term} % mod")
+
+    rmul(plan.neg_batch, cs[:a])
+    diag = [[] for _ in range(n)]  # factors t = exp(p)^c and their inverses s
+    for k, (mu, c) in enumerate(zip(group.datum.cochar_basis, cs[a:a + rank])):
+        code += [f"t{k} = pow(exp_p, {c}, mod)", f"s{k} = pow(t{k}, -1, mod)"]
+        for i, e in enumerate(group.exponents(mu)):
+            diag[i] += [f"t{k}"] * e + [f"s{k}"] * -e
+    for j, factors in enumerate(diag):
+        if len(factors) > 1:
+            code.append(f"d{j} = {' * '.join(factors)} % mod")
+        dj = f"d{j}" if len(factors) > 1 else factors[0] if factors else 1
+        for r, row in enumerate(rows):
+            if dj == 1 or row[j] == 0:
+                continue
+            if row[j] == 1:
+                row[j] = dj
+            else:
+                put(r, j, f"{row[j]} * {dj} % mod")
+    rmul(plan.pos_batch, cs[a + rank:])
+    code.append(f"return {_unpack([[str(e) for e in row] for row in rows])}")
+    src = "def draw(coords, p, mod, exp_p):\n" + "".join(f"    {line}\n" for line in code)
+    return _compiled(src, filename, "draw")
 
 
 def _ldu(a, ring):
@@ -1026,7 +1141,8 @@ class GroupElement:
 
     def satisfies_group_relation(self) -> bool:
         group = self.group
-        ints = self._ints
+        if self._ints is not None:
+            return _MEMBERSHIPS[group.name](self._ints, group.ring.p, group._mod) > 0
         if group.name == "sp4":
             # g^T J g = J for the antidiagonal Gram matrix J, whose nonzero
             # entries are J[0][3] = J[1][2] = 1 and J[2][1] = J[3][0] = -1.
@@ -1035,22 +1151,13 @@ class GroupElement:
             # by term, as is J.  The diagonal and the lower triangle therefore
             # hold exactly when the six upper entries do, also in truncated
             # arithmetic.  Ring constants keep the comparison at most at the
-            # ring precision; the int rows are at that precision already.
-            g0, g1, g2, g3 = self.mat if ints is None else ints
-            one, zero, mod = group._one, group._zero, group._mod
-            for i in range(3):
-                for j in range(i + 1, 4):
-                    entry = g0[i] * g3[j] + g1[i] * g2[j] - g2[i] * g1[j] - g3[i] * g0[j]
-                    if ints is None:
-                        if not entry == (one if i + j == 3 else zero):
-                            return False
-                    elif (entry - (i + j == 3)) % mod:
-                        return False
-            return True
-        if ints is None:
-            return self.det() == 1
-        idx = tuple(range(group.n))
-        return (_det_recursive(ints, idx, idx, 0) - 1) % group._mod == 0
+            # ring precision.
+            g0, g1, g2, g3 = self.mat
+            one, zero = group._one, group._zero
+            return all(g0[i] * g3[j] + g1[i] * g2[j] - g2[i] * g1[j] - g3[i] * g0[j]
+                       == (one if i + j == 3 else zero)
+                       for i in range(3) for j in range(i + 1, 4))
+        return self.det() == 1
 
     def sub_identity_entry(self, i: int, j: int) -> PadicScalar:
         e = self.mat[i][j]

@@ -11,13 +11,17 @@
   which ``scalar_route()`` forces, and the closure of the integer path
   under its own operations;
 * the plan-order int factorization kernel against the former int LDU,
-  strip and factorization, kept here, each plan's generated kernel against
-  the loops it replaced, also at two (p, N) of one group in one process, the
-  generated lines in tracebacks, and the scalars that elements and
-  factorizations build when first read against the former eager wraps;
-* the lattice equations of the int torus check against the former rebuild,
-  also on planted off-lattice diagonals, and omega taken with a running
-  bound against the former full minimum;
+  strip and factorization, kept here, each plan's generated kernel, which
+  runs the membership test first, against the former int relation and
+  congruence loops and the loops it replaced (past the membership test
+  through the kernel generated without it), also at two (p, N) of one group
+  in one process, the generated lines in tracebacks, and the scalars that
+  elements and factorizations build when first read against the former
+  eager wraps;
+* the lattice equations of the int torus check against the former ones and
+  the former rebuild, also on planted off-lattice diagonals, and omega taken
+  with a running bound against the former full minimum and running-bound
+  loop;
 * samples that ``from_coordinates`` builds on int rows against the same
   coordinates as scalars, and the omega that the factorization reads off
   its ints against the minimum of ``omega_of_factor_list``;
@@ -35,6 +39,8 @@ import linecache
 import traceback
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 from random import Random
 
 import pytest
@@ -42,13 +48,14 @@ from hypothesis import assume, given, seed, settings, strategies as st
 
 from iwahori import groups, padic
 from iwahori.axioms import check_pvaluation_axioms, sample_iwahori
-from iwahori.groups import ChevalleyGroup, GroupElement, MembershipError, PValue
+from iwahori.groups import ChevalleyGroup, GroupElement, MembershipError, PValue, _omega_value
 from iwahori.padic import (DomainError, InternalError, PadicScalar, PrecisionError, ScalarRing,
                            padic_exp, padic_log, vp_int)
 from iwahori.series import SeriesContext
 
 P, N = 7, 12
 Zp = ScalarRing(P, N)
+NOT_IN_I = "factorization needs an element of the pro-p Iwahori"
 
 
 # -- scalar arithmetic ---------------------------------------------------------
@@ -532,15 +539,18 @@ def relation_keeping_non_members(G):
 @pytest.mark.parametrize("config", CONFIGS)
 def test_int_membership_rejects_relation_keeping_non_members(config, monkeypatch):
     G = INT_GROUPS[config]
+    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
     for message, g in relation_keeping_non_members(G):
         assert g._ints is not None and g.satisfies_group_relation()
         assert not G.in_iwahori(g)
         with scalar_route():
             assert not G.in_iwahori(fresh(g))
-        # past a forced membership test, the factorization's own checks
+        assert outcome(G.iwahori_factorize, fresh(g)) == (MembershipError, NOT_IN_I)
+        # past the membership test (a kernel generated without it, and a
+        # forced test on the scalar route), the factorization's own checks
         # raise the same InternalError on both routes
+        fast = outcome(factor_unchecked, G, g._ints, plan)
         monkeypatch.setattr(G, "in_iwahori", lambda g: True)
-        fast = outcome(G.iwahori_factorize, fresh(g))
         with scalar_route():
             ref = outcome(G.iwahori_factorize, fresh(g))
         monkeypatch.undo()
@@ -549,14 +559,17 @@ def test_int_membership_rejects_relation_keeping_non_members(config, monkeypatch
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_int_path_raises_on_a_forced_non_unit_pivot(config, monkeypatch):
+    # the int factorization's membership test raises first; past it, the
+    # kernel generated without it meets the pivot error of the scalar route
     G = INT_GROUPS[config]
-    monkeypatch.setattr(G, "in_iwahori", lambda g: True)
     p = G.ring.p
     flat = G.ring.from_int(p).truncate(G.ring.prec)  # p + O(p^N), exact flag kept
     flat = PadicScalar(G.ring, flat.co, G.ring.prec, False)
     g = GroupElement(G, tuple(tuple(flat for _ in range(G.n)) for _ in range(G.n)))
     assert g._ints is not None
-    fast = outcome(G.iwahori_factorize, g)
+    assert outcome(G.iwahori_factorize, g) == (MembershipError, NOT_IN_I)
+    fast = outcome(factor_unchecked, G, g._ints, G._factor_plan(G.datum.identity_weyl(), "lex"))
+    monkeypatch.setattr(G, "in_iwahori", lambda g: True)
     with scalar_route():
         ref = outcome(G.iwahori_factorize, fresh(g))
     assert fast == ref
@@ -572,8 +585,10 @@ def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data)
     # entries: the strips return the same parameters or raise the same
     # InternalError, paired-entry and remainder checks alike.  The former int
     # strips run on the batch roots' own directions and on the plan's; the
-    # plan's kernel, whose LDU leaves a unit triangle as it is, strips it too
-    # where its diagonal is 1, and the other batch reads all zeros.
+    # plan's kernel without its membership test, whose LDU leaves a unit
+    # triangle as it is, strips it too where its diagonal is 1, the other
+    # batch reads all zeros, and past a clean strip only the upper-root check
+    # can raise.
     G = INT_GROUPS[config]
     w, tb = draw_twist(G, w_index, tie_break)
     mu, _a = G.datum.adapted_cocharacter(w)
@@ -617,11 +632,13 @@ def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data)
     ref = outcome(strip_scalars)
     assert outcome(strip_plan_ints) == outcome(strip_ints_former) == ref
     if all(ints[i][i] == 1 for i in range(G.n)):
-        try:
-            neg, pos, diag = plan.kernel(ints, G.ring.p, mod, G._wrap)
-        except InternalError as err:
-            assert ref == (InternalError, str(err))
+        fast = outcome(factor_unchecked, G, ints, plan)
+        assert fast == outcome(factor_loops_ref, G, ints, plan)
+        if len(fast) == 2:
+            assert fast == ref or (isinstance(ref, list) and fast == (
+                InternalError, "upper root parameter not divisible by p"))
         else:
+            neg, _coords, diag, pos, _omega = fast
             stripped, other = (neg, pos) if which == 0 else (pos, neg)
             assert [(r, state(G._wrap(x))) for r, x in stripped] == ref
             assert all(x == 0 for _r, x in other) and diag == [1] * G.n
@@ -637,12 +654,38 @@ def test_int_torus_rebuild_matches_scalar_rebuild(config, values, in_lattice):
     if in_lattice:
         # the rebuild of the recipe coordinates of some diagonal
         diag = [d.co for d in G.torus_diagonal([G._wrap(s) for s in recipe_ints(G, diag)])]
-    fast = outcome(lambda: [state(G._wrap(s)) for s in G._torus_coords_ints(diag)])
+    # the torus coordinates off the kernel without its membership test, on the
+    # diagonal matrix, whose LDU and strips leave the diagonal as it is
+    rows = tuple(tuple(d if i == j else 0 for j in range(G.n)) for i, d in enumerate(diag))
+    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    fast = outcome(lambda: [state(G._wrap(s)) for s in factor_unchecked(G, rows, plan)[1]])
     ref = outcome(lambda: [state(s) for s in
                            G._torus_coords_from_diag([G._wrap(d) for d in diag])])
-    assert fast == ref
+    assert fast == ref == outcome(lambda: [state(G._wrap(s))
+                                           for s in torus_coords_ints_ref(G, diag)])
     if in_lattice:
         assert isinstance(fast, list)
+
+
+def torus_diagonal_ints_ref(G, coords):
+    """The former ``ChevalleyGroup._torus_diagonal_ints``: ``torus_diagonal``
+    on int units modulo p^N."""
+    mod, diag = G._mod, [1] * G.n
+    for mu_i, s in zip(G.datum.cochar_basis, coords):
+        for k, e in enumerate(G.exponents(mu_i)):
+            if e:
+                diag[k] = diag[k] * pow(s, e, mod) % mod
+    return diag
+
+
+def torus_coords_ints_ref(G, diag):
+    """The former ``ChevalleyGroup._torus_coords_ints``: the diagonal checked
+    against the lattice equations, then the recipe coordinates."""
+    mod = G._mod
+    if any(prod(diag[i] for i in eq) % mod != 1 for eq in groups._TORUS_EQUATIONS[G.name]):
+        raise InternalError("torus diagonal is not in the cocharacter lattice")
+    return [prod(pow(diag[idx], e, mod) for idx, e in recipe) % mod
+            for recipe in G.torus_recipe]
 
 
 def recipe_ints(G, diag):
@@ -660,7 +703,7 @@ def torus_coords_rebuild_ref(G, diag):
     """The former ``_torus_coords_ints``: the recipe coordinates, checked by
     rebuilding the diagonal from them."""
     coords = recipe_ints(G, diag)
-    if G._torus_diagonal_ints(coords) != diag:
+    if torus_diagonal_ints_ref(G, coords) != diag:
         raise InternalError("torus diagonal is not in the cocharacter lattice")
     return coords
 
@@ -670,27 +713,34 @@ def torus_coords_rebuild_ref(G, diag):
                          ids=lambda c: "-".join(map(str, c)))
 def test_off_lattice_torus_diagonals_raise(config):
     # planted: one entry of a pro-p torus diagonal times 1 + p^k stays pro-p
-    # but leaves the torus; the lattice equations, the former rebuild and the
-    # whole kernel on that diagonal matrix each reject it
+    # but leaves the torus; the former lattice equations and rebuild and the
+    # whole kernel without its membership test on that diagonal matrix each
+    # reject it, and the kernel's membership test rejects it first
     G = ChevalleyGroup(*config)
     p, mod, n = G.ring.p, G._mod, G.n
     rng = Random(f"torus-{config}")
     plan = G._factor_plan(G.datum.identity_weyl(), "lex")
     message = "torus diagonal is not in the cocharacter lattice"
+
+    def diagonal(d):
+        return tuple(tuple(d[r] if r == c else 0 for c in range(n)) for r in range(n))
+
     for _ in range(4):
-        diag = G._torus_diagonal_ints([1 + p * rng.randrange(mod // p)
-                                       for _ in G.datum.cochar_basis])
-        assert G._torus_coords_ints(diag) == torus_coords_rebuild_ref(G, diag)
+        diag = torus_diagonal_ints_ref(G, [1 + p * rng.randrange(mod // p)
+                                           for _ in G.datum.cochar_basis])
+        assert (torus_coords_ints_ref(G, diag) == torus_coords_rebuild_ref(G, diag)
+                == factor_unchecked(G, diagonal(diag), plan)[1])
         for i in range(n):
             for k in range(1, G.ring.prec):
                 bad = list(diag)
                 bad[i] = bad[i] * (1 + p ** k) % mod
-                rows = tuple(tuple(bad[r] if r == c else 0 for c in range(n)) for r in range(n))
-                for call in (lambda: G._torus_coords_ints(bad),
+                for call in (lambda: torus_coords_ints_ref(G, bad),
                              lambda: torus_coords_rebuild_ref(G, bad),
-                             lambda: G._factor_ints(rows, plan)):
+                             lambda: factor_unchecked(G, diagonal(bad), plan)):
                     with pytest.raises(InternalError, match=message):
                         call()
+                with pytest.raises(MembershipError, match=NOT_IN_I):
+                    G._factor_ints(diagonal(bad), plan)
 
 
 @seed(20230)
@@ -853,6 +903,89 @@ def factor_ints_ref(G, ints, w, tie_break):
     return neg, torus_coords, diag, pos, omega
 
 
+def relation_ints_ref(G, ints):
+    """The former int branch of ``GroupElement.satisfies_group_relation``: the
+    six upper entries of g^T J g - J on Sp4, det g - 1 on SL_n, modulo p^N."""
+    mod = G._mod
+    if G.name == "sp4":
+        g0, g1, g2, g3 = ints
+        for i in range(3):
+            for j in range(i + 1, 4):
+                entry = g0[i] * g3[j] + g1[i] * g2[j] - g2[i] * g1[j] - g3[i] * g0[j]
+                if (entry - (i + j == 3)) % mod:
+                    return False
+        return True
+    idx = tuple(range(G.n))
+    return (groups._det_recursive(ints, idx, idx, 0) - 1) % mod == 0
+
+
+def in_iwahori_ints_ref(G, ints):
+    """The former int branch of ``ChevalleyGroup.in_iwahori``: the relation,
+    then the diagonal congruent to 1 and the upper entries to 0 mod p."""
+    if not relation_ints_ref(G, ints):
+        return False
+    p = G.ring.p
+    return all((row[j] - (i == j)) % p == 0 for i, row in enumerate(ints) for j in range(i, G.n))
+
+
+def fused_ref(G, ints, w, tie_break):
+    """What ``_factor_ints`` gives, by the loops: the MembershipError of the
+    factorization off I, else ``factor_ints_ref``."""
+    if not in_iwahori_ints_ref(G, ints):
+        raise MembershipError(NOT_IN_I)
+    return factor_ints_ref(G, ints, w, tie_break)
+
+
+def omega_loop_ref(G, neg, diag, pos):
+    """The former running-bound omega loop of ``_factor_ints``, with its
+    upper-root check: the least key, as its ``_omega_value``."""
+    p, height, h, cap = G.ring.p, G._height, G.coxeter_number, G.ring.prec
+    best = float("inf")
+    for r, x in neg + pos:
+        off = height[r]
+        if x % p:
+            if off < 0:
+                raise InternalError("upper root parameter not divisible by p")
+            key = 2 * off
+        elif 2 * (h + off) >= best:
+            continue
+        else:
+            key = 2 * (vp_int(x, p) * h + off) if x else 2 * (cap * h + off) + 1
+        if key < best:
+            best = key
+    for d in diag:
+        if 2 * h < best:
+            best = min(best, 2 * vp_int(d - 1, p) * h if d != 1 else 2 * cap * h + 1)
+    return _omega_value(best, h)
+
+
+def factor_loops_ref(G, ints, plan):
+    """What a plan's kernel gives past its membership test, by the loops it
+    replaced: ``kernel_loops_ref``, the former lattice check and recipe
+    (``torus_coords_ints_ref``), the pro-p check and ``omega_loop_ref``."""
+    neg, pos, diag = kernel_loops_ref(G, ints, plan)
+    coords = torus_coords_ints_ref(G, diag)
+    if any((d - 1) % G.ring.p for d in diag):
+        raise InternalError("torus part is not pro-p")
+    return neg, coords, diag, pos, omega_loop_ref(G, neg, diag, pos)
+
+
+@lru_cache(maxsize=None)
+def unchecked_kernel(datum, order, neg_strip, pos_strip):
+    """A plan's kernel generated without its membership test: rows outside I
+    reach the checks after it only this way."""
+    return groups._factor_kernel(datum, order, neg_strip, pos_strip,
+                                 f"<unchecked kernel {datum.name} {order} {neg_strip[0][0]}>",
+                                 member=False)
+
+
+def factor_unchecked(G, ints, plan):
+    """``_factor_ints`` through ``unchecked_kernel``."""
+    kernel = unchecked_kernel(G.datum, plan.order, plan.neg_strip, plan.pos_strip)
+    neg, coords, diag, pos, key = kernel(ints, G.ring.p, G._mod, G.ring.prec, G._wrap)
+    return neg, coords, diag, pos, _omega_value(key, G.coxeter_number)
+
+
 def kernel_inputs(G, rng):
     """Int rows for the kernel: members of I, flat non-members that keep the
     group relation, rows congruent to the identity mod p (sl_n: mostly off
@@ -875,8 +1008,8 @@ KERNEL_CONFIGS = [(name, p, n) for name, p in (("sl2", 5), ("sl3", 5), ("sp4", 7
 
 @pytest.mark.parametrize("config", KERNEL_CONFIGS, ids=lambda c: "-".join(map(str, c)))
 def test_plan_order_kernel_matches_the_former_kernel(config):
-    # every twist and tie-break, on members and on planted bad rows: the same
-    # ints and omega, or the same InternalError text
+    # every twist and tie-break, on members and on planted bad rows, past the
+    # membership test: the same ints and omega, or the same InternalError text
     G = ChevalleyGroup(*config)
     rng = Random(f"kernel-{config}")
     seen = set()
@@ -884,7 +1017,7 @@ def test_plan_order_kernel_matches_the_former_kernel(config):
         for tie_break in ("lex", "revlex"):
             plan = G._factor_plan(w, tie_break)
             for ints in kernel_inputs(G, rng):
-                fast = outcome(G._factor_ints, ints, plan)
+                fast = outcome(factor_unchecked, G, ints, plan)
                 assert fast == outcome(factor_ints_ref, G, ints, w, tie_break), (w.name, ints)
                 seen.add(fast[1].split(":")[0].split(" for root")[0]
                          if fast[0] is InternalError else "value")
@@ -892,6 +1025,28 @@ def test_plan_order_kernel_matches_the_former_kernel(config):
             "upper root parameter not divisible by p"} <= seen
     assert ("paired entries" if G.name == "sp4"
             else "torus diagonal is not in the cocharacter lattice") in seen
+
+
+@pytest.mark.parametrize("config", KERNEL_CONFIGS, ids=lambda c: "-".join(map(str, c)))
+def test_every_fused_kernel_matches_membership_and_the_loop_forms(config):
+    # each plan's kernel runs the membership test first: on every twist and
+    # tie-break, the same ints, coordinates, diagonal and omega as
+    # ``factor_ints_ref``, or the MembershipError of the former int relation and
+    # congruence loops, which the group's membership function also matches
+    G = ChevalleyGroup(*config)
+    rng = Random(f"fused-{config}")
+    seen = set()
+    for w in G.datum.weyl_group():
+        for tie_break in ("lex", "revlex"):
+            plan = G._factor_plan(w, tie_break)
+            for ints in kernel_inputs(G, rng):
+                fast = outcome(G._factor_ints, ints, plan)
+                assert fast == outcome(fused_ref, G, ints, w, tie_break), (w.name, ints)
+                g = GroupElement(G, None, ints)
+                relation, member = relation_ints_ref(G, ints), in_iwahori_ints_ref(G, ints)
+                assert (g.satisfies_group_relation(), G.in_iwahori(g)) == (relation, member)
+                seen.add("value" if member else "congruence" if relation else "relation")
+    assert seen == {"value", "congruence", "relation"}
 
 
 def sweep_kernel_inputs(G, w, rng):
@@ -931,18 +1086,21 @@ KERNEL_SWEEP = KERNEL_CONFIGS + [("sl2", 7, 5), ("sl3", 11, 4), ("sp4", 11, 5)]
 @pytest.mark.parametrize("config", KERNEL_SWEEP, ids=lambda c: "-".join(map(str, c)))
 def test_every_plan_kernel_matches_the_loop_forms(config):
     # every plan of the group, on members, forced non-unit pivots and moved
-    # entries: the same (negative, positive, diagonal) ints, or the same
-    # exception type and text, as the int LDU loop and the plan-order strip
+    # entries, past the membership test: the same (negative, coordinates,
+    # diagonal, positive, omega), or the same exception type and text, as the
+    # int LDU loop, the plan-order strip and the former torus and omega loops;
+    # with the test, the plan's own kernel agrees on the rows in I
     G = ChevalleyGroup(*config)
     rng = Random(f"sweep-{config}")
-    p, mod = G.ring.p, G._mod
     seen = set()
     for w in G.datum.weyl_group():
         for tie_break in ("lex", "revlex"):
             plan = G._factor_plan(w, tie_break)
             for ints in sweep_kernel_inputs(G, w, rng):
-                fast = outcome(plan.kernel, ints, p, mod, G._wrap)
-                assert fast == outcome(kernel_loops_ref, G, ints, plan), (w.name, tie_break, ints)
+                fast = outcome(factor_unchecked, G, ints, plan)
+                assert fast == outcome(factor_loops_ref, G, ints, plan), (w.name, tie_break, ints)
+                if in_iwahori_ints_ref(G, ints):
+                    assert outcome(G._factor_ints, ints, plan) == fast
                 seen.add(fast[1].split(" is not")[0].split(" for root")[0]
                          if len(fast) == 2 else "value")
     assert {"value"} | {f"elimination pivot {k}" for k in range(G.n)} <= seen
@@ -965,9 +1123,12 @@ def test_a_plan_shared_across_p_and_n_gives_each_group_its_own_outcome(name, con
             assert plan is pair[0]._factor_plan(w, "lex")
             for ints in kernel_inputs(G, rng):
                 assert (outcome(G._factor_ints, ints, plan)
-                        == outcome(factor_ints_ref, G, ints, w, "lex")), (w.name, ints)
+                        == outcome(fused_ref, G, ints, w, "lex")), (w.name, ints)
+        # the pivot text past the membership test, which rows of p's fail
         p, n = G.ring.p, G.n
-        fast = outcome(G._factor_ints, tuple((p,) * n for _ in range(n)), plan)
+        rows = tuple((p,) * n for _ in range(n))
+        assert outcome(G._factor_ints, rows, plan) == (MembershipError, NOT_IN_I)
+        fast = outcome(factor_unchecked, G, rows, plan)
         assert fast == (InternalError, f"elimination pivot 0 is not a unit: {G._wrap(p)!r}")
 
 
@@ -977,14 +1138,15 @@ def test_a_failed_kernel_check_shows_its_generated_line():
     G = ChevalleyGroup("sl3", 5, 6)
     plan = G._factor_plan(G.datum.identity_weyl(), "lex")
     g = sample_iwahori(G, Random(3))
+    args = (G.ring.p, G._mod, G.ring.prec, G._wrap)
     assert linecache.getline("<iwahori kernel sl3 w=e lex>", 1) == (
-        "def kernel(ints, p, mod, wrap):\n")
+        "def kernel(ints, p, mod, cap, wrap):\n")
     # forced: a strip one root short leaves that root's entry, as the loops say
     short = plan._replace(neg_strip=plan.neg_strip[:-1])
-    kernel = groups._factor_kernel(short.order, short.neg_strip, short.pos_strip,
+    kernel = groups._factor_kernel(G.datum, short.order, short.neg_strip, short.pos_strip,
                                    "<iwahori kernel sl3 short>")
     with pytest.raises(InternalError, match="unipotent strip left a remainder") as info:
-        kernel(g._ints, G.ring.p, G._mod, G._wrap)
+        kernel(g._ints, *args)
     assert outcome(kernel_loops_ref, G, g._ints, short) == (
         InternalError, "unipotent strip left a remainder")
     last = traceback.extract_tb(info.value.__traceback__)[-1]
@@ -992,12 +1154,28 @@ def test_a_failed_kernel_check_shows_its_generated_line():
     assert last.line == "raise InternalError('unipotent strip left a remainder')"
     text = "".join(traceback.format_exception(info.value))
     assert "raise InternalError('unipotent strip left a remainder')" in text
-    # through the factorization, with a plan's own kernel
+    # a pivot error, past the membership test
+    kernel = groups._factor_kernel(G.datum, plan.order, plan.neg_strip, plan.pos_strip,
+                                   "<iwahori kernel sl3 unchecked>", member=False)
     with pytest.raises(InternalError, match="elimination pivot 0") as info:
-        G._factor_ints(((5,) * 3,) * 3, plan)
+        kernel(((5,) * 3,) * 3, *args)
     last = traceback.extract_tb(info.value.__traceback__)[-1]
-    assert last.filename == "<iwahori kernel sl3 w=e lex>"
+    assert last.filename == "<iwahori kernel sl3 unchecked>"
     assert last.line.startswith("raise InternalError(f'elimination pivot 0 is not a unit")
+    # through the factorization, with a plan's own kernel: the relation's and
+    # the congruence's MembershipError, each raised under its own test
+    torus = dict(relation_keeping_non_members(G))["torus part is not pro-p"]
+    tests = []
+    for rows, test in ((((5,) * 3,) * 3, "if (x00 * (x11 * x22"),
+                       (torus._ints, "if (x00 - 1) % p")):
+        with pytest.raises(MembershipError, match=NOT_IN_I) as info:
+            G._factor_ints(rows, plan)
+        last = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert last.filename == "<iwahori kernel sl3 w=e lex>"
+        assert last.line == f"raise MembershipError({NOT_IN_I!r})"
+        assert linecache.getline(last.filename, last.lineno - 1).strip().startswith(test)
+        tests.append(last.lineno)
+    assert tests[0] < tests[1]
 
 
 def test_int_built_elements_and_factorizations_read_as_the_eager_wraps():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,6 +8,7 @@ import pytest
 from iwahori.axioms import sample_iwahori
 from iwahori.groups import ChevalleyGroup, GateError, GroupElement, MembershipError, PValue
 from iwahori.padic import INF, InternalError, PadicScalar, PrecisionError, ScalarRing, padic_exp
+from iwahori.roots import WeylElement
 from ramified_ring import RamifiedRing
 from test_fast_paths import permuted_ref, reread, root_products, state
 from test_int_checks import mutant
@@ -208,6 +210,26 @@ def test_factorize_rejects_non_iwahori():
     G = group("sl2")
     with pytest.raises(MembershipError):
         G.iwahori_factorize(G.root_element((-1, 1), 1))
+
+
+def test_a_twist_outside_the_weyl_group_is_refused():
+    # -I permutes the roots of A2 but is not in W(A2); an sl3 Weyl element is
+    # the wrong size for sp4.  Both are refused by name when a plan is built,
+    # on int rows and on the scalar route alike.
+    sl3, sp4 = group("sl3"), group("sp4")
+    minus = WeylElement(tuple(tuple(-int(i == j) for j in range(3)) for i in range(3)), ())
+    g = sample_iwahori(sl3, random.Random(1))
+    for h in (g, sl3.identity()):
+        with pytest.raises(ValueError, match=r"w = e with matrix \(\(-1, 0, 0\).* not in the "
+                                             r"Weyl group of sl3"):
+            sl3.iwahori_factorize(h, minus)
+    w = sl3.datum.weyl_group()[1]
+    message = rf"w = {re.escape(w.name)} with matrix .* not in the Weyl group of sp4"
+    for call in (lambda: sp4.iwahori_factorize(sample_iwahori(sp4, random.Random(1)), w),
+                 lambda: sp4.from_coordinates([1] * 10, w),
+                 lambda: sample_iwahori(sp4, random.Random(1), w)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("rows", [

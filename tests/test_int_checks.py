@@ -3,13 +3,16 @@
 * the conjugation oracle and the congruence test, on int rows and on scalar
   entries, against the former scalar loop, kept here, with cap markers and
   its ``PrecisionError``;
-* draws whose torus coordinate c enters as exp(p)^c against the former
-  exp(p c) form, kept here;
+* the generated draws, whose torus coordinate c enters as exp(p)^c, against
+  the former loop with the exp(p c) form, kept here;
+* the membership function and the kernel's membership test against the
+  former int relation and congruence loops;
 * the commutator (hg)^-1 gh against the four-factor product g^-1 h^-1 g h;
 * omega keys off the int factorization, failure details built only for a
   failed verdict, and the series self-test's draws and chart;
-* planted mutants: each new form, changed in one place by a source edit,
-  is caught by the comparison that passes the form itself.
+* planted mutants: each new form, changed in one place by a source edit
+  (of the generators, for the generated code), is caught by the comparison
+  that passes the form itself.
 """
 
 import inspect
@@ -26,9 +29,11 @@ from iwahori.axioms import AxiomReport, check_pvaluation_axioms, check_series
 from iwahori.groups import ChevalleyGroup, GroupElement, PValue, _matmul_ints, _omega_value
 from iwahori.padic import INF, PrecisionError, exp_int
 from iwahori.series import SeriesContext, SeriesError, TruncatedSeries
-from test_fast_paths import (SAMPLE_CONFIGS, SAMPLE_GROUPS, coordinate_vectors, flatten,
-                             kernel_loops_ref, omega_full_min_ref, omega_inputs,
-                             outcome as value_or_error, sweep_kernel_inputs)
+from test_fast_paths import (SAMPLE_CONFIGS, SAMPLE_GROUPS, coordinate_vectors,
+                             factor_loops_ref, flatten, fused_ref, in_iwahori_ints_ref,
+                             kernel_inputs, omega_full_min_ref, omega_inputs,
+                             outcome as value_or_error, relation_ints_ref,
+                             sweep_kernel_inputs, torus_diagonal_ints_ref)
 
 IDS = {"ids": lambda c: "-".join(map(str, c))}
 
@@ -148,16 +153,17 @@ def test_int_oracle_mutants_are_caught(old, new, monkeypatch):
 
 
 def draw_rows_ref(G, coords, w):
-    """The former int rows of ``from_coordinates``: each torus coordinate c
-    enters as exp_int(p c); the same right multiplications otherwise."""
+    """The former int rows of ``from_coordinates``: from the identity, its
+    ``rmul_batch`` loop (right multiplication by u_root(x)) on both batches,
+    and each torus coordinate c entering as exp_int(p c)."""
     plan = G._factor_plan(w, "lex")
     p, mod = G.ring.p, G._mod
     a, b = len(plan.neg_batch), len(plan.neg_batch) + G.datum.rank
-    rows = [list(r) for r in G._identity_ints]
+    rows = [[int(i == j) for j in range(G.n)] for i in range(G.n)]
     for batch, values in ((plan.neg_batch, coords[:a]), (None, coords[a:b]),
                           (plan.pos_batch, coords[b:])):
         if batch is None:
-            diag = G._torus_diagonal_ints([exp_int(p * c, G.ring) for c in values])
+            diag = torus_diagonal_ints_ref(G, [exp_int(p * c, G.ring) for c in values])
             rows = [[e * dj % mod for e, dj in zip(row, diag)] for row in rows]
             continue
         for root, c in zip(batch, values):
@@ -186,13 +192,28 @@ def test_draw_rows_match_the_exp_of_p_c_form(config):
     assert not draw_mismatches(G, Random(f"draw-{config}"))
 
 
+def plant_draw_mutant(monkeypatch, old, new):
+    """The draw generator with old replaced by new, for draws built from here."""
+    monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
+    monkeypatch.setattr(groups, "_DRAWS", {})
+    monkeypatch.setattr(groups, "_draw_kernel", mutant(groups._draw_kernel, old, new))
+
+
 def test_draw_mutant_is_caught(monkeypatch):
-    # exp(p)^c raised only modulo p^(N-1)
-    bad = mutant(ChevalleyGroup.from_coordinates, "pow(self._exp_p, c, mod)",
-                 "pow(self._exp_p, c, mod // p)")
-    monkeypatch.setattr(ChevalleyGroup, "from_coordinates", bad)
+    # exp(p)^c raised only modulo p^(N-1), in the generator
+    plant_draw_mutant(monkeypatch, "pow(exp_p, {c}, mod)", "pow(exp_p, {c}, mod // p)")
     assert all(draw_mismatches(SAMPLE_GROUPS[c], Random(f"draw-{c}"))
                for c in SAMPLE_CONFIGS if c[2] in (2, 12))
+
+
+@pytest.mark.parametrize("old,new", [
+    ("({dst} {'+' if s == 1 else '-'} {term})", "({dst} {'-' if s == 1 else '+'} {term})"),
+    ("{'' if s == 1 else '-'}{term} % mod", "{term} % mod"),  # a folded entry's sign
+    ("code.append(f\"p{x} = {x} * p % mod\")", "code.append(f\"p{x} = {x} % mod\")"),
+])
+def test_draw_generator_mutants_are_caught(old, new, monkeypatch):
+    plant_draw_mutant(monkeypatch, old, new)
+    assert any(draw_mismatches(SAMPLE_GROUPS[c], Random(f"draw-{c}")) for c in SAMPLE_CONFIGS)
 
 
 # -- the commutator ------------------------------------------------------------------
@@ -296,9 +317,9 @@ def test_matmul_ints_matches_the_generator_form(monkeypatch):
 
 
 def kernel_mismatches(factor_kernel):
-    """Inputs where kernels that factor_kernel builds differ from the loop
-    forms, on every sl3 and sp4 plan, and on plans one root short, where the
-    loops find a remainder."""
+    """Inputs where kernels that factor_kernel builds without the membership
+    test differ from the loop forms, on every sl3 and sp4 plan, and on plans
+    one root short, where the loops find a remainder."""
     bad = []
     for config in (("sl3", 5, 2), ("sp4", 7, 1), ("sp4", 7, 12)):
         G = ChevalleyGroup(*config)
@@ -307,11 +328,16 @@ def kernel_mismatches(factor_kernel):
             plan = G._factor_plan(w, "lex")
             for short in (plan, plan._replace(neg_strip=plan.neg_strip[:-1]),
                           plan._replace(pos_strip=plan.pos_strip[:-1])):
-                kernel = factor_kernel(short.order, short.neg_strip, short.pos_strip,
-                                       f"<kernel mutant {config} {w.name}>")
+                kernel = factor_kernel(G.datum, short.order, short.neg_strip, short.pos_strip,
+                                       f"<kernel mutant {config} {w.name}>", member=False)
+
+                def factor(ints):
+                    *parts, key = kernel(ints, G.ring.p, G._mod, G.ring.prec, G._wrap)
+                    return (*parts, _omega_value(key, G.coxeter_number))
+
                 for ints in sweep_kernel_inputs(G, w, rng):
-                    got = value_or_error(kernel, ints, G.ring.p, G._mod, G._wrap)
-                    if got != value_or_error(kernel_loops_ref, G, ints, short):
+                    if value_or_error(factor, ints) != value_or_error(factor_loops_ref, G, ints,
+                                                                      short):
                         bad.append((config, w.name, ints))
     return bad
 
@@ -333,6 +359,86 @@ def test_kernels_of_plans_one_root_short_match_the_loop_forms():
     assert not kernel_mismatches(groups._factor_kernel)
 
 
+def test_a_dropped_lattice_equation_is_caught(monkeypatch):
+    # the first lattice equation left out of the kernel's check: on sl_n the
+    # whole check, on sp4 the equation d0 d3 = 1
+    monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
+    bad = mutant(groups._factor_kernel, "for eq in _TORUS_EQUATIONS[datum.name]]",
+                 "for eq in _TORUS_EQUATIONS[datum.name][1:]] or ['0']")
+    error = (groups.InternalError, "torus diagonal is not in the cocharacter lattice")
+    for name, p in (("sl2", 5), ("sl3", 5), ("sp4", 7)):
+        G = ChevalleyGroup(name, p, 3)
+        plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+        diag = [1 + p] + [1] * (G.n - 1)  # pro-p, off the torus
+        rows = tuple(tuple(d if i == j else 0 for j in range(G.n)) for i, d in enumerate(diag))
+        assert value_or_error(factor_loops_ref, G, rows, plan) == error
+        for generator, caught in ((groups._factor_kernel, True), (bad, False)):
+            kernel = generator(G.datum, plan.order, plan.neg_strip, plan.pos_strip,
+                               f"<lattice {caught}>", member=False)
+            assert (value_or_error(kernel, rows, p, G._mod, 3, G._wrap) == error) == caught
+
+
+# -- membership ----------------------------------------------------------------------
+
+
+MEMBERSHIP_CONFIGS = [("sl2", 5, 3), ("sl3", 5, 2), ("sl3", 5, 12), ("sp4", 7, 1), ("sp4", 7, 12)]
+
+
+def membership_inputs(G, rng):
+    """Int rows for the membership test: ``kernel_inputs``, the flat upper root
+    elements u_r(1), each off the congruence at its own entries only, and on
+    sp4 the I + p^k E_rc, k = 0 and N - 1, that break one upper entry of
+    g^T J g - J each."""
+    out = kernel_inputs(G, rng)
+    out += [flatten(G.root_element(r, 1))._ints for r in sorted(G.dirs) if G.datum.height(r) < 0]
+    if G.name == "sp4":
+        for a in range(4):
+            for b in range(a + 1, 4):
+                for k in (0, G.ring.prec - 1):
+                    rows = [[int(i == j) for j in range(4)] for i in range(4)]
+                    rows[3 - b][a] = (rows[3 - b][a] + G.ring.p ** k) % G._mod
+                    out.append(tuple(map(tuple, rows)))
+    return out
+
+
+def membership_mismatches():
+    """Inputs where the group's membership function, through
+    ``satisfies_group_relation`` and ``in_iwahori``, or the plan's kernel
+    differ from the former int loops."""
+    bad = []
+    for config in MEMBERSHIP_CONFIGS:
+        G = ChevalleyGroup(*config)
+        w = G.datum.identity_weyl()
+        plan = G._factor_plan(w, "lex")
+        for ints in membership_inputs(G, Random(f"member-{config}")):
+            g = GroupElement(G, None, ints)
+            if ((g.satisfies_group_relation(), G.in_iwahori(g))
+                    != (relation_ints_ref(G, ints), in_iwahori_ints_ref(G, ints))
+                    or value_or_error(G._factor_ints, ints, plan)
+                    != value_or_error(fused_ref, G, ints, w, "lex")):
+                bad.append((config, ints))
+    return bad
+
+
+def test_membership_matches_the_former_int_loops():
+    assert not membership_mismatches()
+
+
+@pytest.mark.parametrize("old,new", [
+    # a relation entry dropped: (0, 1) of g^T J g on sp4
+    ("for j in range(i + 1, 4)]", "for j in range(i + 1, 4) if (i, j) != (0, 1)]"),
+    # a congruence position dropped: the corner (0, n - 1)
+    ("for j in range(i, n)]", "for j in range(i, n) if (i, j) != (0, n - 1)]"),
+])
+def test_membership_generator_mutants_are_caught(old, new, monkeypatch):
+    monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
+    monkeypatch.setattr(groups, "_membership_tests", mutant(groups._membership_tests, old, new))
+    monkeypatch.setattr(groups, "_MEMBERSHIPS", {name: groups._membership(name, n)
+                                                 for name, n in groups._MATRIX_SIZE.items()})
+    monkeypatch.setattr(groups, "_FACTOR_PLANS", {})
+    assert membership_mismatches()
+
+
 # -- omega keys ----------------------------------------------------------------------
 
 
@@ -349,13 +455,18 @@ def omega_mismatches(G, rng):
 
 
 @pytest.mark.parametrize("old,new", [
-    ("2 * (cap * h + off) + 1", "2 * (cap * h + off)"),  # a root cap read as finite
-    ("elif 2 * (h + off) >= best:", "elif 2 * (h + off) > best - 2:"),  # a factor skipped
-    ("2 * vp_int(d - 1, p) * h", "2 * (vp_int(d - 1, p) + 1) * h"),  # torus valuation
+    pytest.param("{abs(2 * ht + 1)}", "{abs(2 * ht)}", id="a root cap read as finite"),
+    pytest.param("enumerate(factors)", "enumerate(factors[:-1])", id="a factor skipped"),
+    pytest.param("{h2} * vp_int({d} - 1, p)", "{h2} * (vp_int({d} - 1, p) + 1)",
+                 id="the torus valuation one high"),
+    pytest.param("enumerate(factors)", "enumerate((h + 1 if h > 0 else h, y) for h, y in factors)",
+                 id="a lower root height one high in omega"),
 ])
 def test_factor_omega_mutants_are_caught(old, new, monkeypatch):
-    monkeypatch.setattr(ChevalleyGroup, "_factor_ints",
-                        mutant(ChevalleyGroup._factor_ints, old, new))
+    # planted in the kernel generator, which rebuilds every plan
+    monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
+    monkeypatch.setattr(groups, "_factor_kernel", mutant(groups._factor_kernel, old, new))
+    monkeypatch.setattr(groups, "_FACTOR_PLANS", {})
     assert any(omega_mismatches(SAMPLE_GROUPS[c], Random(f"omega-{c}")) for c in SAMPLE_CONFIGS)
 
 
