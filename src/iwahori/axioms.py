@@ -139,12 +139,26 @@ def _sample_seed(seed: int, k: int) -> int:
     return seed * 1_000_003 + k
 
 
+def _randbelow(getrandbits, n: int, count: int) -> list:
+    """The next count values of randrange(n) of the generator whose
+    getrandbits this is, for n >= 1.  On Python 3.10-3.13 randrange(n) is
+    getrandbits(n.bit_length()) with rejection, drawn here the same way
+    without its argument checks, so the values and the stream are the same."""
+    k = n.bit_length()
+    out = []
+    while len(out) < count:
+        r = getrandbits(k)
+        if r < n:
+            out.append(r)
+    return out
+
+
 def sample_iwahori(group: ChevalleyGroup, rng: Random, w=None):
     """Uniform draw from the coordinate grid at the working precision."""
     group.check_gate()
-    box = group.ring.ppow(group.ring.prec)
     # one coordinate per root and per cocharacter basis vector, as in the basis
-    coords = [rng.randrange(box) for _ in range(len(group.dirs) + group.datum.rank)]
+    coords = _randbelow(rng.getrandbits, group.ring.ppow(group.ring.prec),
+                        len(group.dirs) + group.datum.rank)
     return group.from_coordinates(coords, w)
 
 
@@ -264,12 +278,19 @@ _series_context = lru_cache(maxsize=8)(SeriesContext)  # one chart per group
 
 def check_series(group: ChevalleyGroup, seed: int = 1) -> SelfTestReport:
     """Slope splits and the projector bound on seeded series, the Haar
-    obstruction and the constants limit, on the chart of the group."""
+    obstruction and the constants limit, on the chart of the group.  Each
+    of the 10 series has 8 terms, drawn in order: an exponent in 0..5 per
+    chart variable, then a coefficient in -20..20.  The draws read
+    getrandbits directly (``_randbelow``), with the same values as
+    randrange(6) and randrange(-20, 21)."""
     failures = []
     ctx = _series_context(group)
-    draw, slots = Random(seed).randrange, range(ctx.nvars)
+    bits, nvars = Random(seed).getrandbits, ctx.nvars
     for trial in range(10):
-        coeffs = {tuple([draw(6) for _ in slots]): Fraction(draw(-20, 21)) for _ in range(8)}
+        coeffs = {}
+        for _ in range(8):
+            index = tuple(_randbelow(bits, 6, nvars))
+            coeffs[index] = Fraction(_randbelow(bits, 41, 1)[0] - 20)
         f = TruncatedSeries(ctx, coeffs, 5 * ctx.nvars)
         below, atleast = slope_split(f, 1)
         if not (below + atleast == f and slope_split(atleast, 1)[0].is_zero()):

@@ -2,7 +2,10 @@
 
 Every subcommand emits machine-readable JSON on stdout (or into --json
 DIR) with exact values only: rationals as "a/b" strings and p-adic
-scalars as digit expansions.  Exit codes: 0 success, 1 check failures,
+scalars as digit expansions.  Reports are written by ``_encode``, the
+package's own indent-2 emitter over the standard library's C string
+encoder, with the same bytes as ``json.dumps(payload, indent=2,
+sort_keys=True, default=str)``.  Exit codes: 0 success, 1 check failures,
 2 parameter-gate or usage errors, 3 a failed internal self-check (a bug).
 
 Defaults can be overridden with environment variables prefixed IWAHORI_,
@@ -18,6 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .axioms import SUITES, check_verma
 from .groups import ChevalleyGroup, GateError, MembershipError
@@ -53,8 +57,31 @@ def _fraction(text) -> Fraction:
     return Fraction(str(text))
 
 
+def _encode(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte for
+    byte, on what reports hold: dicts with str keys, lists, tuples, str, int,
+    bool, None, and str() of anything else.  Reports are exact, so a float
+    raises TypeError, and so does a key that is not a str (in ``_quote``)."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(value, float):
+        raise TypeError(f"a report holds exact values, not the float {value!r}")
+    return _quote(str(value))
+
+
 def _emit(args, name: str, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    text = _encode(payload)
     if getattr(args, "json_dir", None):
         os.makedirs(args.json_dir, exist_ok=True)
         path = os.path.join(args.json_dir, f"{name}.json")

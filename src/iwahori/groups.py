@@ -385,7 +385,11 @@ class ChevalleyGroup:
     # -- batches and bases ------------------------------------------------
 
     def batches(self, w: WeylElement, tie_break: str = "lex"):
-        """The wPhi- and wPhi+ batch root lists in the fixed order."""
+        """The wPhi- and wPhi+ batch root lists in the fixed order; a w outside
+        the Weyl group raises ValueError."""
+        if w.matrix not in self.datum.weyl_matrices:
+            raise ValueError(f"w = {w.name} with matrix {w.matrix} is not in the Weyl group "
+                             f"of {self.name}")
         pos = list(self.datum.positive_roots)  # already height-then-lex
         if tie_break == "revlex":
             pos.sort(key=lambda r: (self.datum.height(r), tuple(-c for c in r)))
@@ -469,15 +473,12 @@ class ChevalleyGroup:
         cached = _FACTOR_PLANS.get(key)
         if cached is not None:
             return cached
-        if w.matrix not in {v.matrix for v in self.datum.weyl_group()}:
-            raise ValueError(f"w = {w.name} with matrix {w.matrix} is not in the Weyl group "
-                             f"of {self.name}")
+        batches = self.batches(w, tie_break)  # raises for a w outside the Weyl group
         mu, _a = self.datum.adapted_cocharacter(w)
         exps = self.exponents(mu)
         if len(set(exps)) != self.n:
             raise InternalError("adapted cocharacter weights are not distinct")
         order = tuple(sorted(range(self.n), key=lambda i: -exps[i]))
-        batches = self.batches(w, tie_break)
         for sign, batch_roots in zip((1, -1), batches):
             last = None
             for r in batch_roots:
@@ -525,6 +526,8 @@ class ChevalleyGroup:
     # -- ordered basis and coordinates ---------------------------------------
 
     def ordered_basis(self, w: WeylElement | None = None) -> "OrderedBasis":
+        """The basis of the twist w, built once per w; a w outside the Weyl
+        group raises in ``batches``."""
         self.check_gate()
         if w is None:
             w = self.datum.identity_weyl()

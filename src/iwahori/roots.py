@@ -199,9 +199,29 @@ class RootDatum:
         """w*Phi-, built once per w."""
         return frozenset(self.act_root(w, r) for r in self.negative_roots)
 
+    @cached_property
+    def weyl_matrices(self) -> frozenset:
+        """The matrices of the Weyl group, against which a twist is tested."""
+        return frozenset(w.matrix for w in self._weyl_elements())
+
+    @cached_property
+    def sorted_roots(self) -> tuple:
+        """All roots in sorted order: bit i of a root mask stands for the i-th."""
+        return tuple(sorted(self.roots()))
+
+    @lru_cache(maxsize=None)
+    def image_masks(self, w: WeylElement):
+        """(w*Phi+, w*Phi-) as root masks, built once per w."""
+        return tuple(sum(1 << i for i, r in enumerate(self.sorted_roots) if r in image)
+                     for image in (self.positive_image(w), self.negative_image(w)))
+
+    def least_root(self, mask: int):
+        """The least root of a root mask, None for the empty one."""
+        return self.sorted_roots[(mask & -mask).bit_length() - 1] if mask else None
+
     def intersection_witness(self, w: WeylElement, w2: WeylElement):
         """The least root of w*Phi+ inter w2*Phi-."""
-        return min(self.positive_image(w) & self.negative_image(w2), default=None)
+        return self.least_root(self.image_masks(w)[0] & self.image_masks(w2)[1])
 
     # -- adapted cocharacters -----------------------------------------------
 

@@ -70,8 +70,8 @@ class SeriesContext:
         self.datum = self.group.datum
         self.ring = self.group.ring
         self.w = w if w is not None else self.datum.identity_weyl()
+        self.batch = self.group.batches(self.w)[1]  # raises for a w outside the Weyl group
         self.mu, self.scale = self.datum.adapted_cocharacter(self.w)
-        self.batch = [self.datum.act_root(self.w, r) for r in self.datum.positive_roots]
         self.weights = [self.datum.pairing(g, self.mu) for g in self.batch]
         self.nvars = len(self.batch)
         self.slope_of = lru_cache(maxsize=4096)(self.slope_of)  # remembered per index

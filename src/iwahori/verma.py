@@ -194,18 +194,20 @@ def summand_inventory(group: str):
     """The Weyl-indexed summand list with, for every ordered pair of
     distinct elements, a witness root in w Phi+ inter w' Phi-; the witness
     is the combinatorial reason the summands pairwise admit no nonzero
-    intertwiner."""
+    intertwiner.  The witness of (w, w') is the least root of the and of
+    their masks (``RootDatum.image_masks``), recomputed on every call."""
     datum = get_root_datum(group)
     weyl = datum.weyl_group()
+    rows = [(w.name, *datum.image_masks(w)) for w in weyl]
     witnesses = {}
-    for w in weyl:
-        for w2 in weyl:
-            if w == w2:
+    for name, pos, _ in rows:
+        for name2, _, neg in rows:
+            if name == name2:
                 continue
-            witness = datum.intersection_witness(w, w2)
+            witness = datum.least_root(pos & neg)
             if witness is None:
-                raise InternalError(f"no witness root for {w.name} vs {w2.name}")
-            witnesses[(w.name, w2.name)] = witness
+                raise InternalError(f"no witness root for {name} vs {name2}")
+            witnesses[(name, name2)] = witness
     return {
         "group": datum.name,
         "summands": [w.name for w in weyl],

@@ -9,6 +9,7 @@ from iwahori.axioms import sample_iwahori
 from iwahori.groups import ChevalleyGroup, GateError, GroupElement, MembershipError, PValue
 from iwahori.padic import INF, InternalError, PadicScalar, PrecisionError, ScalarRing, padic_exp
 from iwahori.roots import WeylElement
+from iwahori.series import SeriesContext
 from ramified_ring import RamifiedRing
 from test_fast_paths import permuted_ref, reread, root_products, state
 from test_int_checks import mutant
@@ -230,6 +231,27 @@ def test_a_twist_outside_the_weyl_group_is_refused():
                  lambda: sample_iwahori(sp4, random.Random(1), w)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_the_batches_the_basis_and_the_chart_refuse_a_twist_outside_the_weyl_group():
+    # -I permutes the roots of sl3, so only the Weyl group test can refuse it
+    sl3, sp4 = ChevalleyGroup("sl3", 5, 6), ChevalleyGroup("sp4", 7, 12)
+    minus = WeylElement(tuple(tuple(-int(i == j) for j in range(3)) for i in range(3)), ())
+    w = sl3.datum.weyl_group()[1]
+    for G, bad, shown in ((sl3, minus, r"e with matrix \(\(-1, 0, 0\)"),
+                          (sp4, w, re.escape(w.name) + " with matrix")):
+        message = rf"w = {shown}.* not in the Weyl group of {G.name}"
+        for call in (lambda: G.batches(bad), lambda: G.batches(bad, "revlex"),
+                     lambda: G.ordered_basis(bad), lambda: SeriesContext(G, w=bad)):
+            for _ in range(2):  # nothing is cached for a refused twist
+                with pytest.raises(ValueError, match=message):
+                    call()
+    # the Weyl group itself still passes, through one set of matrices per datum
+    for G in (sl3, sp4):
+        assert G.datum.weyl_matrices == {v.matrix for v in G.datum.weyl_group()}
+        for v in G.datum.weyl_group():
+            assert len(G.ordered_basis(v)) == len(G.dirs) + G.datum.rank
+            assert SeriesContext(G, w=v).batch == G.batches(v)[1]
 
 
 @pytest.mark.parametrize("rows", [

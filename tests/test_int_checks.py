@@ -10,6 +10,8 @@
 * the commutator (hg)^-1 gh against the four-factor product g^-1 h^-1 g h;
 * omega keys off the int factorization, failure details built only for a
   failed verdict, and the series self-test's draws and chart;
+* the draws of the series self-test and of ``sample_iwahori``, which read
+  getrandbits directly, against the former randrange forms, kept here;
 * planted mutants: each new form, changed in one place by a source edit
   (of the generators, for the generated code), is caught by the comparison
   that passes the form itself.
@@ -514,8 +516,21 @@ def test_pvalue_eq_margin_of_equal_values_is_zero():
 # -- the series self-test ----------------------------------------------------------
 
 
+def series_draws_ref(seed, nvars):
+    """The former draws of ``check_series``: 10 series of 8 terms through
+    randrange, an exponent in 0..5 per chart variable, then a coefficient."""
+    draw = Random(seed).randrange
+    return [{tuple([draw(6) for _ in range(nvars)]): Fraction(draw(-20, 21)) for _ in range(8)}
+            for _ in range(10)]
+
+
+def sample_coords_ref(group, rng):
+    """The former coordinates of ``sample_iwahori``: one randrange(p^N) each."""
+    box = group.ring.ppow(group.ring.prec)
+    return [rng.randrange(box) for _ in range(len(group.dirs) + group.datum.rank)]
+
+
 def test_check_series_draws_the_former_stream_on_one_chart(monkeypatch):
-    G = ChevalleyGroup("sp4", 7, 12)
     built = []
 
     class Recording(TruncatedSeries):
@@ -525,16 +540,43 @@ def test_check_series_draws_the_former_stream_on_one_chart(monkeypatch):
             super().__init__(ctx, coeffs, degree)
 
     monkeypatch.setattr(axioms, "TruncatedSeries", Recording)
-    for seed in (1, 2):
-        built.clear()
-        assert check_series(G, seed).failures == []
-        rng = Random(seed)
-        for ctx, coeffs in built:
-            want = {tuple(rng.randrange(6) for _ in range(ctx.nvars)):
-                    Fraction(rng.randrange(-20, 21)) for _ in range(8)}
-            assert coeffs == want
-        assert len(built) == 10 and len({id(ctx) for ctx, _c in built}) == 1
-    assert axioms._series_context(G) is axioms._series_context(G)
+    for name, p in (("sl2", 5), ("sl3", 5), ("sp4", 7)):
+        G = ChevalleyGroup(name, p, 12)
+        for seed in range(200):
+            built.clear()
+            assert check_series(G, seed).failures == []
+            assert [coeffs for _ctx, coeffs in built] == series_draws_ref(seed, built[0][0].nvars)
+            assert len(built) == 10 and len({id(ctx) for ctx, _c in built}) == 1
+        assert axioms._series_context(G) is axioms._series_context(G)
+
+
+@pytest.mark.parametrize("config", [("sl2", 5, 10), ("sl3", 5, 10), ("sp4", 7, 12),
+                                    ("sp4", 7, 1), ("sl3", 5, 2)], **IDS)
+def test_samples_keep_the_former_coordinates(config, monkeypatch):
+    # each draw, and the generator's state after two, as with randrange
+    G = ChevalleyGroup(*config)
+    monkeypatch.setattr(G, "from_coordinates", lambda coords, w=None: coords)
+    for seed in range(200):
+        rng, ref = Random(seed), Random(seed)
+        for _ in range(2):
+            assert axioms.sample_iwahori(G, rng) == sample_coords_ref(G, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_randbelow_is_the_randrange_stream():
+    # randrange(n) is getrandbits(n.bit_length()) with rejection, and
+    # randrange(a, b) is a plus that draw below b - a; the random module does
+    # not promise this, so it is checked on every Python the suite runs on
+    widths = (6, 41, 5 ** 10, 7 ** 12, 11 ** 5, 7, 1)
+    for seed in range(200):
+        rng, ref = Random(seed), Random(seed)
+        got = [axioms._randbelow(rng.getrandbits, n, 1)[0] for _ in range(40) for n in widths]
+        want = [ref.randrange(n) for _ in range(40) for n in widths]
+        assert got == want and rng.getstate() == ref.getstate()
+        got = axioms._randbelow(rng.getrandbits, 41, 80)
+        assert [x - 20 for x in got] == [ref.randrange(-20, 21) for _ in range(80)]
+        assert rng.getstate() == ref.getstate()
+    assert axioms._randbelow(Random(1).getrandbits, 6, 0) == []
 
 
 def test_slope_of_is_remembered_per_index():

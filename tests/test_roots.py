@@ -86,6 +86,21 @@ def test_witnesses_and_names_match_the_former_code():
                 assert datum.intersection_witness(w, v) == intersection_witness_ref(datum, w, v)
 
 
+def test_image_masks_are_the_root_images():
+    # bit i of a mask is the i-th root in sorted order; the least set bit is
+    # the least root of the set
+    for datum in (SL2, SL3, SP4):
+        roots = datum.sorted_roots
+        assert list(roots) == sorted(datum.roots())
+        for w in datum.weyl_group():
+            pos, neg = datum.image_masks(w)
+            assert {r for i, r in enumerate(roots) if pos >> i & 1} == datum.positive_image(w)
+            assert {r for i, r in enumerate(roots) if neg >> i & 1} == datum.negative_image(w)
+            assert pos & neg == 0 and pos | neg == (1 << len(roots)) - 1
+            assert datum.least_root(pos) == min(datum.positive_image(w))
+        assert datum.least_root(0) is None
+
+
 def test_adapted_cocharacters():
     mu, a = SL2.adapted_cocharacter(SL2.identity_weyl())
     assert a == 2 and mu == (1, -1)  # mu0 = coroot/2, doubled

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from iwahori import verma
+from iwahori.padic import InternalError
 from iwahori.roots import WeylElement, get_root_datum
 from iwahori.verma import (
     DerivedCharacter,
@@ -416,3 +417,14 @@ def test_summand_witnesses_are_the_least_common_root(group):
         (w.name, w2.name): min({w.act(r) for r in datum.positive_roots}
                                & {w2.act(r) for r in datum.negative_roots})
         for w in weyl for w2 in weyl if w != w2}
+
+
+def test_an_empty_witness_set_raises_on_every_call(monkeypatch):
+    # no verdict is kept: each call ands the masks again
+    datum = get_root_datum("sp4")
+    monkeypatch.setattr(type(datum), "image_masks", lambda self, w: (1, 2))
+    for _ in range(2):
+        with pytest.raises(InternalError, match="no witness root for e vs s1"):
+            summand_inventory("sp4")
+    monkeypatch.undo()
+    assert len(summand_inventory("sp4")["witnesses"]) == 56
