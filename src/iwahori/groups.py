@@ -47,8 +47,8 @@ factorized before:
     the parameter gate p - 1 > h, and an element of this group;
     w in the Weyl group of the root datum (once per twist);
     membership in I: the group relation (g^T J g = J on Sp4, det g = 1
-      on SL_n, see ``satisfies_group_relation``), unit diagonal congruent
-      to 1 and upper entries divisible by p;
+      on SL_n, see ``_membership_tests``), unit diagonal congruent to 1 and
+      upper entries divisible by p;
     distinct adapted-cocharacter weights (once per twist) and unit LDU
       pivots;
     weight-monotone batch orders, with every batch root inside its strict
@@ -59,8 +59,9 @@ factorized before:
       equations ``_TORUS_EQUATIONS``), congruent to 1 mod p;
     upper root parameters divisible by p.
 
-On int rows every per-call check after the group's runs in the plan's
-generated kernel (see Integer path), with the same text.
+Every per-call check after the group's runs in the plan's generated kernel,
+on int rows and on scalar entries alike (see Integer path), with the same
+text.
 
 Integer path
 ------------
@@ -82,16 +83,19 @@ the basis generators that the et suite tests) take the scalar route, where
 an exact zero keeps valuation infinity; on ints it would read as a cap
 marker.  Both routes factor in plan order: the LDU of the rows permuted once
 into the twist's basis order, then both strips through the batch directions
-that the plan maps to that order.  On ints the work runs as straight-line
-code generated once and compiled with ``exec``: a matmul per matrix size; a
-membership function per group, from the relation and congruence tests that
-the kernels share (``_membership_tests``); a kernel per plan that runs every
-check above from membership on and returns the factors, the torus
+that the plan maps to that order.  Both run straight-line code generated
+from one line list and compiled with ``exec``: a membership function per
+group and route, from the relation and congruence tests that the kernels
+share (``_membership_tests``), built at import; and a kernel per plan that
+runs every check above from membership on and returns the factors, the torus
 coordinates and the least omega key, with the root heights as constants
-(``_factor_kernel``); and a draw per twist that ``from_coordinates`` draws
-on, with the identity's 0 and 1 entries folded (``_draw_kernel``).
-linecache serves their lines under names like ``<iwahori kernel sp4
-w=s1*s2 lex>``, so tracebacks show them.
+(``_factor_kernel``).  The int kernel is built with the plan; the scalar
+kernel, which keeps the precision rules of scalar arithmetic, the first time
+a scalar element takes the plan.  On ints there are besides a matmul per
+matrix size, and a draw per twist that ``from_coordinates`` draws on, with
+the identity's 0 and 1 entries folded (``_draw_kernel``).  linecache serves
+their lines under names like ``<iwahori kernel sp4 w=s1*s2 lex>`` or
+``<iwahori scalar kernel sp4 w=s1*s2 lex>``, so tracebacks show them.
 """
 
 from __future__ import annotations
@@ -270,8 +274,9 @@ _FactorPlan = namedtuple("_FactorPlan",
                          "order inv_order neg_batch pos_batch neg_strip pos_strip kernel")
 # plans by (group name, w.matrix, tie_break): at most 36 over the three groups
 _FACTOR_PLANS = {}
-# the int draws of ``from_coordinates`` by (group name, w.matrix), built at first use
-_DRAWS = {}
+# the int draws of ``from_coordinates`` by (group name, w.matrix), and the scalar
+# kernels of ``_factor_kernel`` by the plan's key, each built at first use
+_DRAWS, _SCALAR_KERNELS = {}, {}
 
 
 class ChevalleyGroup:
@@ -286,8 +291,7 @@ class ChevalleyGroup:
             self.dirs = _SP4_DIRS
         else:
             self.dirs = _sl_dirs(self.n)
-        self.torus_recipe = _TORUS_RECIPES[self.name]
-        # ring constants for the relation check, built once
+        # ring constants for the scalar membership and kernels, built once
         self._one, self._zero = ring.one(), ring.zero()
         self._mod = ring.ppow(ring.prec)  # the int path works modulo p^N
         self.coxeter_number = h = self.datum.coxeter_number()
@@ -408,14 +412,7 @@ class ChevalleyGroup:
     def in_iwahori(self, g: "GroupElement") -> bool:
         if g.group is not self:
             raise ValueError("element of a different group")
-        ints = g._ints
-        if ints is not None:
-            return _MEMBERSHIPS[self.name](ints, self.ring.p, self._mod) == 2
-        if not g.satisfies_group_relation():
-            return False
-        # diagonal congruent to 1 and upper entries to 0 mod p
-        return all(g.sub_identity_entry(i, j).zero_mod(1)
-                   for i in range(self.n) for j in range(i, self.n))
+        return g._member() == 2
 
     # -- factorization ------------------------------------------------------
 
@@ -429,32 +426,20 @@ class ChevalleyGroup:
         ints = g._ints
         if ints is not None:  # the plan's kernel runs the membership test
             return Factorization(self, w, *self._factor_ints(ints, plan), wrapped=False)
-        if not self.in_iwahori(g):
-            raise MembershipError(_NOT_IN_I)
-        fact = Factorization(self, w, *self._factor_scalars(g.mat, plan), None)
-        fact.omega = PValue.min(self.omega_of_factor_list(fact))
-        return fact
-
-    def _factor_scalars(self, mat, plan):
-        """(negative params, torus coordinates, torus diagonal, positive
-        params) of an element of I, on PadicScalar entries in plan order."""
-        order = plan.order
-        lmat, diag_sorted, umat = _ldu([[mat[i][j] for j in order] for i in order], self.ring)
-        neg = _strip(lmat, plan.neg_strip)
-        pos = _strip(umat, plan.pos_strip)
-        diag = [diag_sorted[k] for k in plan.inv_order]
-        torus_coords = self._torus_coords_from_diag(diag)
-        if not all((d - 1).zero_mod(1) for d in diag):
-            raise InternalError("torus part is not pro-p")
-        for root, x in neg + pos:
-            if self.datum.height(root) < 0 and not x.zero_mod(1):
-                raise InternalError("upper root parameter not divisible by p")
-        return neg, torus_coords, diag, pos
+        key = (self.name, w.matrix, tie_break)
+        kernel = _SCALAR_KERNELS.get(key)
+        if kernel is None:  # built for the plans that scalar elements take
+            kernel = _SCALAR_KERNELS[key] = _factor_kernel(
+                self.datum, plan.order, plan.neg_strip, plan.pos_strip,
+                f"<iwahori scalar kernel {self.name} w={w.name} {tie_break}>", scalar=True)
+        *parts, best = kernel(g.mat, self.ring.p, self.ring.prec, self._one, self._zero)
+        return Factorization(self, w, *parts, _INFINITE if best == INF
+                             else _omega_value(best, self.coxeter_number))
 
     def _factor_ints(self, ints, plan):
-        """The membership test and ``_factor_scalars`` on the int rows of a flat
-        element, modulo p^N, with the same checks, all in the plan's kernel
-        (``_factor_kernel``); the ints and omega.  Every output wraps inexact."""
+        """The plan's kernel (``_factor_kernel``) on the int rows of a flat
+        element, modulo p^N: the membership test and the factorization with
+        its checks; the ints and omega.  Every output wraps inexact."""
         neg, coords, diag, pos, key = plan.kernel(ints, self.ring.p, self._mod, self.ring.prec,
                                                   self._wrap)
         return neg, coords, diag, pos, _omega_value(key, self.coxeter_number)
@@ -495,23 +480,6 @@ class ChevalleyGroup:
                                 f"<iwahori kernel {self.name} w={w.name} {tie_break}>")
         plan = _FACTOR_PLANS[key] = _FactorPlan(order, inv, *batches, *strips, kernel)
         return plan
-
-    def _torus_coords_from_diag(self, diag):
-        coords = []
-        for recipe in self.torus_recipe:
-            s = self.ring.one()
-            for idx, e in recipe:
-                s = s * diag[idx] ** e
-            coords.append(s)
-        # consistency: the recipe must reconstruct the whole diagonal.  The
-        # comparison is at the least precision of the coordinates, to which
-        # every entry of the product of the torus elements mu_i(s_i) is known.
-        cap = min(s.prec for s in coords)
-        rebuilt = self.torus_diagonal(coords)
-        for i in range(self.n):
-            if not rebuilt[i].truncate(cap) == diag[i]:
-                raise InternalError("torus diagonal is not in the cocharacter lattice")
-        return coords
 
     def from_parameters(self, neg, torus_coords, pos) -> "GroupElement":
         """Multiply out (neg batch) * (torus) * (pos batch) in the given order."""
@@ -598,13 +566,6 @@ class ChevalleyGroup:
         val(x) + ht(root)/h over root factors and of val(d_i - 1) over the
         torus diagonal, as the factorization carries it."""
         return self.iwahori_factorize(g).omega
-
-    def omega_of_factor_list(self, fact: "Factorization") -> list:
-        """Per-factor omega values (PValue) in product order, torus as one factor."""
-        off = self._omega_offset
-        torus = PValue.min(PValue.of(d - 1) for d in fact.torus_diagonal)
-        return ([PValue.of(x, off[root]) for root, x in fact.negative] + [torus]
-                + [PValue.of(x, off[root]) for root, x in fact.positive])
 
     # -- the conjugation oracle ------------------------------------------------
 
@@ -745,7 +706,7 @@ def _compiled(src, filename, fn):
     which linecache serves so that a traceback shows the generated lines."""
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     scope = {"InternalError": InternalError, "MembershipError": MembershipError,
-             "vp_int": vp_int}
+             "vp_int": vp_int, "INF": INF}
     exec(compile(src, filename, "exec"), scope)
     return scope[fn]
 
@@ -781,37 +742,54 @@ def _det_source(x, rows, cols):
     return out
 
 
-def _membership_tests(name, n):
-    """Membership in I of int rows unpacked into locals x00, x01, ..., as two
-    conditions that hold where it fails: the group relation modulo mod (the six
-    upper entries of g^T J g - J on Sp4, see ``satisfies_group_relation``, and
-    det g - 1 on SL_n), then the congruence mod p to a lower unitriangular
-    matrix, diagonal first in each row."""
+def _off_p(e, scalar):
+    """Source of the test that e is not divisible by p, on an int or a scalar."""
+    return f"not {e}.zero_mod(1)" if scalar else f"{e} % p"
+
+
+def _membership_tests(name, n, scalar=False):
+    """Membership in I of rows unpacked into locals x00, x01, ..., as two
+    conditions that hold where it fails: the group relation, modulo mod on
+    ints and against the ring's one or zero on scalars, so at most at the ring
+    precision; then the congruence mod p to a lower unitriangular matrix,
+    diagonal first in each row.  On SL_n the relation is det g = 1.  On Sp4 it
+    is g^T J g = J for the antidiagonal Gram matrix J (J[0][3] = J[1][2] = 1,
+    J[2][1] = J[3][0] = -1), whose entry (i, j) g0i g3j + g1i g2j - g2i g1j -
+    g3i g0j is antisymmetric in (i, j) term by term, as J is: the diagonal and
+    the lower triangle hold exactly when the six upper entries do, also in
+    truncated arithmetic."""
     x = [[f"x{i}{j}" for j in range(n)] for i in range(n)]
-    if name == "sp4":
-        relation = [f"({x[0][i]} * {x[3][j]} + {x[1][i]} * {x[2][j]} - {x[2][i]} * {x[1][j]}"
-                    f" - {x[3][i]} * {x[0][j]}{' - 1' if i + j == 3 else ''}) % mod"
+    if name == "sp4":  # (entry, whether J holds 1 there)
+        relation = [(f"{x[0][i]} * {x[3][j]} + {x[1][i]} * {x[2][j]} - {x[2][i]} * {x[1][j]}"
+                     f" - {x[3][i]} * {x[0][j]}", i + j == 3)
                     for i in range(3) for j in range(i + 1, 4)]
     else:
         idx = tuple(range(n))
-        relation = [f"({_det_source(x, idx, idx)} - 1) % mod"]
-    congruence = [f"({x[i][j]} - 1) % p" if i == j else f"{x[i][j]} % p"
-                  for i in range(n) for j in range(i, n)]
-    return " or ".join(relation), " or ".join(congruence)
+        relation = [(_det_source(x, idx, idx), True)]
+    upper = [(x[i][j], i == j) for i in range(n) for j in range(i, n)]
+    if scalar:
+        relation = [f"{e} != {'one' if one else 'zero'}" for e, one in relation]
+    else:
+        relation = [f"({e}{' - 1' if one else ''}) % mod" for e, one in relation]
+    return " or ".join(relation), " or ".join(
+        _off_p(f"({e} - 1)" if diagonal else e, scalar) for e, diagonal in upper)
 
 
-def _membership(name, n):
-    """member(ints, p, mod) of the group: 0 where the int rows fail the group
+def _membership(name, n, scalar=False):
+    """member(ints, p, mod), or member(rows, one, zero) on scalars with the
+    ring's exact one and zero, of the group: 0 where the rows fail the group
     relation, 1 where they keep it but fail the congruence, 2 in I."""
-    relation, congruence = _membership_tests(name, n)
+    relation, congruence = _membership_tests(name, n, scalar)
     x = [[f"x{i}{j}" for j in range(n)] for i in range(n)]
-    return _compiled(f"def member(ints, p, mod):\n    {_unpack(x)} = ints\n"
+    rows, args = ("rows", "rows, one, zero") if scalar else ("ints", "ints, p, mod")
+    return _compiled(f"def member({args}):\n    {_unpack(x)} = {rows}\n"
                      f"    if {relation}:\n        return 0\n"
                      f"    return 1 if {congruence} else 2\n",
-                     f"<iwahori membership {name}>", "member")
+                     f"<iwahori {'scalar ' * scalar}membership {name}>", "member")
 
 
 _MEMBERSHIPS = {name: _membership(name, n) for name, n in _MATRIX_SIZE.items()}
+_SCALAR_MEMBERSHIPS = {name: _membership(name, n, True) for name, n in _MATRIX_SIZE.items()}
 
 
 def _det_recursive(mat, idx_rows, idx_cols, zero):
@@ -877,101 +855,141 @@ def _strip(cur, strip):
     return params
 
 
-def _factor_kernel(datum, order, neg_strip, pos_strip, filename, member=True):
-    """One plan's factorization of int rows as straight-line code: kernel(ints,
-    p, mod, cap, wrap) -> (negative, torus coordinates, diagonal, positive,
-    omega key) modulo mod = p^N, cap = N; these and the group's ``_wrap`` are
-    passed in, since plans are shared across (p, N).  Locals named by the row
-    and column of ints make the load in plan order a renaming.  The code runs
-    the membership test (``_membership_tests``; member=False leaves it out, for
-    rows that reach the later checks only by skipping it), the LDU with its
-    pivot check, each strip as ``_strip`` on ints, the lattice equations, the
-    torus coordinates of the recipes, the pro-p and upper-root checks, and the
-    least key (``_omega_value``) of the factors with the heights as constants.
-    The generator knows each strip entry as the local that holds it, or as the
-    identity's 0 or 1 where nothing was ever written, which the remainder check
-    skips; it checks every local."""
+def _factor_kernel(datum, order, neg_strip, pos_strip, filename, member=True, scalar=False):
+    """One plan's factorization as straight-line code: on int rows,
+    kernel(ints, p, mod, cap, wrap) -> (negative, torus coordinates, diagonal,
+    positive, omega key) modulo mod = p^N, cap = N; these and the group's
+    ``_wrap`` are passed in, since plans are shared across (p, N).  Locals named
+    by the row and column of ints make the load in plan order a renaming.  The
+    code runs the membership test (``_membership_tests``; member=False leaves it
+    out, for rows that reach the later checks only by skipping it), the LDU with
+    its pivot check, each strip as ``_strip`` on ints, the lattice equations,
+    the torus coordinates of the recipes, the pro-p and upper-root checks, and
+    the least key (``_omega_value``) of the factors with the heights as
+    constants.  The generator knows each strip entry as the local that holds
+    it, or as the identity's 0 or 1 where nothing was ever written, which the
+    remainder check skips; it checks every local.
+
+    With ``scalar`` the same lines run on PadicScalar rows, kernel(rows, p,
+    cap, one, zero) for the ring's exact one and zero, in the precision rules
+    of scalar arithmetic: the LDU skips a row update whose multiplier is an
+    exact zero; a strip starts from the identity of one and zero, updates it
+    in place by y = -x (the negation of an exact nonzero scalar is inexact),
+    skips a root whose y is an exact zero and checks every entry against the
+    int 1 or 0, at the entry's own precision; the lattice equations compare
+    with one; and each factor's key is taken at its own precision, INF for an
+    exact zero."""
     n = len(order)
     ints = [[f"x{i}{j}" for j in range(n)] for i in range(n)]
     a = [[ints[i][j] for j in order] for i in order]
-    code = [f"{_unpack(ints)} = ints"]
+    code = [f"{_unpack(ints)} = {'rows' if scalar else 'ints'}"]
     if member:
-        for test in _membership_tests(datum.name, n):
+        for test in _membership_tests(datum.name, n, scalar):
             code += [f"if {test}:", f"    raise MembershipError({_NOT_IN_I!r})"]
     for k in range(n):
-        code += [f"if {a[k][k]} % p == 0:",
+        code += [f"if not {a[k][k]}.is_unit():" if scalar else f"if {a[k][k]} % p == 0:",
                  f"    raise InternalError(f'elimination pivot {k} is not a unit: "
-                 f"{{wrap({a[k][k]})!r}}')"]
+                 + (f"{{{a[k][k]}!r}}')" if scalar else f"{{wrap({a[k][k]})!r}}')")]
         if k < n - 1:
-            code.append(f"q = pow({a[k][k]}, -1, mod)")
+            code.append(f"q = {a[k][k]}.inv()" if scalar else f"q = pow({a[k][k]}, -1, mod)")
         for i in range(k + 1, n):
+            if scalar:
+                code += [f"l{i}{k} = {a[i][k]} * q", f"if not l{i}{k}.is_exact_zero:"]
+                code += [f"    {a[i][j]} = {a[i][j]} - l{i}{k} * {a[k][j]}"
+                         for j in range(k + 1, n)]
+                continue
             code.append(f"l{i}{k} = {a[i][k]} * q % mod")
             code += [f"{a[i][j]} = ({a[i][j]} - l{i}{k} * {a[k][j]}) % mod"
                      for j in range(k + 1, n)]
-        code += [f"u{k}{j} = q * {a[k][j]} % mod" for j in range(k + 1, n)]
+        code += [f"u{k}{j} = q * {a[k][j]}{'' if scalar else ' % mod'}" for j in range(k + 1, n)]
     params, factors = [], []
     for prefix, batch, strip in (("l", "neg", neg_strip), ("u", "pos", pos_strip)):
         cur = [[f"{prefix}{i}{j}" if (i > j) == (prefix == "l") and i != j else int(i == j)
                 for j in range(n)] for i in range(n)]
+        if scalar:  # every entry a local, the identity's from one and zero
+            code += [" = ".join([f"{prefix}{i}{j}" for i, row in enumerate(cur)
+                                 for j, e in enumerate(row) if e == v] + [const])
+                     for v, const in ((1, "one"), (0, "zero"))]
+            cur = [[f"{prefix}{i}{j}" for j in range(n)] for i in range(n)]
         out = []
         for root, dirs in strip:
             i0, j0, s0 = dirs[0]
             x = f"{batch}{len(out)}"
-            code.append(f"{x} = {cur[i0][j0]}" if s0 == 1 else f"{x} = -{cur[i0][j0]} % mod")
+            code.append(f"{x} = {'' if s0 == 1 else '-'}{cur[i0][j0]}" if scalar
+                        else f"{x} = {cur[i0][j0]}" if s0 == 1 else f"{x} = -{cur[i0][j0]} % mod")
             for i, j, s in dirs[1:]:
-                code += [f"if ({cur[i][j]} {'-' if s == 1 else '+'} {x}) % mod:",
+                code += [f"if {cur[i][j]} != {'' if s == 1 else '-'}{x}:" if scalar
+                         else f"if ({cur[i][j]} {'-' if s == 1 else '+'} {x}) % mod:",
                          f"    raise InternalError('paired entries for root {root} disagree')"]
             out.append(f"({root!r}, {x})")
             factors.append((datum.height(root), x))
+            if scalar:
+                code += [f"y = -{x}", "if not y.is_exact_zero:"]
             for i, j, s in dirs:  # left multiplication by u_root(-x)
+                f = "y" if s == 1 else "-y"  # the scalar form's factor
                 for k, c in enumerate(cur[j]):
-                    if c != 0:
+                    if scalar:
+                        code.append(f"    {cur[i][k]} = {cur[i][k]} + {f} * {c}")
+                    elif c != 0:
                         name = f"{prefix}{i}{k}_{len(code)}"
                         code.append(f"{name} = ({cur[i][k]} {'-' if s == 1 else '+'} {x}"
                                     f"{'' if c == 1 else f' * {c}'}) % mod")
                         cur[i][k] = name
-        left = [f"{e} != 1" if i == j else e for i, row in enumerate(cur)
+        left = [f"{e} != 1" if i == j else f"{e} != 0" if scalar else e for i, row in enumerate(cur)
                 for j, e in enumerate(row) if type(e) is str]
         code += [f"if {' or '.join(left)}:",
                  "    raise InternalError('unipotent strip left a remainder')"]
         params.append("[" + ", ".join(out) + "]")
     diag = [ints[i][i] for i in range(n)]
-    lattice = [" * ".join(diag[i] for i in eq) + " % mod != 1"
+    lattice = [" * ".join(diag[i] for i in eq) + (" != one" if scalar else " % mod != 1")
                for eq in _TORUS_EQUATIONS[datum.name]]
-    coords = [" * ".join(diag[i] if e == 1 else f"pow({diag[i]}, {e}, mod)" for i, e in recipe)
-              + " % mod" for recipe in _TORUS_RECIPES[datum.name]]
+    recipes = _TORUS_RECIPES[datum.name]
+    if scalar:  # each recipe's product from the ring's one
+        coords = [" * ".join(["one"] + [diag[i] if e == 1 else f"{diag[i]} ** {e}"
+                                        for i, e in recipe]) for recipe in recipes]
+    else:
+        coords = [" * ".join(diag[i] if e == 1 else f"pow({diag[i]}, {e}, mod)" for i, e in recipe)
+                  + " % mod" for recipe in recipes]
     code += [f"if {' or '.join(lattice)}:",
              "    raise InternalError('torus diagonal is not in the cocharacter lattice')",
-             f"if {' or '.join(f'({d} - 1) % p' for d in diag)}:",
+             f"if {' or '.join(_off_p(f'({d} - 1)', scalar) for d in diag)}:",
              "    raise InternalError('torus part is not pro-p')",
-             f"if {' or '.join(f'{x} % p' for ht, x in factors if ht < 0)}:",
+             f"if {' or '.join(_off_p(x, scalar) for ht, x in factors if ht < 0)}:",
              "    raise InternalError('upper root parameter not divisible by p')"]
-    # the least key: h omega is vp(x) h + ht(root), or the cap N h + ht(root)
-    # where x = 0 mod p^N, and vp(x) is taken only where vp(x) >= 1 can still
-    # lower the least.  The factors go by their least possible key, lower roots
-    # first, so that a unit parameter of a simple root ends most of the work.
-    # The torus factors d - 1, offset 0, are all divisible by p.
     h2 = 2 * datum.coxeter_number()
-    factors.sort(key=lambda f: (2 * f[0], 0) if f[0] > 0 else (h2 + 2 * f[0], 1))
-    for k, (ht, x) in enumerate(factors):
-        sign = "+" if ht > 0 else "-"
-        deep = (f"{h2} * vp_int({x}, p) {sign} {abs(2 * ht)} if {x} "
-                f"else cap * {h2} {sign} {abs(2 * ht + 1)}")
-        if k == 0:  # best is not set yet
-            code += ([f"if {x} % p:", f"    best = {2 * ht}", "else:", f"    best = {deep}"]
-                     if ht > 0 else [f"best = {deep}"])
-        elif ht > 0:
-            code += [f"if {x} % p:", f"    if {2 * ht} < best:", f"        best = {2 * ht}",
-                     f"elif {h2 + 2 * ht} < best:", f"    best = min(best, {deep})"]
-        else:
-            code += [f"if {h2 + 2 * ht} < best:", f"    best = min(best, {deep})"]
-    for d in diag:
-        code += [f"if {h2} < best:",
-                 f"    best = min(best, {h2} * vp_int({d} - 1, p) if {d} != 1 "
-                 f"else cap * {h2} + 1)"]
+    if scalar:  # 2 h omega, plus 1 for a cap marker, of each factor and of each d - 1
+        code += [f"t{i} = {d} - 1" for i, d in enumerate(diag)]
+        keys = [f"({h2} * vp_int({x}.co, p) if {x}.co else INF if {x}.exact "
+                f"else {h2} * {x}.prec + 1) {'-' if ht < 0 else '+'} {abs(2 * ht)}"
+                for ht, x in factors + [(0, f"t{i}") for i in range(n)]]
+        code.append(f"best = min({', '.join(keys)})")
+    else:
+        # the least key: h omega is vp(x) h + ht(root), or the cap N h + ht(root)
+        # where x = 0 mod p^N, and vp(x) is taken only where vp(x) >= 1 can still
+        # lower the least.  The factors go by their least possible key, lower
+        # roots first, so that a unit parameter of a simple root ends most of
+        # the work.  The torus factors d - 1, offset 0, are all divisible by p.
+        factors.sort(key=lambda f: (2 * f[0], 0) if f[0] > 0 else (h2 + 2 * f[0], 1))
+        for k, (ht, x) in enumerate(factors):
+            sign = "+" if ht > 0 else "-"
+            deep = (f"{h2} * vp_int({x}, p) {sign} {abs(2 * ht)} if {x} "
+                    f"else cap * {h2} {sign} {abs(2 * ht + 1)}")
+            if k == 0:  # best is not set yet
+                code += ([f"if {x} % p:", f"    best = {2 * ht}", "else:", f"    best = {deep}"]
+                         if ht > 0 else [f"best = {deep}"])
+            elif ht > 0:
+                code += [f"if {x} % p:", f"    if {2 * ht} < best:", f"        best = {2 * ht}",
+                         f"elif {h2 + 2 * ht} < best:", f"    best = min(best, {deep})"]
+            else:
+                code += [f"if {h2 + 2 * ht} < best:", f"    best = min(best, {deep})"]
+        for d in diag:
+            code += [f"if {h2} < best:",
+                     f"    best = min(best, {h2} * vp_int({d} - 1, p) if {d} != 1 "
+                     f"else cap * {h2} + 1)"]
     code.append(f"return {params[0]}, [{', '.join(coords)}], [{', '.join(diag)}], {params[1]}, "
                 "best")
-    src = "def kernel(ints, p, mod, cap, wrap):\n" + "".join(f"    {line}\n" for line in code)
+    args = "rows, p, cap, one, zero" if scalar else "ints, p, mod, cap, wrap"
+    src = f"def kernel({args}):\n" + "".join(f"    {line}\n" for line in code)
     return _compiled(src, filename, "kernel")
 
 
@@ -1033,33 +1051,6 @@ def _draw_kernel(group, plan, filename):
     code.append(f"return {_unpack([[str(e) for e in row] for row in rows])}")
     src = "def draw(coords, p, mod, exp_p):\n" + "".join(f"    {line}\n" for line in code)
     return _compiled(src, filename, "draw")
-
-
-def _ldu(a, ring):
-    """Exact LDU of the rows a, in place, for unit leading minors: row k of U
-    is filled at step k from its pivot's inverse.  Raises on a non-unit pivot,
-    which cannot happen for pro-p Iwahori inputs."""
-    n = len(a)
-    one, zero = ring.one(), ring.zero(exact=True)
-    lmat = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    umat = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for k in range(n):
-        ak = a[k]
-        piv = ak[k]
-        if not piv.is_unit():
-            raise InternalError(f"elimination pivot {k} is not a unit: {piv!r}")
-        pivinv = piv.inv()
-        for i in range(k + 1, n):
-            ai = a[i]
-            f = ai[k] * pivinv
-            lmat[i][k] = f
-            if not f.is_exact_zero:  # column k of a is not read again
-                for j in range(k + 1, n):
-                    ai[j] = ai[j] - f * ak[j]
-        uk = umat[k]
-        for j in range(k + 1, n):
-            uk[j] = pivinv * ak[j]
-    return lmat, [a[k][k] for k in range(n)], umat
 
 
 class GroupElement:
@@ -1138,33 +1129,16 @@ class GroupElement:
         return GroupElement(group, tuple(
             tuple(adj[i][j] * dinv for j in range(n)) for i in range(n)))
 
-    def det(self) -> PadicScalar:
-        idx = tuple(range(self.group.n))
-        return _det_recursive(self.mat, idx, idx, self.group.ring.zero(exact=True))
-
-    def satisfies_group_relation(self) -> bool:
+    def _member(self) -> int:
+        """The group's generated ``member`` on the int rows or the scalar entries:
+        0 off the group relation, 1 in the group but not in I, 2 in I."""
         group = self.group
         if self._ints is not None:
-            return _MEMBERSHIPS[group.name](self._ints, group.ring.p, group._mod) > 0
-        if group.name == "sp4":
-            # g^T J g = J for the antidiagonal Gram matrix J, whose nonzero
-            # entries are J[0][3] = J[1][2] = 1 and J[2][1] = J[3][0] = -1.
-            # Entry (i, j) of g^T J g is g0i g3j + g1i g2j - g2i g1j - g3i g0j;
-            # scalar products commute, so this is antisymmetric in (i, j) term
-            # by term, as is J.  The diagonal and the lower triangle therefore
-            # hold exactly when the six upper entries do, also in truncated
-            # arithmetic.  Ring constants keep the comparison at most at the
-            # ring precision.
-            g0, g1, g2, g3 = self.mat
-            one, zero = group._one, group._zero
-            return all(g0[i] * g3[j] + g1[i] * g2[j] - g2[i] * g1[j] - g3[i] * g0[j]
-                       == (one if i + j == 3 else zero)
-                       for i in range(3) for j in range(i + 1, 4))
-        return self.det() == 1
+            return _MEMBERSHIPS[group.name](self._ints, group.ring.p, group._mod)
+        return _SCALAR_MEMBERSHIPS[group.name](self.mat, group._one, group._zero)
 
-    def sub_identity_entry(self, i: int, j: int) -> PadicScalar:
-        e = self.mat[i][j]
-        return e - 1 if i == j else e
+    def satisfies_group_relation(self) -> bool:
+        return self._member() > 0
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement) or other.group is not self.group:

@@ -1,10 +1,11 @@
 import json
+import linecache
 import re
 import time
 
 import pytest
 
-from iwahori import cli
+from iwahori import cli, groups
 from iwahori.axioms import (
     SUITES,
     check_compatibility_all_w,
@@ -262,21 +263,37 @@ def test_verify_all_reports_are_deterministic(tmp_path, capsys):
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):
-    # a strip that eliminates nothing must trip the remainder self-check,
-    # which is a bug in the library, not bad input: exit 3, not 2
-    from iwahori.groups import ChevalleyGroup
+    # a plan one root short leaves that root's entry to the remainder
+    # self-check, which is a bug in the library, not bad input: exit 3, not 2.
+    # The exact entries take the scalar route, whose kernel is built here
+    # from the planted plan.
     from iwahori.padic import InternalError
     assert not issubclass(InternalError, ValueError)
     plan = ChevalleyGroup._factor_plan
-    monkeypatch.setattr(ChevalleyGroup, "_factor_plan", lambda self, w, tie_break: plan(
-        self, w, tie_break)._replace(neg_strip=(), pos_strip=()))
+
+    def one_root_short(self, w, tie_break):
+        full = plan(self, w, tie_break)
+        return full._replace(neg_strip=full.neg_strip[:-1])
+
+    monkeypatch.setattr(ChevalleyGroup, "_factor_plan", one_root_short)
+    monkeypatch.setattr(groups, "_SCALAR_KERNELS", {})
+    monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
     element = ("[[8310042483, 11069826243, 11969879208],"
                " [13417612307, 11596260964, 3897042877],"
                " [4957614081, 4178002876, 1291752323]]")
     code = main(["factorize", "--group", "sl3", "--element", element])
     err = capsys.readouterr().err
-    assert code == 3
+    assert code == 3 and len(groups._SCALAR_KERNELS) == 1
     assert err.startswith("internal error: unipotent strip left a remainder")
+
+
+def test_verify_all_builds_no_scalar_kernel(monkeypatch, tmp_path, capsys):
+    # its samples, products and powers stay on int rows, and the basis
+    # generators that the et suite reads are only scanned, never factorized
+    monkeypatch.setattr(groups, "_SCALAR_KERNELS", {})
+    code = main(["verify-all", "--group", "sp4", "--n-samples", "5", "--json", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0 and groups._SCALAR_KERNELS == {}
 
 
 

@@ -9,7 +9,7 @@ the parameter values is a real cross-check, not a round trip.
 
 import random
 
-from iwahori.groups import ChevalleyGroup
+from iwahori.groups import ChevalleyGroup, _TORUS_RECIPES
 from iwahori.axioms import sample_iwahori
 
 P, N = 7, 12
@@ -39,7 +39,7 @@ def digitwise_factorize(G, g, w, p, N):
         level = None
         for i in range(G.n):
             for j in range(G.n):
-                e = resid.sub_identity_entry(i, j)
+                e = resid.mat[i][j] - int(i == j)
                 v = e.pival()
                 if v is not None and v is not float("inf"):
                     level = v if level is None else min(level, v)
@@ -49,7 +49,7 @@ def digitwise_factorize(G, g, w, p, N):
         pk = G.ring.ppow(k)
 
         def digit(i, j):
-            e = resid.sub_identity_entry(i, j)
+            e = resid.mat[i][j] - int(i == j)
             return (e.co // pk) % p
 
         for idx, root in enumerate(neg_batch):
@@ -61,7 +61,7 @@ def digitwise_factorize(G, g, w, p, N):
             d = digit(i0, j0) if s0 == 1 else (-digit(i0, j0)) % p
             pos[idx] = (pos[idx] + d * pk) % box
         # additive shadow of the multiplicative diagonal recipe
-        for idx, recipe in enumerate(G.torus_recipe):
+        for idx, recipe in enumerate(_TORUS_RECIPES[G.name]):
             d = sum(e * digit(i, i) for i, e in recipe) % p
             tor[idx] = (tor[idx] * (1 + d * pk)) % box
     else:

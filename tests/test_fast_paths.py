@@ -5,7 +5,11 @@
   sub with an exact-zero operand against the former shortcuts of the
   generic route;
 * the six-entry Sp4 relation check against the full product g^T J g = J;
-* the scalar torus rebuild against the product of torus elements;
+* the former scalar loops of the factorization (the LDU, the torus rebuild,
+  the factor omegas, the relation and the congruence), kept here as the
+  references that ``test_groups`` sweeps every plan's scalar kernel against;
+* ``torus_diagonal`` against the product of torus elements, and the scalar
+  kernel's lattice check against the lattice equations and the former rebuild;
 * the integer path of ``groups`` and the int loops of exp/log against the
   PadicScalar route and the former scalar loops of exp/log, kept here,
   which ``scalar_route()`` forces, and the closure of the integer path
@@ -24,7 +28,7 @@
   loop;
 * samples that ``from_coordinates`` builds on int rows against the same
   coordinates as scalars, and the omega that the factorization reads off
-  its ints against the minimum of ``omega_of_factor_list``;
+  its ints against the minimum of the former ``omega_of_factor_list``;
 * the scalar Sp4 inverse read off the sign table against the two products
   with the Gram matrix it replaced, and ``PadicScalar.__pow__`` and the
   torus helpers that call it against the former ladder and the hand-kept
@@ -49,8 +53,8 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from iwahori import groups, padic
 from iwahori.axioms import check_pvaluation_axioms, sample_iwahori
 from iwahori.groups import ChevalleyGroup, GroupElement, MembershipError, PValue, _omega_value
-from iwahori.padic import (DomainError, InternalError, PadicScalar, PrecisionError, ScalarRing,
-                           padic_exp, padic_log, vp_int)
+from iwahori.padic import (INF, DomainError, InternalError, PadicScalar, PrecisionError,
+                           ScalarRing, padic_exp, padic_log, vp_int)
 from iwahori.series import SeriesContext
 
 P, N = 7, 12
@@ -245,6 +249,146 @@ def test_sp4_relation_checks_every_upper_entry():
                 assert not full_relation_ref(h)
 
 
+# -- the former scalar loops, kept as references ---------------------------------
+
+
+def ldu_scalar_ref(a, ring):
+    """The former ``groups._ldu``: the exact LDU of the scalar rows a, in place,
+    row k of U filled at step k from its pivot's inverse, and a row update
+    skipped where its multiplier is an exact zero."""
+    n = len(a)
+    one, zero = ring.one(), ring.zero(exact=True)
+    lmat = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    umat = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for k in range(n):
+        ak = a[k]
+        piv = ak[k]
+        if not piv.is_unit():
+            raise InternalError(f"elimination pivot {k} is not a unit: {piv!r}")
+        pivinv = piv.inv()
+        for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k] * pivinv
+            lmat[i][k] = f
+            if not f.is_exact_zero:  # column k of a is not read again
+                for j in range(k + 1, n):
+                    ai[j] = ai[j] - f * ak[j]
+        uk = umat[k]
+        for j in range(k + 1, n):
+            uk[j] = pivinv * ak[j]
+    return lmat, [a[k][k] for k in range(n)], umat
+
+
+def torus_coords_ref(G, diag):
+    """The former ``ChevalleyGroup._torus_coords_from_diag``: the recipe
+    coordinates, checked by rebuilding the whole diagonal from them, at the
+    least precision of the coordinates."""
+    coords = []
+    for recipe in groups._TORUS_RECIPES[G.name]:
+        s = G.ring.one()
+        for idx, e in recipe:
+            s = s * diag[idx] ** e
+        coords.append(s)
+    cap = min(s.prec for s in coords)
+    rebuilt = G.torus_diagonal(coords)
+    for i in range(G.n):
+        if not rebuilt[i].truncate(cap) == diag[i]:
+            raise InternalError("torus diagonal is not in the cocharacter lattice")
+    return coords
+
+
+def omega_of_factor_list_ref(G, neg, diag, pos):
+    """The former ``ChevalleyGroup.omega_of_factor_list``: per-factor omega
+    values in product order, the torus as one factor."""
+    off = G._omega_offset
+    torus = PValue.min(PValue.of(d - 1) for d in diag)
+    return ([PValue.of(x, off[root]) for root, x in neg] + [torus]
+            + [PValue.of(x, off[root]) for root, x in pos])
+
+
+def factor_scalars_ref(G, mat, plan):
+    """The former ``ChevalleyGroup._factor_scalars`` and its omega: the LDU of
+    the rows in plan order, ``groups._strip`` on both factors, the torus
+    rebuild, the pro-p and upper-root checks, and the least factor omega."""
+    order = plan.order
+    lmat, diag_sorted, umat = ldu_scalar_ref([[mat[i][j] for j in order] for i in order],
+                                             G.ring)
+    neg = groups._strip(lmat, plan.neg_strip)
+    pos = groups._strip(umat, plan.pos_strip)
+    diag = [diag_sorted[k] for k in plan.inv_order]
+    coords = torus_coords_ref(G, diag)
+    if not all((d - 1).zero_mod(1) for d in diag):
+        raise InternalError("torus part is not pro-p")
+    for root, x in neg + pos:
+        if G.datum.height(root) < 0 and not x.zero_mod(1):
+            raise InternalError("upper root parameter not divisible by p")
+    return neg, coords, diag, pos, PValue.min(omega_of_factor_list_ref(G, neg, diag, pos))
+
+
+def relation_scalar_ref(g):
+    """The former scalar branch of ``GroupElement.satisfies_group_relation``:
+    the six upper entries of g^T J g against the ring's one and zero on Sp4,
+    and det g by cofactor expansion from an exact zero on SL_n, compared with
+    the ring's one as well, so at most at the ring precision on every group
+    (the former compared det g with the int 1, which on sl2 meant at the
+    determinant's own precision)."""
+    G = g.group
+    one, zero = G.ring.one(), G.ring.zero()
+    if G.name == "sp4":
+        g0, g1, g2, g3 = g.mat
+        return all(g0[i] * g3[j] + g1[i] * g2[j] - g2[i] * g1[j] - g3[i] * g0[j]
+                   == (one if i + j == 3 else zero)
+                   for i in range(3) for j in range(i + 1, 4))
+    idx = tuple(range(G.n))
+    return groups._det_recursive(g.mat, idx, idx, G.ring.zero(exact=True)) == one
+
+
+def in_iwahori_scalar_ref(g):
+    """The former scalar branch of ``ChevalleyGroup.in_iwahori``: the
+    relation, then the diagonal congruent to 1 and the upper entries to 0
+    mod p."""
+    n = g.group.n
+    return relation_scalar_ref(g) and all((g.mat[i][j] - int(i == j)).zero_mod(1)
+                                          for i in range(n) for j in range(i, n))
+
+
+def fused_scalar_ref(G, mat, plan):
+    """What a plan's scalar kernel gives, by the former loops: the
+    MembershipError of the factorization off I, else ``factor_scalars_ref``."""
+    if not in_iwahori_scalar_ref(GroupElement(G, mat, None)):
+        raise MembershipError(NOT_IN_I)
+    return factor_scalars_ref(G, mat, plan)
+
+
+@lru_cache(maxsize=None)
+def scalar_kernel(datum, order, neg_strip, pos_strip, member=False):
+    """A plan's scalar kernel, by default generated without its membership
+    test, so that rows outside I reach the checks after it."""
+    return groups._factor_kernel(datum, order, neg_strip, pos_strip,
+                                 f"<scalar kernel {datum.name} {order} {neg_strip[:1]} {member}>",
+                                 member=member, scalar=True)
+
+
+def factor_scalar(G, mat, plan, member=False, kernel=None):
+    """The scalar kernel of the plan (``scalar_kernel``, or the kernel given)
+    on the scalar rows mat: (negative, coordinates, diagonal, positive, omega)."""
+    if kernel is None:
+        kernel = scalar_kernel(G.datum, plan.order, plan.neg_strip, plan.pos_strip, member)
+    *parts, best = kernel(mat, G.ring.p, G.ring.prec, G._one, G._zero)
+    return (*parts, PValue.infinite() if best == INF else _omega_value(best, G.coxeter_number))
+
+
+def scalar_state(fn, *args):
+    """The (co, prec, exact) of every factor of fn's (negative, coordinates,
+    diagonal, positive, omega) and the omega, or the exception type and text."""
+    try:
+        neg, coords, diag, pos, omega = fn(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+    return ([(r, state(x)) for r, x in neg], [state(s) for s in coords],
+            [state(d) for d in diag], [(r, state(x)) for r, x in pos], omega)
+
+
 # -- the torus rebuild ----------------------------------------------------------
 
 
@@ -260,7 +404,7 @@ def recipe_coords(G, diag):
     """The former recipe of ``_torus_coords_from_diag``, with its
     inverses taken by hand."""
     coords = []
-    for recipe in G.torus_recipe:
+    for recipe in groups._TORUS_RECIPES[G.name]:
         s = G.ring.one()
         for idx, e in recipe:
             s = s * (diag[idx] if e == 1 else pow_ref(diag[idx].inv(), -e))
@@ -290,16 +434,25 @@ def test_torus_rebuild_matches_matmul_rebuild(name, values, precs, in_lattice):
     new = G.torus_diagonal(coords)
     for o, n in zip(old, new):
         assert o.prec == cap and n.truncate(cap).co == o.co
-    # the self-check raises exactly when the matmul rebuild disagreed
+    # the scalar kernel's check, past the membership test on the diagonal
+    # matrix, raises exactly where a lattice equation fails at the precision
+    # of its own entries, at most N; the former rebuild, at the coordinates'
+    # least precision, accepted every diagonal the equations accept, and some
+    # that they refuse
     old_ok = all(o == d for o, d in zip(old, diag))
-    try:
-        G._torus_coords_from_diag(diag)
-        new_ok = True
-    except InternalError:
-        new_ok = False
-    assert new_ok == old_ok
+    lattice_ok = all(prod(diag[i] for i in eq) == G.ring.one()
+                     for eq in groups._TORUS_EQUATIONS[G.name])
+    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    got = scalar_state(factor_scalar, G, diagonal_rows(G, diag), plan)
+    assert (len(got) == 5) == lattice_ok and old_ok >= lattice_ok
     if in_lattice:
-        assert new_ok
+        assert lattice_ok and got[1] == [state(s) for s in coords]
+
+
+def diagonal_rows(G, diag):
+    """The rows of the diagonal matrix of the scalars diag, off it the ring's zero."""
+    return tuple(tuple(d if i == j else G.ring.zero() for j in range(G.n))
+                 for i, d in enumerate(diag))
 
 
 # -- the integer path --------------------------------------------------------------
@@ -537,7 +690,7 @@ def relation_keeping_non_members(G):
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-def test_int_membership_rejects_relation_keeping_non_members(config, monkeypatch):
+def test_int_membership_rejects_relation_keeping_non_members(config):
     G = INT_GROUPS[config]
     plan = G._factor_plan(G.datum.identity_weyl(), "lex")
     for message, g in relation_keeping_non_members(G):
@@ -546,21 +699,17 @@ def test_int_membership_rejects_relation_keeping_non_members(config, monkeypatch
         with scalar_route():
             assert not G.in_iwahori(fresh(g))
         assert outcome(G.iwahori_factorize, fresh(g)) == (MembershipError, NOT_IN_I)
-        # past the membership test (a kernel generated without it, and a
-        # forced test on the scalar route), the factorization's own checks
-        # raise the same InternalError on both routes
+        # past the membership test (the int and the scalar kernel generated
+        # without it), the factorization's own checks raise the same
+        # InternalError on both routes
         fast = outcome(factor_unchecked, G, g._ints, plan)
-        monkeypatch.setattr(G, "in_iwahori", lambda g: True)
-        with scalar_route():
-            ref = outcome(G.iwahori_factorize, fresh(g))
-        monkeypatch.undo()
-        assert fast == ref == (InternalError, message)
+        assert fast == outcome(factor_scalar, G, g.mat, plan) == (InternalError, message)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-def test_int_path_raises_on_a_forced_non_unit_pivot(config, monkeypatch):
-    # the int factorization's membership test raises first; past it, the
-    # kernel generated without it meets the pivot error of the scalar route
+def test_int_path_raises_on_a_forced_non_unit_pivot(config):
+    # the int factorization's membership test raises first; past it, the int
+    # and the scalar kernel generated without it meet the same pivot error
     G = INT_GROUPS[config]
     p = G.ring.p
     flat = G.ring.from_int(p).truncate(G.ring.prec)  # p + O(p^N), exact flag kept
@@ -568,11 +717,9 @@ def test_int_path_raises_on_a_forced_non_unit_pivot(config, monkeypatch):
     g = GroupElement(G, tuple(tuple(flat for _ in range(G.n)) for _ in range(G.n)))
     assert g._ints is not None
     assert outcome(G.iwahori_factorize, g) == (MembershipError, NOT_IN_I)
-    fast = outcome(factor_unchecked, G, g._ints, G._factor_plan(G.datum.identity_weyl(), "lex"))
-    monkeypatch.setattr(G, "in_iwahori", lambda g: True)
-    with scalar_route():
-        ref = outcome(G.iwahori_factorize, fresh(g))
-    assert fast == ref
+    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    fast = outcome(factor_unchecked, G, g._ints, plan)
+    assert fast == outcome(factor_scalar, G, g.mat, plan)
     assert fast[0] is InternalError and fast[1].startswith("elimination pivot 0 is not a unit")
 
 
@@ -659,8 +806,8 @@ def test_int_torus_rebuild_matches_scalar_rebuild(config, values, in_lattice):
     rows = tuple(tuple(d if i == j else 0 for j in range(G.n)) for i, d in enumerate(diag))
     plan = G._factor_plan(G.datum.identity_weyl(), "lex")
     fast = outcome(lambda: [state(G._wrap(s)) for s in factor_unchecked(G, rows, plan)[1]])
-    ref = outcome(lambda: [state(s) for s in
-                           G._torus_coords_from_diag([G._wrap(d) for d in diag])])
+    ref = outcome(lambda: [state(s) for s in factor_scalar(
+        G, diagonal_rows(G, [G._wrap(d) for d in diag]), plan)[1]])
     assert fast == ref == outcome(lambda: [state(G._wrap(s))
                                            for s in torus_coords_ints_ref(G, diag)])
     if in_lattice:
@@ -685,13 +832,13 @@ def torus_coords_ints_ref(G, diag):
     if any(prod(diag[i] for i in eq) % mod != 1 for eq in groups._TORUS_EQUATIONS[G.name]):
         raise InternalError("torus diagonal is not in the cocharacter lattice")
     return [prod(pow(diag[idx], e, mod) for idx, e in recipe) % mod
-            for recipe in G.torus_recipe]
+            for recipe in groups._TORUS_RECIPES[G.name]]
 
 
 def recipe_ints(G, diag):
     mod = G._mod
     coords = []
-    for recipe in G.torus_recipe:
+    for recipe in groups._TORUS_RECIPES[G.name]:
         s = 1
         for idx, e in recipe:
             s = s * pow(diag[idx], e, mod) % mod
@@ -1300,7 +1447,8 @@ def test_factorization_omega_matches_factor_list_minimum(config):
     for name, g in samples + omega_inputs(G):
         for w in weyl:
             fact = G.iwahori_factorize(fresh(g), w)
-            assert fact.omega == PValue.min(G.omega_of_factor_list(fact)), (name, w.name)
+            assert fact.omega == PValue.min(omega_of_factor_list_ref(
+                G, fact.negative, fact.torus_diagonal, fact.positive)), (name, w.name)
             with scalar_route():
                 ref = G.iwahori_factorize(fresh(g), w).omega
             assert fact.omega == ref, (name, w.name)
@@ -1630,8 +1778,11 @@ def test_torus_helpers_match_the_hand_kept_inverses(name, ring):
         diag = G.torus_diagonal(units[:G.datum.rank])
         assert [state(d) for d in diag] == [state(d) for d in
                                             torus_diagonal_ref(G, units[:G.datum.rank])]
-        got = [state(s) for s in G._torus_coords_from_diag(diag)]
-        assert got == [state(s) for s in recipe_coords(G, diag)]
+        # the coordinates that the scalar kernel reads off a pro-p diagonal
+        pro_p = G.torus_diagonal([u ** (P - 1) for u in units[:G.datum.rank]])
+        plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+        got = [state(s) for s in factor_scalar(G, diagonal_rows(G, pro_p), plan)[1]]
+        assert got == [state(s) for s in recipe_coords(G, pro_p)]
         point = ctx.point_from_cocharacter(mu, c)
         assert [state(a) for a in point] == [state(a) for a in point_from_cocharacter_ref(mu, c)]
 

@@ -1,3 +1,4 @@
+import linecache
 import random
 import re
 from fractions import Fraction
@@ -5,13 +6,16 @@ from functools import lru_cache
 
 import pytest
 
+from iwahori import groups
 from iwahori.axioms import sample_iwahori
 from iwahori.groups import ChevalleyGroup, GateError, GroupElement, MembershipError, PValue
 from iwahori.padic import INF, InternalError, PadicScalar, PrecisionError, ScalarRing, padic_exp
 from iwahori.roots import WeylElement
 from iwahori.series import SeriesContext
 from ramified_ring import RamifiedRing
-from test_fast_paths import permuted_ref, reread, root_products, state
+from test_fast_paths import (factor_scalar, factor_scalars_ref, fused_scalar_ref,
+                             in_iwahori_scalar_ref, permuted_ref, relation_scalar_ref, reread,
+                             root_products, scalar_state, state, torus_coords_ref)
 from test_int_checks import mutant
 from test_series import strip_unipotent_ref
 
@@ -29,7 +33,7 @@ def sample(G, rng, w=None):
 
 def is_exact_identity(g):
     n = g.group.n
-    return all(g.sub_identity_entry(i, j).is_exact_zero for i in range(n) for j in range(n))
+    return all((g.mat[i][j] - int(i == j)).is_exact_zero for i in range(n) for j in range(n))
 
 
 def in_congruence(g, r):
@@ -38,7 +42,7 @@ def in_congruence(g, r):
     if r > min(e.prec for row in g.mat for e in row):
         raise PrecisionError(f"congruence level {r} exceeds the tracked precision")
     n = g.group.n
-    return all(g.sub_identity_entry(i, j).zero_mod(r) for i in range(n) for j in range(n))
+    return all((g.mat[i][j] - int(i == j)).zero_mod(r) for i in range(n) for j in range(n))
 
 
 def in_full_iwahori(G, g):
@@ -510,8 +514,8 @@ def ldu_ref(mat, n, ring):
     return lmat, diag, umat
 
 
-def factor_scalars_ref(G, mat, plan):
-    """The former ``ChevalleyGroup._factor_scalars``: permute into the plan's
+def factor_element_order_ref(G, mat, plan):
+    """An earlier ``ChevalleyGroup._factor_scalars``: permute into the plan's
     basis order, LDU, permute both factors back and strip them in the
     element's own basis order."""
     lmat, diag_sorted, umat = ldu_ref(permuted_ref(mat, plan.order), G.n, G.ring)
@@ -520,7 +524,7 @@ def factor_scalars_ref(G, mat, plan):
     diag = [diag_sorted[k] for k in inv_order]
     neg = strip_unipotent_ref(G, n1, plan.neg_batch)
     pos = strip_unipotent_ref(G, n2, plan.pos_batch)
-    torus_coords = G._torus_coords_from_diag(diag)
+    torus_coords = torus_coords_ref(G, diag)
     if not all((d - 1).zero_mod(1) for d in diag):
         raise InternalError("torus part is not pro-p")
     for root, x in neg + pos:
@@ -546,8 +550,9 @@ def test_scalar_factorization_matches_the_former_route(name, p, prec):
     # elements, matrices read as the command line reads them), samples with a
     # 0 coordinate, flat samples, and mixed-precision matrices (random ones,
     # and root products with entries truncated below N), under every
-    # twist and both tie-breaks: the same (co, prec, exact) for every factor,
-    # or the same InternalError, also on inputs outside I
+    # twist and both tie-breaks: the scalar kernel without its membership
+    # test gives the same (co, prec, exact) for every factor as the earlier
+    # element-order route, or the same InternalError, also on inputs outside I
     G = ChevalleyGroup(name, p, prec)
     rng = random.Random(f"scalar-route-{name}-{p}-{prec}")
     elements = sweep_elements(G, rng, 6) + [root_products(G, rng) for _ in range(12)]
@@ -571,8 +576,8 @@ def test_scalar_factorization_matches_the_former_route(name, p, prec):
         for w in G.datum.weyl_group():
             plan = G._factor_plan(w, tie_break)
             for g in elements:
-                got = factor_state(G._factor_scalars, g.mat, plan)
-                assert got == factor_state(factor_scalars_ref, G, g.mat, plan), (w.name, g)
+                got = factor_state(lambda: factor_scalar(G, g.mat, plan)[:4])
+                assert got == factor_state(factor_element_order_ref, G, g.mat, plan), (w.name, g)
                 if got[0] is InternalError:
                     results.add("raised")
                     continue
@@ -580,6 +585,118 @@ def test_scalar_factorization_matches_the_former_route(name, p, prec):
                 exact = any(x[2] for x in [x for _r, x in neg + pos] + coords + diag)
                 results.add("exact" if exact else "inexact")
     assert results == {"raised", "exact", "inexact"}
+
+
+# every plan's scalar kernel, with and without its membership test, against
+# the former loops
+
+SCALAR_SWEEP = ([(name, p, prec) for name in ("sl2", "sl3")
+                 for p, prec in ((5, 1), (5, 2), (7, 12))]
+                + [("sp4", 7, 1), ("sp4", 7, 2), ("sp4", 7, 12), ("sp4", 11, 5)])
+
+
+@lru_cache(maxsize=None)
+def scalar_sweep_inputs(name, p, prec):
+    """The group and scalar rows for its kernels: the exact identity, root
+    elements at 1 or p, products of root elements and samples with a 0
+    coordinate; ``sweep_elements``, with flat members, basis generators and
+    non-members; and each exact one with entries re-read inexact, truncated
+    below N or claimed above it."""
+    G = ChevalleyGroup(name, p, prec)
+    rng = random.Random(f"scalar-sweep-{name}-{p}-{prec}")
+    exact = [G.identity()] + [G.root_element(r, p if G.datum.height(r) < 0 else 1)
+                              for r in sorted(G.dirs)]
+    exact += [root_products(G, rng) for _ in range(6)]
+    d = len(G.dirs) + G.datum.rank
+    for _ in range(2):
+        coords = [rng.randrange(p ** prec) for _ in range(d)]
+        coords[rng.randrange(d)] = 0
+        exact.append(G.from_coordinates(coords))
+    rows = [g.mat for g in exact + sweep_elements(G, rng, 3)]
+    for k, g in enumerate(exact):
+        mat = [list(row) for row in g.mat]
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.randrange(G.n), rng.randrange(G.n)
+            mat[i][j] = reread(mat[i][j], ("inexact", "truncated", "above")[k % 3], rng)
+        rows.append(tuple(map(tuple, mat)))
+    return G, rows
+
+
+def scalar_mismatches(config, factor_kernel=None):
+    """The first (w, tie-break, rows) where a plan's scalar kernel, with or
+    without its membership test, differs from the former loops: in the (co,
+    prec, exact) of a factor, in omega, or in the exception type and text.
+    Without a generator given, the library's own kernels and membership
+    functions, through ``iwahori_factorize``, ``satisfies_group_relation`` and
+    ``in_iwahori`` on rows off the int path."""
+    G, rows = scalar_sweep_inputs(*config)
+    for w in G.datum.weyl_group():
+        for tie_break in ("lex", "revlex"):
+            plan = G._factor_plan(w, tie_break)
+            kernels = [None if factor_kernel is None else factor_kernel(
+                G.datum, plan.order, plan.neg_strip, plan.pos_strip, "<scalar mutant>",
+                member=member, scalar=True) for member in (False, True)]
+            for mat in rows:
+                got = [scalar_state(factor_scalar, G, mat, plan, member, kernel)
+                       for member, kernel in zip((False, True), kernels)]
+                want = [scalar_state(factor_scalars_ref, G, mat, plan),
+                        scalar_state(fused_scalar_ref, G, mat, plan)]
+                g = GroupElement(G, mat, None)
+                if factor_kernel is None and g._ints is None:
+                    got.append(scalar_state(fact_parts, G.iwahori_factorize, g, w, tie_break))
+                    want.append(want[1])
+                    got.append((g.satisfies_group_relation(), G.in_iwahori(g)))
+                    want.append((relation_scalar_ref(g), in_iwahori_scalar_ref(g)))
+                if got != want:
+                    return w.name, tie_break, mat
+    return None
+
+
+def fact_parts(factorize, *args):
+    fact = factorize(*args)
+    return (fact.negative, fact.torus_coordinates, fact.torus_diagonal, fact.positive,
+            fact.omega)
+
+
+@pytest.mark.parametrize("config", SCALAR_SWEEP, ids=lambda c: "-".join(map(str, c)))
+def test_every_scalar_kernel_matches_the_former_loops(config):
+    assert scalar_mismatches(config) is None
+
+
+# (old, new) in ``_factor_kernel``: each changes the scalar form alone
+SCALAR_MUTANTS = [
+    # x c subtracted, in place of y = -x added: keeps an exact flag that the
+    # negation of an exact nonzero x drops
+    ("{cur[i][k]} + {f} * {c}", "{cur[i][k]} {'-' if s == 1 else '+'} {x} * {c}"),
+    # the LDU's exact-zero skip dropped
+    ('f"if not l{i}{k}.is_exact_zero:"', '"if True:"'),
+    # a cap marker at N, not at the factor's own precision
+    ("{h2} * {x}.prec + 1", "{h2} * cap + 1"),
+    # an exact zero read as a cap marker, not as infinity
+    ('else INF if {x}.exact "', '"'),
+]
+
+
+@pytest.mark.parametrize("old,new", SCALAR_MUTANTS)
+def test_scalar_sweep_catches_kernel_mutants(old, new, monkeypatch):
+    monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
+    bad = mutant(groups._factor_kernel, old, new)
+    assert any(scalar_mismatches(config, bad) for config in SCALAR_SWEEP)
+
+
+def test_every_group_compares_its_scalar_relation_at_most_at_n():
+    # entries at precision 5 above N = 3 and the diagonal (1 + p^3, 1, ...):
+    # the relation holds modulo p^3, as on the int path, on every group (sl2
+    # compared det g with 1 at the determinant's precision 5 and refused it)
+    for name, p in (("sl2", 5), ("sl3", 5), ("sp4", 7)):
+        G = ChevalleyGroup(name, p, 3)
+        rows = tuple(tuple(PadicScalar(G.ring, 1 + p ** 3 if i == j == 0 else int(i == j), 5,
+                                       False) for j in range(G.n)) for i in range(G.n))
+        g, flat = GroupElement(G, rows), GroupElement(G, None, tuple(
+            tuple(e.co % G._mod for e in row) for row in rows))
+        assert g._ints is None and flat._ints is not None
+        assert g.satisfies_group_relation() and flat.satisfies_group_relation()
+        assert G.in_iwahori(g) and relation_scalar_ref(g)
 
 
 def test_ordered_basis_shape_and_bounds():
