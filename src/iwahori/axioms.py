@@ -274,6 +274,7 @@ def check_padic(group: ChevalleyGroup) -> SelfTestReport:
 
 
 _series_context = lru_cache(maxsize=8)(SeriesContext)  # one chart per group
+_SERIES_COEFFS = tuple(Fraction(c) for c in range(-20, 21))  # by drawn index
 
 
 def check_series(group: ChevalleyGroup, seed: int = 1) -> SelfTestReport:
@@ -281,16 +282,23 @@ def check_series(group: ChevalleyGroup, seed: int = 1) -> SelfTestReport:
     obstruction and the constants limit, on the chart of the group.  Each
     of the 10 series has 8 terms, drawn in order: an exponent in 0..5 per
     chart variable, then a coefficient in -20..20.  The draws read
-    getrandbits directly (``_randbelow``), with the same values as
+    getrandbits directly, as ``_randbelow`` does, with the same values as
     randrange(6) and randrange(-20, 21)."""
     failures = []
     ctx = _series_context(group)
-    bits, nvars = Random(seed).getrandbits, ctx.nvars
+    bits = Random(seed).getrandbits
+    # per term, (bound, bit width) of each exponent's draw, then the coefficient's
+    widths = ((6, 3),) * ctx.nvars + ((41, 6),)
     for trial in range(10):
         coeffs = {}
         for _ in range(8):
-            index = tuple(_randbelow(bits, 6, nvars))
-            coeffs[index] = Fraction(_randbelow(bits, 41, 1)[0] - 20)
+            draws = []
+            for n, k in widths:
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                draws.append(r)
+            coeffs[tuple(draws[:-1])] = _SERIES_COEFFS[draws[-1]]
         f = TruncatedSeries(ctx, coeffs, 5 * ctx.nvars)
         below, atleast = slope_split(f, 1)
         if not (below + atleast == f and slope_split(atleast, 1)[0].is_zero()):

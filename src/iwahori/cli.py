@@ -5,8 +5,10 @@ DIR) with exact values only: rationals as "a/b" strings and p-adic
 scalars as digit expansions.  Reports are written by ``_encode``, the
 package's own indent-2 emitter over the standard library's C string
 encoder, with the same bytes as ``json.dumps(payload, indent=2,
-sort_keys=True, default=str)``.  Exit codes: 0 success, 1 check failures,
-2 parameter-gate or usage errors, 3 a failed internal self-check (a bug).
+sort_keys=True, default=str)``.  A report file under --json DIR is
+rewritten in place and cut to the new length.  Exit codes: 0 success,
+1 check failures, 2 parameter-gate or usage errors, 3 a failed internal
+self-check (a bug).
 
 Defaults can be overridden with environment variables prefixed IWAHORI_,
 e.g. IWAHORI_P=11 iwahori basis --group sl2.
@@ -81,12 +83,24 @@ def _encode(value, pad: str = "\n") -> str:
 
 
 def _emit(args, name: str, payload) -> None:
+    """Print the report, or with --json DIR write it to DIR/name.json in
+    place, cut only where the file was longer: truncating it to zero first
+    costs more than the write.  The text is ASCII (``_quote`` escapes the
+    rest), so its bytes do not depend on the locale."""
     text = _encode(payload)
     if getattr(args, "json_dir", None):
         os.makedirs(args.json_dir, exist_ok=True)
         path = os.path.join(args.json_dir, f"{name}.json")
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        data = memoryview((text + "\n").encode())
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            rest = data
+            while rest:
+                rest = rest[os.write(fd, rest):]
+            if os.fstat(fd).st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
         print(f"wrote {path}")
     else:
         print(text)

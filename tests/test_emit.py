@@ -6,11 +6,18 @@ Reports are written by ``cli._encode``, an indent-2 emitter over
 payload a report holds: a hypothesis fuzz over nested values, every
 subcommand once in process, and planted mutants of the emitter, each of
 which the comparison must catch.  A float or a non-str key is refused.
+
+``cli._emit`` writes a report under --json DIR in place, cut to length:
+the file ends with exactly the report's bytes whatever it held before, a
+link to the null device is written and never cut, and planted mutants of
+the write are caught.
 """
 
 import argparse
 import inspect
 import json
+import os
+import stat
 import textwrap
 from fractions import Fraction
 
@@ -74,14 +81,15 @@ def test_keys_that_json_dumps_refuses_are_refused(value):
             encode(value)
 
 
-def emitter_mutant(old, new):
-    """``_encode`` with every occurrence of the source text old replaced by
-    new; its recursive calls reach the mutant too."""
-    src = textwrap.dedent(inspect.getsource(cli._encode))
+def cli_mutant(name, old, new):
+    """The cli function name with every occurrence of the source text old
+    replaced by new; its recursive calls reach the mutant too."""
+    fn = getattr(cli, name)
+    src = textwrap.dedent(inspect.getsource(fn))
     assert old in src, old
     namespace = dict(cli.__dict__)
-    exec(compile(src.replace(old, new), inspect.getsourcefile(cli._encode), "exec"), namespace)
-    return namespace["_encode"]
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[name]
 
 
 @pytest.mark.parametrize("old, new", [
@@ -90,8 +98,8 @@ def emitter_mutant(old, new):
     ("_quote(", "str("),  # str in place of encode_basestring_ascii
 ], ids=["unsorted-keys", "short-indent", "str-for-quote"])
 def test_planted_mutants_of_the_emitter_are_caught(old, new):
-    assert all(emitter_mutant(old, old)(v) == dumps(v) for v in FIXED)
-    assert any(emitter_mutant(old, new)(v) != dumps(v) for v in FIXED)
+    assert all(cli_mutant("_encode", old, old)(v) == dumps(v) for v in FIXED)
+    assert any(cli_mutant("_encode", old, new)(v) != dumps(v) for v in FIXED)
 
 
 # every subcommand once, each emitting its report into --json DIR
@@ -131,4 +139,85 @@ def test_every_subcommand_writes_the_bytes_of_json_dumps(tmp_path, monkeypatch, 
         (name, payload), = emitted
         emitted.clear()
         assert (out / f"{name}.json").read_text() == dumps(payload) + "\n"
+    capsys.readouterr()
+
+
+# the report file is rewritten in place and cut to length: whatever was
+# there before, it ends with exactly the new bytes
+PAYLOAD = FIXED[0]
+REPORT = (dumps(PAYLOAD) + "\n").encode()
+
+
+def emit_into(directory, emit=None):
+    (emit or cli._emit)(argparse.Namespace(json_dir=str(directory)), "r", PAYLOAD)
+    return directory / "r.json"
+
+
+@pytest.mark.parametrize("stale", [None, b"", b"x" * (len(REPORT) - 7), b"y" * len(REPORT),
+                                   b"z" * (3 * len(REPORT)), REPORT + b"tail"],
+                         ids=["absent", "empty", "shorter", "same-length", "longer",
+                              "report-and-more"])
+def test_a_report_ends_with_exactly_the_new_bytes(tmp_path, stale, capsys):
+    path = tmp_path / "r.json"
+    if stale is not None:
+        path.write_bytes(stale)
+        inode = path.stat().st_ino
+    assert emit_into(tmp_path) == path
+    assert path.read_bytes() == REPORT
+    assert stale is None or path.stat().st_ino == inode  # the same file, not a new one
+    assert capsys.readouterr().out == f"wrote {path}\n"
+
+
+def test_a_new_report_gets_the_mode_of_a_plain_open(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        path = emit_into(tmp_path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    capsys.readouterr()
+
+
+VERIFY_ALL = ["verify-all", "--group", "sl2", "--p", "5", "--precision", "4", "--n-samples", "2"]
+
+
+def test_a_report_linked_to_the_null_device_is_written(tmp_path, capsys):
+    # a character device reads size 0, so it is never cut (ftruncate would fail)
+    os.symlink(os.devnull, tmp_path / "verify-all-sl2.json")
+    assert main(VERIFY_ALL + ["--json", str(tmp_path)]) == 0
+    assert os.path.islink(tmp_path / "verify-all-sl2.json")
+    capsys.readouterr()
+
+
+def test_a_report_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "verify-all-sl2.json").mkdir()
+    assert main(VERIFY_ALL + ["--json", str(tmp_path)]) == 2
+    assert "verify-all-sl2.json" in capsys.readouterr().err
+
+
+def goes_wrong(emit, directory, stale):
+    """Whether emit fails or leaves other bytes than the report, over a file
+    holding stale or, for None, over a link to the null device."""
+    directory.mkdir()
+    path = directory / "r.json"
+    if stale is None:
+        os.symlink(os.devnull, path)
+    else:
+        path.write_bytes(stale)
+    try:
+        emit_into(directory, emit)
+    except OSError:
+        return True
+    return stale is not None and path.read_bytes() != REPORT
+
+
+@pytest.mark.parametrize("old, new, stale", [
+    ("os.ftruncate(fd, len(data))", "pass", b"z" * (2 * len(REPORT))),
+    ("if os.fstat(fd).st_size > len(data):", "if True:", None),  # a device refuses the cut
+], ids=["no-cut", "cut-with-no-size-test"])
+def test_planted_mutants_of_the_write_are_caught(tmp_path, old, new, stale, capsys):
+    assert not goes_wrong(cli_mutant("_emit", old, old), tmp_path / "same", stale)
+    assert goes_wrong(cli_mutant("_emit", old, new), tmp_path / "mutant", stale)
     capsys.readouterr()
