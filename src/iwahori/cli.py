@@ -56,7 +56,10 @@ def _env(name: str, fallback):
 
 
 def _fraction(text) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"{str(text)!r} has a zero denominator") from None
 
 
 def _encode(value, pad: str = "\n") -> str:
@@ -112,7 +115,7 @@ def _parse_weyl(datum, word: str):
         return datum.identity_weyl()
     w = datum.identity_weyl()
     for token in word.replace("*", " ").split():
-        if not token.startswith("s"):
+        if not token.startswith("s") or not token[1:].isdecimal():
             raise ValueError(f"bad Weyl word token {token!r}; use e or s1*s2...")
         i = int(token[1:]) - 1
         if not 0 <= i < datum.rank:

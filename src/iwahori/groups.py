@@ -91,11 +91,14 @@ runs every check above from membership on and returns the factors, the torus
 coordinates and the least omega key, with the root heights as constants
 (``_factor_kernel``).  The int kernel is built with the plan; the scalar
 kernel, which keeps the precision rules of scalar arithmetic, the first time
-a scalar element takes the plan.  On ints there are besides a matmul per
-matrix size, and a draw per twist that ``from_coordinates`` draws on, with
-the identity's 0 and 1 entries folded (``_draw_kernel``).  linecache serves
+a scalar element takes the plan.  Products and inverses are generated for
+both routes in the same way at import: a matmul per matrix size
+(``_matmul_ints``) and an inverse per group (``_inverse``), whose scalar
+forms keep the precision rules of scalar arithmetic.  On ints there is
+besides a draw per twist that ``from_coordinates`` draws on, with the
+identity's 0 and 1 entries folded (``_draw_kernel``).  linecache serves
 their lines under names like ``<iwahori kernel sp4 w=s1*s2 lex>`` or
-``<iwahori scalar kernel sp4 w=s1*s2 lex>``, so tracebacks show them.
+``<iwahori scalar inverse sl3>``, so tracebacks show them.
 """
 
 from __future__ import annotations
@@ -673,21 +676,6 @@ class Factorization:
                                           self.positive)
 
 
-def _matmul(a, b, n):
-    out = []
-    for i in range(n):
-        ai = a[i]
-        zero = ai[0].ring.zero(exact=True)
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                acc = acc + ai[k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _flat_ints(mat, ring):
     """Int rows of mat if every entry is an inexact scalar of the ring at
     its precision N, else None."""
@@ -715,31 +703,76 @@ def _unpack(names):
     return ", ".join("(" + ", ".join(row) + ")" for row in names)
 
 
-def _matmul_ints(n):
-    """The product modulo mod of two n x n int row tuples, as straight-line
-    code: both unpacked into locals, each entry one dot product reduced once."""
+def _matmul_ints(n, scalar=False):
+    """The product of two n x n row tuples as straight-line code, both
+    unpacked into locals: matmul(a, b, mod) on int rows, each entry one dot
+    product reduced once; with ``scalar`` matmul(a, b) on PadicScalar rows,
+    each entry the dot product summed from the exact zero of the ring of its
+    row's first entry."""
     a = [[f"a{i}{k}" for k in range(n)] for i in range(n)]
     b = [[f"b{k}{j}" for j in range(n)] for k in range(n)]
-    rows = ", ".join("(" + ", ".join("(" + " + ".join(f"{a[i][k]} * {b[k][j]}" for k in range(n))
-                                     + ") % mod" for j in range(n)) + ")" for i in range(n))
-    return _compiled(f"def matmul(a, b, mod):\n    {_unpack(a)} = a\n    {_unpack(b)} = b\n"
-                     f"    return {rows}\n", f"<iwahori matmul {n}x{n}>", "matmul")
+    dots = [[" + ".join(f"{a[i][k]} * {b[k][j]}" for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    rows = ", ".join("(" + ", ".join(f"{a[i][0]}.ring.zero() + {dots[i][j]}" if scalar
+                                     else "(" + dots[i][j] + ") % mod" for j in range(n)) + ")"
+                     for i in range(n))
+    return _compiled(f"def matmul(a, b{'' if scalar else ', mod'}):\n    {_unpack(a)} = a\n"
+                     f"    {_unpack(b)} = b\n    return {rows}\n",
+                     f"<iwahori {'scalar ' * scalar}matmul {n}x{n}>", "matmul")
 
 
 _MATMULS = {n: _matmul_ints(n) for n in _MATRIX_SIZE.values()}
+_SCALAR_MATMULS = {n: _matmul_ints(n, True) for n in _MATRIX_SIZE.values()}
 
 
-def _det_source(x, rows, cols):
+def _det_source(x, rows, cols, zero=""):
     """The determinant of the names x on rows and cols as source, by cofactor
-    expansion along the first row."""
+    expansion along the first row; zero, such as "zero + ", leads each
+    expansion of three or more rows."""
     if len(rows) == 1:
         return x[rows[0]][cols[0]]
-    out = ""
+    out = zero if len(rows) > 2 else ""
     for k, c in enumerate(cols):
-        minor = _det_source(x, rows[1:], cols[:k] + cols[k + 1:])
+        minor = _det_source(x, rows[1:], cols[:k] + cols[k + 1:], zero)
         out += (" - " if k % 2 else " + " if k else "") + f"{x[rows[0]][c]} * " + (
             f"({minor})" if len(rows) > 2 else minor)
     return out
+
+
+def _inverse(name, n, scalar=False):
+    """g^-1 of the group as straight-line code: inverse(ints, p, mod, wrap)
+    modulo mod on int rows, or inverse(rows, zero) on PadicScalar rows with
+    the ring's exact zero.  On Sp4 it is -J g^T J, entry (i, j) read off
+    g[3-j][3-i] with the sign of ``_SP4_INV_SIGN``; a scalar entry is read
+    through zero, as -(zero - x) or -(zero + x), so at most at the ring
+    precision and negated at least once: a nonzero exact entry comes out
+    inexact.  On SL_n it is the adjugate over det g, the cofactors by
+    ``_det_source``, the scalar ones summed from zero; a det that is not a
+    unit raises the UnitError of its inverse, on ints that of the wrapped
+    det."""
+    x = [[f"x{i}{j}" for j in range(n)] for i in range(n)]
+    code = [f"{_unpack(x)} = {'rows' if scalar else 'ints'}"]
+    if name == "sp4":
+        rows = [[(f"-(zero {'-' if sign > 0 else '+'} {x[3 - j][3 - i]})" if scalar
+                  else f"{'' if sign > 0 else '-'}{x[3 - j][3 - i]} % mod")
+                 for j, sign in enumerate(signs)] for i, signs in enumerate(_SP4_INV_SIGN)]
+    else:
+        idx, zero = tuple(range(n)), "zero + " if scalar else ""
+        det = _det_source(x, idx, idx, zero)
+        code += [f"d = ({det}).inv()"] if scalar else [
+            f"d = ({det}) % mod", "d = pow(d, -1, mod) if d % p else wrap(d).inv().co"]
+        minor = lambda i, j: _det_source(x, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:], zero)
+        # entry (i, j) is the cofactor of entry (j, i), signed, over det g
+        rows = [[f"{'-' * ((i + j) % 2)}({minor(j, i)}) * d{'' if scalar else ' % mod'}"
+                 for j in idx] for i in idx]
+    code.append(f"return {_unpack(rows)}")
+    args = "rows, zero" if scalar else "ints, p, mod, wrap"
+    return _compiled(f"def inverse({args}):\n" + "".join(f"    {line}\n" for line in code),
+                     f"<iwahori {'scalar ' * scalar}inverse {name}>", "inverse")
+
+
+_INVERSES = {name: _inverse(name, n) for name, n in _MATRIX_SIZE.items()}
+_SCALAR_INVERSES = {name: _inverse(name, n, True) for name, n in _MATRIX_SIZE.items()}
 
 
 def _off_p(e, scalar):
@@ -790,39 +823,6 @@ def _membership(name, n, scalar=False):
 
 _MEMBERSHIPS = {name: _membership(name, n) for name, n in _MATRIX_SIZE.items()}
 _SCALAR_MEMBERSHIPS = {name: _membership(name, n, True) for name, n in _MATRIX_SIZE.items()}
-
-
-def _det_recursive(mat, idx_rows, idx_cols, zero):
-    """Cofactor expansion from the exact zero ``zero``: a ring zero for
-    scalars, 0 for ints (reduced by the caller)."""
-    n = len(idx_rows)
-    if n == 1:
-        return mat[idx_rows[0]][idx_cols[0]]
-    if n == 2:
-        (r0, r1), (c0, c1) = idx_rows, idx_cols
-        return mat[r0][c0] * mat[r1][c1] - mat[r0][c1] * mat[r1][c0]
-    acc = zero
-    r0 = idx_rows[0]
-    rest = idx_rows[1:]
-    for k, c in enumerate(idx_cols):
-        cols = idx_cols[:k] + idx_cols[k + 1:]
-        term = mat[r0][c] * _det_recursive(mat, rest, cols, zero)
-        acc = acc + term if k % 2 == 0 else acc - term
-    return acc
-
-
-def _adjugate_det(mat, n, zero):
-    """Division-free adjugate and determinant by cofactor expansion."""
-    idx = tuple(range(n))
-    det = _det_recursive(mat, idx, idx, zero)
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rows = idx[:i] + idx[i + 1:]
-        for j in range(n):
-            cols = idx[:j] + idx[j + 1:]
-            minor = _det_recursive(mat, rows, cols, zero)
-            adj[j][i] = minor if (i + j) % 2 == 0 else -minor
-    return adj, det
 
 
 def _strip(cur, strip):
@@ -1083,7 +1083,7 @@ class GroupElement:
         a, b = self._ints, other._ints
         if a is not None and b is not None:
             return GroupElement(self.group, None, _MATMULS[self.group.n](a, b, self.group._mod))
-        return GroupElement(self.group, _matmul(self.mat, other.mat, self.group.n))
+        return GroupElement(self.group, _SCALAR_MATMULS[self.group.n](self.mat, other.mat))
 
     def __pow__(self, k: int) -> "GroupElement":
         if k < 0:
@@ -1101,33 +1101,11 @@ class GroupElement:
         return self.group.identity() if result is None else result
 
     def inv(self) -> "GroupElement":
-        n, group = self.group.n, self.group
-        ints = self._ints
-        if ints is not None:
-            mod = group._mod
-            if group.name == "sp4":
-                rows = tuple(tuple(sign * ints[3 - j][3 - i] % mod
-                                   for j, sign in enumerate(signs))
-                             for i, signs in enumerate(_SP4_INV_SIGN))
-                return GroupElement(group, None, rows)
-            adj, det = _adjugate_det(ints, n, 0)
-            det %= mod
-            # a non-unit goes to the scalar inverse, which raises its UnitError
-            dinv = pow(det, -1, mod) if det % group.ring.p else group._wrap(det).inv().co
-            return GroupElement(
-                group, None, tuple(tuple(a * dinv % mod for a in row) for row in adj))
-        if group.name == "sp4":
-            # every entry is read at most at the ring precision and negated
-            # at least once, so a nonzero exact entry comes out inexact
-            zero, mat = group.ring.zero(), self.mat
-            return GroupElement(group, tuple(
-                tuple(-(zero - mat[3 - j][3 - i]) if sign > 0 else -(zero + mat[3 - j][3 - i])
-                      for j, sign in enumerate(signs))
-                for i, signs in enumerate(_SP4_INV_SIGN)))
-        adj, det = _adjugate_det(self.mat, n, group.ring.zero(exact=True))
-        dinv = det.inv()
-        return GroupElement(group, tuple(
-            tuple(adj[i][j] * dinv for j in range(n)) for i in range(n)))
+        group = self.group
+        if self._ints is not None:
+            return GroupElement(group, None, _INVERSES[group.name](
+                self._ints, group.ring.p, group._mod, group._wrap))
+        return GroupElement(group, _SCALAR_INVERSES[group.name](self.mat, group._zero))
 
     def _member(self) -> int:
         """The group's generated ``member`` on the int rows or the scalar entries:

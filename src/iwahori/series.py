@@ -158,6 +158,8 @@ class TruncatedSeries:
             idx = tuple(idx)
             if len(idx) != ctx.nvars:
                 raise SeriesError(f"index {idx} has wrong arity")
+            if min(idx) < 0:
+                raise SeriesError(f"index {idx} has a negative exponent")
             if degree is not None and sum(idx) > degree:
                 raise SeriesError(f"index {idx} exceeds the degree cap {degree}")
             if isinstance(c, int):
@@ -171,7 +173,8 @@ class TruncatedSeries:
     @classmethod
     def _from_checked(cls, ctx: SeriesContext, coeffs: dict, degree) -> "TruncatedSeries":
         """A series on a map, kept as it is, that passes ``__init__``'s checks:
-        tuple indices of the chart's arity in the cap, no int or zero value."""
+        tuple indices of the chart's arity with no negative exponent in the
+        cap, no int or zero value."""
         f = cls.__new__(cls)
         f.ctx, f.coeffs, f.degree = ctx, coeffs, degree
         return f

@@ -324,6 +324,44 @@ def test_exact_inputs_keep_their_exactness_at_the_cli(capsys):
     assert data["positive_batch"] == [{"root": [1, -1], "parameter": "p + O(p^12)"}]
     assert data["torus_coordinates"] == ["1 + O(p^12)"]
 
+
+@pytest.mark.parametrize("argv, series", [
+    (["bgg", "--group", "sp4", "--c", "1/0,1"], None),
+    (["verma-mult", "--group", "sp4", "--c", "0,0", "--lambda=1/0,0"], None),
+    (["omega", "--group", "sl2", "--element", '[["1/0","0"],["0","1"]]'], None),
+    (["slope", "split", "--group", "sp4", "--s", "0"], [{"index": [0, 0, 0, 0], "coeff": "1/0"}]),
+])
+def test_a_zero_denominator_is_a_usage_error(argv, series, tmp_path, capsys):
+    if series is not None:
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(series))
+        argv = argv + ["--series", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: '1/0' has a zero denominator\n"
+
+
+def test_a_negative_exponent_is_a_usage_error(tmp_path, capsys):
+    # on sp4 the index (1, -1, 0, 0) has weight 0: it was read as the
+    # constant monomial, and the projection came out empty
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([{"index": [1, -1, 0, 0], "coeff": "1"},
+                                {"index": [0, 0, 0, 0], "coeff": "2"}]))
+    code = main(["slope", "project", "--group", "sp4", "--s", "0", "--series", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: index (1, -1, 0, 0) has a negative exponent\n"
+
+
+@pytest.mark.parametrize("word", ["sx", "s", "s1*s", "s1 x2"])
+def test_a_bad_weyl_word_token_is_named(word, capsys):
+    code = main(["factorize", "--group", "sl2", "--w", word, "--element", "[[1,0],[0,1]]"])
+    captured = capsys.readouterr()
+    token = word.replace("*", " ").split()[-1]
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: bad Weyl word token {token!r}; use e or s1*s2...\n"
+
 def test_slope_project_rejects_a_huge_exponent_quickly(tmp_path, capsys):
     # (p-1)*12! is about 2.9e9: the projector refuses before exponentiating
     path = tmp_path / "f.json"

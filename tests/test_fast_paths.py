@@ -29,6 +29,9 @@
 * samples that ``from_coordinates`` builds on int rows against the same
   coordinates as scalars, and the omega that the factorization reads off
   its ints against the minimum of the former ``omega_of_factor_list``;
+* the former scalar matmul, recursive determinant and adjugate, and the
+  former ``GroupElement.inv`` on both routes, kept here as the references
+  that ``test_groups`` sweeps the generated products and inverses against;
 * the scalar Sp4 inverse read off the sign table against the two products
   with the Gram matrix it replaced, and ``PadicScalar.__pow__`` and the
   torus helpers that call it against the former ladder and the hand-kept
@@ -340,7 +343,7 @@ def relation_scalar_ref(g):
                    == (one if i + j == 3 else zero)
                    for i in range(3) for j in range(i + 1, 4))
     idx = tuple(range(G.n))
-    return groups._det_recursive(g.mat, idx, idx, G.ring.zero(exact=True)) == one
+    return det_recursive_ref(g.mat, idx, idx, G.ring.zero(exact=True)) == one
 
 
 def in_iwahori_scalar_ref(g):
@@ -1063,7 +1066,7 @@ def relation_ints_ref(G, ints):
                     return False
         return True
     idx = tuple(range(G.n))
-    return (groups._det_recursive(ints, idx, idx, 0) - 1) % mod == 0
+    return (det_recursive_ref(ints, idx, idx, 0) - 1) % mod == 0
 
 
 def in_iwahori_ints_ref(G, ints):
@@ -1574,6 +1577,88 @@ def test_exp_log_loops_raise_the_same_precision_error(p, prec):
                 assert fast == outcome(ref, x.co, ring, nmax, buf)
                 seen.add(fast[0] if isinstance(fast, tuple) else "value")
     assert PrecisionError in seen
+
+
+# -- the product and the inverses ------------------------------------------------
+
+
+def matmul_scalar_ref(a, b, n):
+    """The former ``groups._matmul``: each entry summed from the exact zero of
+    the ring of its row's first entry."""
+    out = []
+    for i in range(n):
+        ai = a[i]
+        zero = ai[0].ring.zero(exact=True)
+        row = []
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc + ai[k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def det_recursive_ref(mat, idx_rows, idx_cols, zero):
+    """The former ``groups._det_recursive``: cofactor expansion from the exact
+    zero ``zero``, a ring zero for scalars, 0 for ints (reduced by the
+    caller)."""
+    n = len(idx_rows)
+    if n == 1:
+        return mat[idx_rows[0]][idx_cols[0]]
+    if n == 2:
+        (r0, r1), (c0, c1) = idx_rows, idx_cols
+        return mat[r0][c0] * mat[r1][c1] - mat[r0][c1] * mat[r1][c0]
+    acc = zero
+    r0 = idx_rows[0]
+    rest = idx_rows[1:]
+    for k, c in enumerate(idx_cols):
+        cols = idx_cols[:k] + idx_cols[k + 1:]
+        term = mat[r0][c] * det_recursive_ref(mat, rest, cols, zero)
+        acc = acc + term if k % 2 == 0 else acc - term
+    return acc
+
+
+def adjugate_det_ref(mat, n, zero):
+    """The former ``groups._adjugate_det``: the division-free adjugate and the
+    determinant by cofactor expansion."""
+    idx = tuple(range(n))
+    det = det_recursive_ref(mat, idx, idx, zero)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows = idx[:i] + idx[i + 1:]
+        for j in range(n):
+            cols = idx[:j] + idx[j + 1:]
+            minor = det_recursive_ref(mat, rows, cols, zero)
+            adj[j][i] = minor if (i + j) % 2 == 0 else -minor
+    return adj, det
+
+
+def inv_ref(g):
+    """The former ``GroupElement.inv``: on Sp4 the signed transpose of
+    ``_SP4_INV_SIGN``, on SL_n the adjugate over det g, each on int rows and
+    on scalars."""
+    group, n, ints = g.group, g.group.n, g._ints
+    if ints is not None:
+        mod = group._mod
+        if group.name == "sp4":
+            rows = tuple(tuple(sign * ints[3 - j][3 - i] % mod for j, sign in enumerate(signs))
+                         for i, signs in enumerate(groups._SP4_INV_SIGN))
+            return GroupElement(group, None, rows)
+        adj, det = adjugate_det_ref(ints, n, 0)
+        det %= mod
+        dinv = pow(det, -1, mod) if det % group.ring.p else group._wrap(det).inv().co
+        return GroupElement(group, None, tuple(tuple(a * dinv % mod for a in row) for row in adj))
+    if group.name == "sp4":
+        zero, mat = group.ring.zero(), g.mat
+        return GroupElement(group, tuple(
+            tuple(-(zero - mat[3 - j][3 - i]) if sign > 0 else -(zero + mat[3 - j][3 - i])
+                  for j, sign in enumerate(signs))
+            for i, signs in enumerate(groups._SP4_INV_SIGN)))
+    adj, det = adjugate_det_ref(g.mat, n, group.ring.zero(exact=True))
+    dinv = det.inv()
+    return GroupElement(group, tuple(tuple(adj[i][j] * dinv for j in range(n))
+                                     for i in range(n)))
 
 
 # -- the scalar Sp4 inverse -------------------------------------------------------

@@ -9,13 +9,15 @@ import pytest
 from iwahori import groups
 from iwahori.axioms import sample_iwahori
 from iwahori.groups import ChevalleyGroup, GateError, GroupElement, MembershipError, PValue
-from iwahori.padic import INF, InternalError, PadicScalar, PrecisionError, ScalarRing, padic_exp
+from iwahori.padic import (INF, InternalError, PadicScalar, PrecisionError, ScalarRing, UnitError,
+                           padic_exp)
 from iwahori.roots import WeylElement
 from iwahori.series import SeriesContext
 from ramified_ring import RamifiedRing
 from test_fast_paths import (factor_scalar, factor_scalars_ref, fused_scalar_ref,
-                             in_iwahori_scalar_ref, permuted_ref, relation_scalar_ref, reread,
-                             root_products, scalar_state, state, torus_coords_ref)
+                             in_iwahori_scalar_ref, inv_ref, mat_state, matmul_scalar_ref,
+                             outcome as state_outcome, permuted_ref, relation_scalar_ref,
+                             reread, root_products, scalar_state, state, torus_coords_ref)
 from test_int_checks import mutant
 from test_series import strip_unipotent_ref
 
@@ -698,6 +700,103 @@ def test_every_group_compares_its_scalar_relation_at_most_at_n():
         assert g.satisfies_group_relation() and flat.satisfies_group_relation()
         assert G.in_iwahori(g) and relation_scalar_ref(g)
 
+
+
+# -- the generated products and inverses against the former loops --------------
+
+PRODUCT_SWEEP = [(name, p, prec) for name in ("sl2", "sl3", "sp4")
+                 for p, prec in ((5, 1), (7, 3), (7, 12))]
+
+
+@lru_cache(maxsize=None)
+def product_sweep_inputs(name, p, prec):
+    """Products of root elements as they are; with some entries re-read
+    inexact, truncated below N or claimed above it; with every entry claimed
+    above N; with some rows rebuilt in a ring of another precision, each entry
+    at its own; and read inexact at N everywhere, which takes the int path.
+    On SL_n besides diag(p, 1, ...), whose det is not a unit, exact and flat."""
+    G = ChevalleyGroup(name, p, prec)
+    rng = random.Random(f"product-sweep-{name}-{p}-{prec}")
+    other = ScalarRing(p, prec - 1 if prec > 1 else prec + 2)
+    out = []
+    for k in range(42):
+        mat = [list(row) for row in root_products(G, rng).mat]
+        how = ("as_is", "inexact", "truncated", "above", "all above", "other ring", "flat")[k % 7]
+        cells = [(i, j) for i in range(G.n) for j in range(G.n)]
+        if how in ("inexact", "truncated", "above"):
+            cells = [rng.choice(cells) for _ in range(rng.randint(1, 6))]
+        elif how == "other ring":
+            cells = [(i, j) for i in rng.sample(range(G.n), rng.randint(1, G.n))
+                     for j in range(G.n)]
+        for i, j in cells if how != "as_is" else ():
+            e = mat[i][j]
+            if how == "other ring":
+                mat[i][j] = other.canonical(e.co, e.prec, e.exact)
+            elif how == "flat":
+                mat[i][j] = G._wrap(e.co % G._mod)
+            else:
+                mat[i][j] = reread(e, how.split()[-1], rng)
+        out.append(GroupElement(G, tuple(map(tuple, mat))))
+    if name != "sp4":
+        diag = [p] + [1] * (G.n - 1)
+        out += [GroupElement(G, tuple(tuple(G.ring.from_int(diag[i] * (i == j))
+                                            for j in range(G.n)) for i in range(G.n)))]
+        out += [GroupElement(G, None, tuple(tuple(diag[i] * (i == j) for j in range(G.n))
+                                            for i in range(G.n)))]
+    return G, out
+
+
+def product_mismatches(config):
+    """The first element g whose product g h with the next input or whose
+    inverse differs from the former loops (``matmul_scalar_ref``,
+    ``inv_ref``) in the (co, prec, exact) of an entry, or in the exception
+    type and text; None where all agree."""
+    G, elements = product_sweep_inputs(*config)
+    for g, h in zip(elements, elements[1:] + elements[:1]):
+        want = [[state(e) for e in row] for row in matmul_scalar_ref(g.mat, h.mat, G.n)]
+        if mat_state(g * h) != want or state_outcome(g.inv) != state_outcome(inv_ref, g):
+            return g
+    return None
+
+
+@pytest.mark.parametrize("config", PRODUCT_SWEEP, ids=lambda c: "-".join(map(str, c)))
+def test_generated_products_and_inverses_match_the_former_loops(config):
+    G, elements = product_sweep_inputs(*config)
+    assert product_mismatches(config) is None
+    routes = {g._ints is not None for g in elements}
+    assert routes == {False, True}
+    if G.name != "sp4":  # the non-unit det raises on both routes
+        for g in elements[-2:]:
+            with pytest.raises(UnitError, match="inversion of a non-unit"):
+                g.inv()
+
+
+# (generator, old, new): each must make some product or inverse differ
+PRODUCT_MUTANTS = [
+    # the scalar product's leading zero dropped
+    ("_matmul_ints", 'f"{a[i][0]}.ring.zero() + {dots[i][j]}"', "dots[i][j]"),
+    # the scalar determinant's leading zero dropped
+    ("_inverse", '"zero + " if scalar', '"" if scalar'),
+    # the sign of the cofactor of entry (0, 0) flipped
+    ("_inverse", "{'-' * ((i + j) % 2)}", "{'-' * ((i + j + (i == j == 0)) % 2)}"),
+    # the Sp4 entries negated twice, not read through zero
+    ("_inverse", "f\"-(zero {'-' if sign > 0 else '+'} ", "f\"-({'-' if sign > 0 else ''}"),
+]
+
+
+@pytest.mark.parametrize("generator,old,new", PRODUCT_MUTANTS)
+def test_product_sweep_catches_generator_mutants(generator, old, new, monkeypatch):
+    monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
+    bad = mutant(getattr(groups, generator), old, new)
+    sizes = groups._MATRIX_SIZE
+    if generator == "_matmul_ints":
+        monkeypatch.setattr(groups, "_MATMULS", {n: bad(n) for n in sizes.values()})
+        monkeypatch.setattr(groups, "_SCALAR_MATMULS", {n: bad(n, True) for n in sizes.values()})
+    else:
+        monkeypatch.setattr(groups, "_INVERSES", {k: bad(k, n) for k, n in sizes.items()})
+        monkeypatch.setattr(groups, "_SCALAR_INVERSES",
+                            {k: bad(k, n, True) for k, n in sizes.items()})
+    assert any(product_mismatches(config) for config in PRODUCT_SWEEP)
 
 def test_ordered_basis_shape_and_bounds():
     G = group("sp4")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,18 @@ def test_series_ops_return_series_that_pass_the_constructor_checks(name):
         low + high
     assert (low + low).degree == 1 and (low + TruncatedSeries(ctx, low.coeffs)).degree is None
 
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sp4"])
+def test_a_negative_exponent_is_refused(name):
+    # a negative exponent would be read through lambda, where on sp4 the
+    # index (1, -1, 0, 0) has weight 0 and passes for the constant monomial
+    ctx = ctx_for(name)
+    idx = (1, -1) + (0,) * (ctx.nvars - 2) if ctx.nvars > 1 else (-1,)
+    with pytest.raises(SeriesError, match=re.escape(f"index {idx} has a negative exponent")):
+        TruncatedSeries(ctx, {idx: 1, ctx.zero_index(): 2})
+    with pytest.raises(SeriesError, match="negative exponent"):
+        TruncatedSeries.monomial(ctx, idx)
 
 def test_lambda_values():
     ctx = ctx_for("sl2")
