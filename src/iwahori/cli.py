@@ -56,6 +56,8 @@ def _env(name: str, fallback):
 
 
 def _fraction(text) -> Fraction:
+    if isinstance(text, float):  # a JSON number with a point or an exponent
+        raise ValueError(f"{text!r} is a float; write a rational as an int or a string")
     try:
         return Fraction(str(text))
     except ZeroDivisionError:
@@ -164,7 +166,7 @@ def _series_to_json(f: TruncatedSeries):
 def _series_from_json(ctx: SeriesContext, data, degree):
     if not isinstance(data, list) or not all(
             isinstance(t, dict) and "coeff" in t and isinstance(t.get("index"), list)
-            and all(isinstance(i, int) for i in t["index"]) for t in data):
+            and all(type(i) is int for i in t["index"]) for t in data):  # no bools
         raise ValueError('a series file holds a JSON list of '
                          '{"index": [i1, ..., iN], "coeff": "a/b"} objects')
     coeffs = {tuple(term["index"]): _fraction(term["coeff"]) for term in data}
@@ -457,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--group", choices=GROUPS, default=_env("group", "sp4"))
         if ring:
             p.add_argument("--p", type=int, default=_env("p", 7))
-            p.add_argument("--precision", "--n", type=int, default=_env("precision", 12))
+            p.add_argument("--precision", type=int, default=_env("precision", 12))
         if seed:
             p.add_argument("--seed", type=int, default=_env("seed", 1))
         p.add_argument("--json", dest="json_dir", default=None,

@@ -39,10 +39,10 @@ Self-checks
 ``iwahori_factorize`` runs these checks; a failed input check raises
 ``GateError``, ``ValueError`` or ``MembershipError``, a failed invariant
 raises ``InternalError``.  The checks on the twist alone run once per
-(group name, w, tie_break) in a process, when its plan is built and
-cached, since the root datum, the matrix model and w fix them; the others
-run on every call, in the order listed, also when the same element was
-factorized before:
+(group name, w) in a process, when its plan is built and cached, since
+the root datum, the matrix model and w fix them; the others run on every
+call, in the order listed, also when the same element was factorized
+before:
 
     the parameter gate p - 1 > h, and an element of this group;
     w in the Weyl group of the root datum (once per twist);
@@ -97,7 +97,7 @@ both routes in the same way at import: a matmul per matrix size
 forms keep the precision rules of scalar arithmetic.  On ints there is
 besides a draw per twist that ``from_coordinates`` draws on, with the
 identity's 0 and 1 entries folded (``_draw_kernel``).  linecache serves
-their lines under names like ``<iwahori kernel sp4 w=s1*s2 lex>`` or
+their lines under names like ``<iwahori kernel sp4 w=s1*s2>`` or
 ``<iwahori scalar inverse sl3>``, so tracebacks show them.
 """
 
@@ -270,15 +270,14 @@ _SP4_INV_SIGN = tuple(tuple(-_SP4_GRAM[i][3 - i] * _SP4_GRAM[3 - j][j] for j in 
                       for i in range(4))
 
 
-# the basis order by descending weight and its inverse, the two batches, and
-# per batch its (root, directions) pairs with each (i, j, s) mapped to plan order,
-# and the int kernel of ``_factor_kernel``
-_FactorPlan = namedtuple("_FactorPlan",
-                         "order inv_order neg_batch pos_batch neg_strip pos_strip kernel")
-# plans by (group name, w.matrix, tie_break): at most 36 over the three groups
+# the basis order by descending weight, the two batches, and per batch its
+# (root, directions) pairs with each (i, j, s) mapped to plan order, and the
+# int kernel of ``_factor_kernel``
+_FactorPlan = namedtuple("_FactorPlan", "order neg_batch pos_batch neg_strip pos_strip kernel")
+# plans by (group name, w.matrix): at most 16 over the three groups
 _FACTOR_PLANS = {}
-# the int draws of ``from_coordinates`` by (group name, w.matrix), and the scalar
-# kernels of ``_factor_kernel`` by the plan's key, each built at first use
+# the int draws of ``from_coordinates`` and the scalar kernels of
+# ``_factor_kernel``, by the plan's key, each built at first use
 _DRAWS, _SCALAR_KERNELS = {}, {}
 
 
@@ -391,17 +390,13 @@ class ChevalleyGroup:
 
     # -- batches and bases ------------------------------------------------
 
-    def batches(self, w: WeylElement, tie_break: str = "lex"):
+    def batches(self, w: WeylElement):
         """The wPhi- and wPhi+ batch root lists in the fixed order; a w outside
         the Weyl group raises ValueError."""
         if w.matrix not in self.datum.weyl_matrices:
             raise ValueError(f"w = {w.name} with matrix {w.matrix} is not in the Weyl group "
                              f"of {self.name}")
-        pos = list(self.datum.positive_roots)  # already height-then-lex
-        if tie_break == "revlex":
-            pos.sort(key=lambda r: (self.datum.height(r), tuple(-c for c in r)))
-        elif tie_break != "lex":
-            raise ValueError("tie_break must be 'lex' or 'revlex'")
+        pos = self.datum.positive_roots  # stored height-then-lex
         return ([self.datum.act_root(w, tuple(-c for c in r)) for r in pos],
                 [self.datum.act_root(w, r) for r in pos])
 
@@ -419,22 +414,21 @@ class ChevalleyGroup:
 
     # -- factorization ------------------------------------------------------
 
-    def iwahori_factorize(self, g: "GroupElement", w: WeylElement | None = None,
-                          tie_break: str = "lex") -> "Factorization":
+    def iwahori_factorize(self, g: "GroupElement", w: WeylElement | None = None) -> "Factorization":
         self.check_gate()
         if g.group is not self:
             raise ValueError("element of a different group")
         w = self.datum.identity_weyl() if w is None else w
-        plan = self._factor_plan(w, tie_break)
+        plan = self._factor_plan(w)
         ints = g._ints
         if ints is not None:  # the plan's kernel runs the membership test
             return Factorization(self, w, *self._factor_ints(ints, plan), wrapped=False)
-        key = (self.name, w.matrix, tie_break)
+        key = (self.name, w.matrix)
         kernel = _SCALAR_KERNELS.get(key)
         if kernel is None:  # built for the plans that scalar elements take
             kernel = _SCALAR_KERNELS[key] = _factor_kernel(
                 self.datum, plan.order, plan.neg_strip, plan.pos_strip,
-                f"<iwahori scalar kernel {self.name} w={w.name} {tie_break}>", scalar=True)
+                f"<iwahori scalar kernel {self.name} w={w.name}>", scalar=True)
         *parts, best = kernel(g.mat, self.ring.p, self.ring.prec, self._one, self._zero)
         return Factorization(self, w, *parts, _INFINITE if best == INF
                              else _omega_value(best, self.coxeter_number))
@@ -450,18 +444,18 @@ class ChevalleyGroup:
     def _wrap(self, v: int) -> PadicScalar:
         return PadicScalar(self.ring, v, self.ring.prec, False)
 
-    def _factor_plan(self, w, tie_break) -> "_FactorPlan":
+    def _factor_plan(self, w) -> "_FactorPlan":
         """The plan of the twist w, built and checked once per (group name,
-        w.matrix, tie_break), since only the root datum and the matrix model
-        enter it: distinct weights exps of the adapted cocharacter mu, which w
-        fixes, batches weight-monotone under mu, and every batch root inside
-        the strict lower (negative batch) or upper (positive batch) triangle
-        of the basis sorted by descending weight."""
-        key = (self.name, w.matrix, tie_break)
+        w.matrix), since only the root datum and the matrix model enter it:
+        distinct weights exps of the adapted cocharacter mu, which w fixes,
+        batches weight-monotone under mu, and every batch root inside the
+        strict lower (negative batch) or upper (positive batch) triangle of
+        the basis sorted by descending weight."""
+        key = (self.name, w.matrix)
         cached = _FACTOR_PLANS.get(key)
         if cached is not None:
             return cached
-        batches = self.batches(w, tie_break)  # raises for a w outside the Weyl group
+        batches = self.batches(w)  # raises for a w outside the Weyl group
         mu, _a = self.datum.adapted_cocharacter(w)
         exps = self.exponents(mu)
         if len(set(exps)) != self.n:
@@ -480,8 +474,8 @@ class ChevalleyGroup:
         strips = [tuple((r, tuple((inv[i], inv[j], s) for i, j, s in self.dirs[r]))
                         for r in batch) for batch in batches]
         kernel = _factor_kernel(self.datum, order, *strips,
-                                f"<iwahori kernel {self.name} w={w.name} {tie_break}>")
-        plan = _FACTOR_PLANS[key] = _FactorPlan(order, inv, *batches, *strips, kernel)
+                                f"<iwahori kernel {self.name} w={w.name}>")
+        plan = _FACTOR_PLANS[key] = _FactorPlan(order, *batches, *strips, kernel)
         return plan
 
     def from_parameters(self, neg, torus_coords, pos) -> "GroupElement":
@@ -537,7 +531,7 @@ class ChevalleyGroup:
         """Evaluate h_1^{x_1} ... h_d^{x_d} for the ordered basis of w, on int
         rows when every coordinate is an int in 1..p^N - 1 (Integer path)."""
         w = self.datum.identity_weyl() if w is None else w
-        plan = self._factor_plan(w, "lex")
+        plan = self._factor_plan(w)
         neg_batch, pos_batch = plan.neg_batch, plan.pos_batch
         a, b = len(neg_batch), len(neg_batch) + self.datum.rank
         d = b + len(pos_batch)
@@ -873,12 +867,12 @@ def _factor_kernel(datum, order, neg_strip, pos_strip, filename, member=True, sc
     With ``scalar`` the same lines run on PadicScalar rows, kernel(rows, p,
     cap, one, zero) for the ring's exact one and zero, in the precision rules
     of scalar arithmetic: the LDU skips a row update whose multiplier is an
-    exact zero; a strip starts from the identity of one and zero, updates it
-    in place by y = -x (the negation of an exact nonzero scalar is inexact),
-    skips a root whose y is an exact zero and checks every entry against the
-    int 1 or 0, at the entry's own precision; the lattice equations compare
-    with one; and each factor's key is taken at its own precision, INF for an
-    exact zero."""
+    exact zero; a strip starts from the identity of the ints 1 and 0 (one and
+    zero sit at N and would cap the parameters), updates it in place by y = -x
+    (the negation of an exact nonzero scalar is inexact), skips a root whose y
+    is an exact zero and checks every entry against the int 1 or 0, at the
+    entry's own precision; the lattice equations compare with one; and each
+    factor's key is taken at its own precision, INF for an exact zero."""
     n = len(order)
     ints = [[f"x{i}{j}" for j in range(n)] for i in range(n)]
     a = [[ints[i][j] for j in order] for i in order]
@@ -906,10 +900,10 @@ def _factor_kernel(datum, order, neg_strip, pos_strip, filename, member=True, sc
     for prefix, batch, strip in (("l", "neg", neg_strip), ("u", "pos", pos_strip)):
         cur = [[f"{prefix}{i}{j}" if (i > j) == (prefix == "l") and i != j else int(i == j)
                 for j in range(n)] for i in range(n)]
-        if scalar:  # every entry a local, the identity's from one and zero
+        if scalar:  # every entry a local, the identity's the ints 1 and 0
             code += [" = ".join([f"{prefix}{i}{j}" for i, row in enumerate(cur)
-                                 for j, e in enumerate(row) if e == v] + [const])
-                     for v, const in ((1, "one"), (0, "zero"))]
+                                 for j, e in enumerate(row) if e == v] + [str(v)])
+                     for v in (1, 0)]
             cur = [[f"{prefix}{i}{j}" for j in range(n)] for i in range(n)]
         out = []
         for root, dirs in strip:

@@ -184,6 +184,7 @@ def test_slope_cli(tmp_path, capsys):
     [{"coeff": "1"}],
     [{"index": [1]}],
     "1",
+    [{"index": [True], "coeff": "1"}],  # a JSON boolean is not an exponent
 ])
 def test_slope_rejects_a_series_file_of_the_wrong_shape(data, tmp_path, capsys):
     path = tmp_path / "f.json"
@@ -271,8 +272,8 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert not issubclass(InternalError, ValueError)
     plan = ChevalleyGroup._factor_plan
 
-    def one_root_short(self, w, tie_break):
-        full = plan(self, w, tie_break)
+    def one_root_short(self, w):
+        full = plan(self, w)
         return full._replace(neg_strip=full.neg_strip[:-1])
 
     monkeypatch.setattr(ChevalleyGroup, "_factor_plan", one_root_short)
@@ -340,6 +341,37 @@ def test_a_zero_denominator_is_a_usage_error(argv, series, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize("argv, series, shown", [
+    (["omega", "--group", "sl2", "--element", "[[1.0,0],[7e0,1]]"], None, "1.0"),
+    (["slope", "split", "--group", "sp4"], [{"index": [1, 0, 0, 0], "coeff": 1.5}], "1.5"),
+])
+def test_a_json_float_is_a_usage_error(argv, series, shown, tmp_path, capsys):
+    # inputs are exact: a float is refused by value, not read as a rational
+    if series is not None:
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(series))
+        argv = argv + ["--series", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {shown} is a float")
+
+
+def test_n_is_not_an_alias_of_precision(monkeypatch, capsys):
+    # omega has no option that --n abbreviates; on verify it abbreviates
+    # --n-samples alone
+    with pytest.raises(SystemExit) as exit_info:
+        main(["omega", "--group", "sl2", "--n", "5", "--element", "[[1,0],[0,1]]"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --n 5" in capsys.readouterr().err
+    seen = []
+    monkeypatch.setitem(SUITES, "axioms", (
+        "pvaluation-axioms", lambda g, n, s: seen.append((g.ring.prec, n)) or check_padic(g), 1))
+    assert main(["verify", "axioms", "--group", "sl2", "--p", "5", "--n", "3"]) == 0
+    capsys.readouterr()
+    assert seen == [(12, 3)]
 
 
 def test_a_negative_exponent_is_a_usage_error(tmp_path, capsys):
@@ -520,11 +552,11 @@ def test_verify_all_factorizes_each_element_and_twist_once(monkeypatch, capsys):
     seen = []
     factorize = ChevalleyGroup.iwahori_factorize
 
-    def recording(self, g, w=None, tie_break="lex"):
+    def recording(self, g, w=None):
         twist = self.datum.identity_weyl() if w is None else w
         rows = g._ints
-        seen.append((repr(g) if rows is None else rows, twist.matrix, tie_break))
-        return factorize(self, g, w, tie_break)
+        seen.append((repr(g) if rows is None else rows, twist.matrix))
+        return factorize(self, g, w)
 
     monkeypatch.setattr(ChevalleyGroup, "iwahori_factorize", recording)
     code = main(["verify-all", "--group", "sp4", "--p", "7", "--precision", "12",
@@ -545,10 +577,10 @@ def test_verify_all_checks_the_samples_that_verify_draws(monkeypatch, capsys):
         checked.append(("oracle", g._ints))
         return oracle(self, g)
 
-    def recording_factorize(self, g, w=None, tie_break="lex"):
+    def recording_factorize(self, g, w=None):
         if w is not None:  # only the compat suite names a twist
             checked.append(("compat", g._ints, w.matrix))
-        return factorize(self, g, w, tie_break)
+        return factorize(self, g, w)
 
     monkeypatch.setattr(ChevalleyGroup, "p_valuation_by_conjugation", recording_oracle)
     monkeypatch.setattr(ChevalleyGroup, "iwahori_factorize", recording_factorize)

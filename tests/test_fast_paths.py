@@ -318,7 +318,7 @@ def factor_scalars_ref(G, mat, plan):
                                              G.ring)
     neg = groups._strip(lmat, plan.neg_strip)
     pos = groups._strip(umat, plan.pos_strip)
-    diag = [diag_sorted[k] for k in plan.inv_order]
+    diag = [diag_sorted[k] for k in inverse_order_ref(plan.order)]
     coords = torus_coords_ref(G, diag)
     if not all((d - 1).zero_mod(1) for d in diag):
         raise InternalError("torus part is not pro-p")
@@ -445,7 +445,7 @@ def test_torus_rebuild_matches_matmul_rebuild(name, values, precs, in_lattice):
     old_ok = all(o == d for o, d in zip(old, diag))
     lattice_ok = all(prod(diag[i] for i in eq) == G.ring.one()
                      for eq in groups._TORUS_EQUATIONS[G.name])
-    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    plan = G._factor_plan(G.datum.identity_weyl())
     got = scalar_state(factor_scalar, G, diagonal_rows(G, diag), plan)
     assert (len(got) == 5) == lattice_ok and old_ok >= lattice_ok
     if in_lattice:
@@ -572,25 +572,24 @@ INT_GROUPS = {c: ChevalleyGroup(c[0], p=c[1], prec=c[2]) for c in CONFIGS}
 configs = st.sampled_from(CONFIGS)
 
 
-def draw_twist(G, index, tie_break):
+def draw_twist(G, index):
     weyl = G.datum.weyl_group()
-    return weyl[index % len(weyl)], tie_break
+    return weyl[index % len(weyl)]
 
 
 @seed(20226)
 @settings(max_examples=160, deadline=None)
-@given(configs, member_seeds, member_seeds, st.integers(min_value=0, max_value=7),
-       st.sampled_from(("lex", "revlex")))
-def test_int_path_matches_scalar_route(config, seed_g, seed_h, w_index, tie_break):
+@given(configs, member_seeds, member_seeds, st.integers(min_value=0, max_value=7))
+def test_int_path_matches_scalar_route(config, seed_g, seed_h, w_index):
     G = INT_GROUPS[config]
     p = G.ring.p
     g, h = sample_iwahori(G, Random(seed_g)), sample_iwahori(G, Random(seed_h))
     # a coordinate drawn as 0 can leave an exact entry; such elements take
     # the scalar route on both sides
     assume(g._ints is not None and h._ints is not None)
-    w, tb = draw_twist(G, w_index, tie_break)
+    w = draw_twist(G, w_index)
     ops = {
-        "factorize": lambda a, b: a.group.iwahori_factorize(a, w, tb),
+        "factorize": lambda a, b: a.group.iwahori_factorize(a, w),
         "mul": lambda a, b: a * b,
         "inv": lambda a, b: a.inv(),
         "pow_p": lambda a, b: a ** p,
@@ -610,11 +609,10 @@ def test_int_path_factorizations_match_for_every_twist(config):
     g = sample_iwahori(G, Random(sum(config[1:])))
     assert g._ints is not None
     for w in G.datum.weyl_group():
-        for tie_break in ("lex", "revlex"):
-            fast = outcome(G.iwahori_factorize, fresh(g), w, tie_break)
-            with scalar_route():
-                ref = outcome(G.iwahori_factorize, fresh(g), w, tie_break)
-            assert fast == ref and isinstance(fast, tuple) and len(fast) == 4
+        fast = outcome(G.iwahori_factorize, fresh(g), w)
+        with scalar_route():
+            ref = outcome(G.iwahori_factorize, fresh(g), w)
+        assert fast == ref and isinstance(fast, tuple) and len(fast) == 4
 
 
 @seed(20227)
@@ -695,7 +693,7 @@ def relation_keeping_non_members(G):
 @pytest.mark.parametrize("config", CONFIGS)
 def test_int_membership_rejects_relation_keeping_non_members(config):
     G = INT_GROUPS[config]
-    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    plan = G._factor_plan(G.datum.identity_weyl())
     for message, g in relation_keeping_non_members(G):
         assert g._ints is not None and g.satisfies_group_relation()
         assert not G.in_iwahori(g)
@@ -720,7 +718,7 @@ def test_int_path_raises_on_a_forced_non_unit_pivot(config):
     g = GroupElement(G, tuple(tuple(flat for _ in range(G.n)) for _ in range(G.n)))
     assert g._ints is not None
     assert outcome(G.iwahori_factorize, g) == (MembershipError, NOT_IN_I)
-    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    plan = G._factor_plan(G.datum.identity_weyl())
     fast = outcome(factor_unchecked, G, g._ints, plan)
     assert fast == outcome(factor_scalar, G, g.mat, plan)
     assert fast[0] is InternalError and fast[1].startswith("elimination pivot 0 is not a unit")
@@ -728,9 +726,9 @@ def test_int_path_raises_on_a_forced_non_unit_pivot(config):
 
 @seed(20228)
 @settings(max_examples=200, deadline=None)
-@given(configs, st.integers(min_value=0, max_value=7), st.sampled_from(("lex", "revlex")),
-       st.integers(min_value=0, max_value=1), st.data())
-def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data):
+@given(configs, st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=1),
+       st.data())
+def test_int_strip_matches_scalar_strip(config, w_index, which, data):
     # unitriangular matrices with arbitrary (mostly non-unipotent-group)
     # entries: the strips return the same parameters or raise the same
     # InternalError, paired-entry and remainder checks alike.  The former int
@@ -740,10 +738,10 @@ def test_int_strip_matches_scalar_strip(config, w_index, tie_break, which, data)
     # batch reads all zeros, and past a clean strip only the upper-root check
     # can raise.
     G = INT_GROUPS[config]
-    w, tb = draw_twist(G, w_index, tie_break)
+    w = draw_twist(G, w_index)
     mu, _a = G.datum.adapted_cocharacter(w)
     exps = G.exponents(mu)
-    plan = G._factor_plan(w, tb)
+    plan = G._factor_plan(w)
     batch = (plan.neg_batch, plan.pos_batch)[which]
     mod = G._mod
     ints, scalars = [], []
@@ -807,7 +805,7 @@ def test_int_torus_rebuild_matches_scalar_rebuild(config, values, in_lattice):
     # the torus coordinates off the kernel without its membership test, on the
     # diagonal matrix, whose LDU and strips leave the diagonal as it is
     rows = tuple(tuple(d if i == j else 0 for j in range(G.n)) for i, d in enumerate(diag))
-    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    plan = G._factor_plan(G.datum.identity_weyl())
     fast = outcome(lambda: [state(G._wrap(s)) for s in factor_unchecked(G, rows, plan)[1]])
     ref = outcome(lambda: [state(s) for s in factor_scalar(
         G, diagonal_rows(G, [G._wrap(d) for d in diag]), plan)[1]])
@@ -869,7 +867,7 @@ def test_off_lattice_torus_diagonals_raise(config):
     G = ChevalleyGroup(*config)
     p, mod, n = G.ring.p, G._mod, G.n
     rng = Random(f"torus-{config}")
-    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    plan = G._factor_plan(G.datum.identity_weyl())
     message = "torus diagonal is not in the cocharacter lattice"
 
     def diagonal(d):
@@ -1024,10 +1022,10 @@ def kernel_loops_ref(G, ints, plan):
     lmat, diag_sorted, umat = ldu_ints_ref(permuted_ref(ints, plan.order), G.n, G.ring)
     neg = strip_plan_ints_ref(lmat, plan.neg_strip, G._mod)
     pos = strip_plan_ints_ref(umat, plan.pos_strip, G._mod)
-    return neg, pos, [diag_sorted[k] for k in plan.inv_order]
+    return neg, pos, [diag_sorted[k] for k in inverse_order_ref(plan.order)]
 
 
-def factor_ints_ref(G, ints, w, tie_break):
+def factor_ints_ref(G, ints, w):
     """The former ``ChevalleyGroup._factor_ints`` on ints, its basis order and
     batches taken from the twist here, not from the plan: permute, LDU,
     permute both factors back, strip them, then the torus and the checks.
@@ -1036,7 +1034,7 @@ def factor_ints_ref(G, ints, w, tie_break):
     mu, _a = G.datum.adapted_cocharacter(w)
     exps = G.exponents(mu)
     order = sorted(range(n), key=lambda i: -exps[i])
-    neg_batch, pos_batch = G.batches(w, tie_break)
+    neg_batch, pos_batch = G.batches(w)
     lmat, diag_sorted, umat = ldu_ints_ref(permuted_ref(ints, order), n, G.ring)
     inv_order = inverse_order_ref(order)
     neg = strip_ints_ref(G, permuted_ref(lmat, inv_order), neg_batch)
@@ -1078,12 +1076,12 @@ def in_iwahori_ints_ref(G, ints):
     return all((row[j] - (i == j)) % p == 0 for i, row in enumerate(ints) for j in range(i, G.n))
 
 
-def fused_ref(G, ints, w, tie_break):
+def fused_ref(G, ints, w):
     """What ``_factor_ints`` gives, by the loops: the MembershipError of the
     factorization off I, else ``factor_ints_ref``."""
     if not in_iwahori_ints_ref(G, ints):
         raise MembershipError(NOT_IN_I)
-    return factor_ints_ref(G, ints, w, tie_break)
+    return factor_ints_ref(G, ints, w)
 
 
 def omega_loop_ref(G, neg, diag, pos):
@@ -1158,19 +1156,18 @@ KERNEL_CONFIGS = [(name, p, n) for name, p in (("sl2", 5), ("sl3", 5), ("sp4", 7
 
 @pytest.mark.parametrize("config", KERNEL_CONFIGS, ids=lambda c: "-".join(map(str, c)))
 def test_plan_order_kernel_matches_the_former_kernel(config):
-    # every twist and tie-break, on members and on planted bad rows, past the
-    # membership test: the same ints and omega, or the same InternalError text
+    # every twist, on members and on planted bad rows, past the membership
+    # test: the same ints and omega, or the same InternalError text
     G = ChevalleyGroup(*config)
     rng = Random(f"kernel-{config}")
     seen = set()
     for w in G.datum.weyl_group():
-        for tie_break in ("lex", "revlex"):
-            plan = G._factor_plan(w, tie_break)
-            for ints in kernel_inputs(G, rng):
-                fast = outcome(factor_unchecked, G, ints, plan)
-                assert fast == outcome(factor_ints_ref, G, ints, w, tie_break), (w.name, ints)
-                seen.add(fast[1].split(":")[0].split(" for root")[0]
-                         if fast[0] is InternalError else "value")
+        plan = G._factor_plan(w)
+        for ints in kernel_inputs(G, rng):
+            fast = outcome(factor_unchecked, G, ints, plan)
+            assert fast == outcome(factor_ints_ref, G, ints, w), (w.name, ints)
+            seen.add(fast[1].split(":")[0].split(" for root")[0]
+                     if fast[0] is InternalError else "value")
     assert {"value", "elimination pivot 0 is not a unit", "torus part is not pro-p",
             "upper root parameter not divisible by p"} <= seen
     assert ("paired entries" if G.name == "sp4"
@@ -1179,23 +1176,22 @@ def test_plan_order_kernel_matches_the_former_kernel(config):
 
 @pytest.mark.parametrize("config", KERNEL_CONFIGS, ids=lambda c: "-".join(map(str, c)))
 def test_every_fused_kernel_matches_membership_and_the_loop_forms(config):
-    # each plan's kernel runs the membership test first: on every twist and
-    # tie-break, the same ints, coordinates, diagonal and omega as
+    # each plan's kernel runs the membership test first: on every twist, the
+    # same ints, coordinates, diagonal and omega as
     # ``factor_ints_ref``, or the MembershipError of the former int relation and
     # congruence loops, which the group's membership function also matches
     G = ChevalleyGroup(*config)
     rng = Random(f"fused-{config}")
     seen = set()
     for w in G.datum.weyl_group():
-        for tie_break in ("lex", "revlex"):
-            plan = G._factor_plan(w, tie_break)
-            for ints in kernel_inputs(G, rng):
-                fast = outcome(G._factor_ints, ints, plan)
-                assert fast == outcome(fused_ref, G, ints, w, tie_break), (w.name, ints)
-                g = GroupElement(G, None, ints)
-                relation, member = relation_ints_ref(G, ints), in_iwahori_ints_ref(G, ints)
-                assert (g.satisfies_group_relation(), G.in_iwahori(g)) == (relation, member)
-                seen.add("value" if member else "congruence" if relation else "relation")
+        plan = G._factor_plan(w)
+        for ints in kernel_inputs(G, rng):
+            fast = outcome(G._factor_ints, ints, plan)
+            assert fast == outcome(fused_ref, G, ints, w), (w.name, ints)
+            g = GroupElement(G, None, ints)
+            relation, member = relation_ints_ref(G, ints), in_iwahori_ints_ref(G, ints)
+            assert (g.satisfies_group_relation(), G.in_iwahori(g)) == (relation, member)
+            seen.add("value" if member else "congruence" if relation else "relation")
     assert seen == {"value", "congruence", "relation"}
 
 
@@ -1205,7 +1201,7 @@ def sweep_kernel_inputs(G, w, rng):
     LDU has the non-unit pivot p u at k, and members with one entry moved by
     p^e u, at every position."""
     p, mod, n = G.ring.p, G._mod, G.n
-    order = G._factor_plan(w, "lex").order
+    order = G._factor_plan(w).order
     d = len(G.dirs) + G.datum.rank
     members = [G.from_coordinates([rng.randrange(1, mod) for _ in range(d)], w)._ints,
                flatten(sample_iwahori(G, rng))._ints]
@@ -1244,15 +1240,14 @@ def test_every_plan_kernel_matches_the_loop_forms(config):
     rng = Random(f"sweep-{config}")
     seen = set()
     for w in G.datum.weyl_group():
-        for tie_break in ("lex", "revlex"):
-            plan = G._factor_plan(w, tie_break)
-            for ints in sweep_kernel_inputs(G, w, rng):
-                fast = outcome(factor_unchecked, G, ints, plan)
-                assert fast == outcome(factor_loops_ref, G, ints, plan), (w.name, tie_break, ints)
-                if in_iwahori_ints_ref(G, ints):
-                    assert outcome(G._factor_ints, ints, plan) == fast
-                seen.add(fast[1].split(" is not")[0].split(" for root")[0]
-                         if len(fast) == 2 else "value")
+        plan = G._factor_plan(w)
+        for ints in sweep_kernel_inputs(G, w, rng):
+            fast = outcome(factor_unchecked, G, ints, plan)
+            assert fast == outcome(factor_loops_ref, G, ints, plan), (w.name, ints)
+            if in_iwahori_ints_ref(G, ints):
+                assert outcome(G._factor_ints, ints, plan) == fast
+            seen.add(fast[1].split(" is not")[0].split(" for root")[0]
+                     if len(fast) == 2 else "value")
     assert {"value"} | {f"elimination pivot {k}" for k in range(G.n)} <= seen
     assert ("paired entries" in seen) == (G.name == "sp4")
 
@@ -1269,11 +1264,11 @@ def test_a_plan_shared_across_p_and_n_gives_each_group_its_own_outcome(name, con
     for G in pair + pair[::-1]:
         rng = Random(f"shared-{G.ring.p}-{G.ring.prec}")
         for w in G.datum.weyl_group():
-            plan = G._factor_plan(w, "lex")
-            assert plan is pair[0]._factor_plan(w, "lex")
+            plan = G._factor_plan(w)
+            assert plan is pair[0]._factor_plan(w)
             for ints in kernel_inputs(G, rng):
                 assert (outcome(G._factor_ints, ints, plan)
-                        == outcome(fused_ref, G, ints, w, "lex")), (w.name, ints)
+                        == outcome(fused_ref, G, ints, w)), (w.name, ints)
         # the pivot text past the membership test, which rows of p's fail
         p, n = G.ring.p, G.n
         rows = tuple((p,) * n for _ in range(n))
@@ -1286,10 +1281,10 @@ def test_a_failed_kernel_check_shows_its_generated_line():
     # each kernel's source is served by linecache, so a traceback out of a
     # failed check shows the generated line that raised
     G = ChevalleyGroup("sl3", 5, 6)
-    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    plan = G._factor_plan(G.datum.identity_weyl())
     g = sample_iwahori(G, Random(3))
     args = (G.ring.p, G._mod, G.ring.prec, G._wrap)
-    assert linecache.getline("<iwahori kernel sl3 w=e lex>", 1) == (
+    assert linecache.getline("<iwahori kernel sl3 w=e>", 1) == (
         "def kernel(ints, p, mod, cap, wrap):\n")
     # forced: a strip one root short leaves that root's entry, as the loops say
     short = plan._replace(neg_strip=plan.neg_strip[:-1])
@@ -1321,7 +1316,7 @@ def test_a_failed_kernel_check_shows_its_generated_line():
         with pytest.raises(MembershipError, match=NOT_IN_I) as info:
             G._factor_ints(rows, plan)
         last = traceback.extract_tb(info.value.__traceback__)[-1]
-        assert last.filename == "<iwahori kernel sl3 w=e lex>"
+        assert last.filename == "<iwahori kernel sl3 w=e>"
         assert last.line == f"raise MembershipError({NOT_IN_I!r})"
         assert linecache.getline(last.filename, last.lineno - 1).strip().startswith(test)
         tests.append(last.lineno)
@@ -1340,7 +1335,7 @@ def test_int_built_elements_and_factorizations_read_as_the_eager_wraps():
         assert mat_state(g) == [[state(G._wrap(v)) for v in row] for row in rows]
         for w in G.datum.weyl_group():
             fact = G.iwahori_factorize(g, w)
-            neg, coords, diag, pos, omega = G._factor_ints(rows, G._factor_plan(w, "lex"))
+            neg, coords, diag, pos, omega = G._factor_ints(rows, G._factor_plan(w))
             assert fact.omega == omega
             assert fact_state(fact) == ([(r, state(G._wrap(x))) for r, x in neg],
                                         [state(G._wrap(s)) for s in coords],
@@ -1484,7 +1479,7 @@ def test_running_bound_omega_matches_the_full_minimum(config):
     d = len(G.dirs) + G.datum.rank
     seen = set()
     for w in G.datum.weyl_group():
-        plan = G._factor_plan(w, "lex")
+        plan = G._factor_plan(w)
         elements = [G.from_coordinates(c, w) for c in coordinate_vectors(G, d, rng)]
         for ints in [flatten(g)._ints for g in elements + [g for _n, g in omega_inputs(G)]]:
             neg, _coords, diag, pos, omega = G._factor_ints(ints, plan)
@@ -1865,7 +1860,7 @@ def test_torus_helpers_match_the_hand_kept_inverses(name, ring):
                                             torus_diagonal_ref(G, units[:G.datum.rank])]
         # the coordinates that the scalar kernel reads off a pro-p diagonal
         pro_p = G.torus_diagonal([u ** (P - 1) for u in units[:G.datum.rank]])
-        plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+        plan = G._factor_plan(G.datum.identity_weyl())
         got = [state(s) for s in factor_scalar(G, diagonal_rows(G, pro_p), plan)[1]]
         assert got == [state(s) for s in recipe_coords(G, pro_p)]
         point = ctx.point_from_cocharacter(mu, c)

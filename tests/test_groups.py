@@ -9,15 +9,16 @@ import pytest
 from iwahori import groups
 from iwahori.axioms import sample_iwahori
 from iwahori.groups import ChevalleyGroup, GateError, GroupElement, MembershipError, PValue
-from iwahori.padic import (INF, InternalError, PadicScalar, PrecisionError, ScalarRing, UnitError,
+from iwahori.padic import (InternalError, PadicScalar, PrecisionError, ScalarRing, UnitError,
                            padic_exp)
 from iwahori.roots import WeylElement
 from iwahori.series import SeriesContext
 from ramified_ring import RamifiedRing
 from test_fast_paths import (factor_scalar, factor_scalars_ref, fused_scalar_ref,
-                             in_iwahori_scalar_ref, inv_ref, mat_state, matmul_scalar_ref,
-                             outcome as state_outcome, permuted_ref, relation_scalar_ref,
-                             reread, root_products, scalar_state, state, torus_coords_ref)
+                             in_iwahori_scalar_ref, inv_ref, inverse_order_ref, mat_state,
+                             matmul_scalar_ref, outcome as state_outcome, permuted_ref,
+                             relation_scalar_ref, reread, root_products, scalar_state, state,
+                             torus_coords_ref)
 from test_int_checks import mutant
 from test_series import strip_unipotent_ref
 
@@ -247,8 +248,8 @@ def test_the_batches_the_basis_and_the_chart_refuse_a_twist_outside_the_weyl_gro
     for G, bad, shown in ((sl3, minus, r"e with matrix \(\(-1, 0, 0\)"),
                           (sp4, w, re.escape(w.name) + " with matrix")):
         message = rf"w = {shown}.* not in the Weyl group of {G.name}"
-        for call in (lambda: G.batches(bad), lambda: G.batches(bad, "revlex"),
-                     lambda: G.ordered_basis(bad), lambda: SeriesContext(G, w=bad)):
+        for call in (lambda: G.batches(bad), lambda: G.ordered_basis(bad),
+                     lambda: SeriesContext(G, w=bad)):
             for _ in range(2):  # nothing is cached for a refused twist
                 with pytest.raises(ValueError, match=message):
                     call()
@@ -521,7 +522,7 @@ def factor_element_order_ref(G, mat, plan):
     basis order, LDU, permute both factors back and strip them in the
     element's own basis order."""
     lmat, diag_sorted, umat = ldu_ref(permuted_ref(mat, plan.order), G.n, G.ring)
-    inv_order = plan.inv_order
+    inv_order = inverse_order_ref(plan.order)
     n1, n2 = permuted_ref(lmat, inv_order), permuted_ref(umat, inv_order)
     diag = [diag_sorted[k] for k in inv_order]
     neg = strip_unipotent_ref(G, n1, plan.neg_batch)
@@ -552,7 +553,7 @@ def test_scalar_factorization_matches_the_former_route(name, p, prec):
     # elements, matrices read as the command line reads them), samples with a
     # 0 coordinate, flat samples, and mixed-precision matrices (random ones,
     # and root products with entries truncated below N), under every
-    # twist and both tie-breaks: the scalar kernel without its membership
+    # twist: the scalar kernel without its membership
     # test gives the same (co, prec, exact) for every factor as the earlier
     # element-order route, or the same InternalError, also on inputs outside I
     G = ChevalleyGroup(name, p, prec)
@@ -574,18 +575,17 @@ def test_scalar_factorization_matches_the_former_route(name, p, prec):
         rows[i][j] = s * Fraction(1, 2)
     elements += [G.element(rows), G.torus_element(G.datum.cochar_basis[0], 1 + p)]
     results = set()
-    for tie_break in ("lex", "revlex"):
-        for w in G.datum.weyl_group():
-            plan = G._factor_plan(w, tie_break)
-            for g in elements:
-                got = factor_state(lambda: factor_scalar(G, g.mat, plan)[:4])
-                assert got == factor_state(factor_element_order_ref, G, g.mat, plan), (w.name, g)
-                if got[0] is InternalError:
-                    results.add("raised")
-                    continue
-                neg, coords, diag, pos = got
-                exact = any(x[2] for x in [x for _r, x in neg + pos] + coords + diag)
-                results.add("exact" if exact else "inexact")
+    for w in G.datum.weyl_group():
+        plan = G._factor_plan(w)
+        for g in elements:
+            got = factor_state(lambda: factor_scalar(G, g.mat, plan)[:4])
+            assert got == factor_state(factor_element_order_ref, G, g.mat, plan), (w.name, g)
+            if got[0] is InternalError:
+                results.add("raised")
+                continue
+            neg, coords, diag, pos = got
+            exact = any(x[2] for x in [x for _r, x in neg + pos] + coords + diag)
+            results.add("exact" if exact else "inexact")
     assert results == {"raised", "exact", "inexact"}
 
 
@@ -625,7 +625,7 @@ def scalar_sweep_inputs(name, p, prec):
 
 
 def scalar_mismatches(config, factor_kernel=None):
-    """The first (w, tie-break, rows) where a plan's scalar kernel, with or
+    """The first (w, rows) where a plan's scalar kernel, with or
     without its membership test, differs from the former loops: in the (co,
     prec, exact) of a factor, in omega, or in the exception type and text.
     Without a generator given, the library's own kernels and membership
@@ -633,24 +633,23 @@ def scalar_mismatches(config, factor_kernel=None):
     ``in_iwahori`` on rows off the int path."""
     G, rows = scalar_sweep_inputs(*config)
     for w in G.datum.weyl_group():
-        for tie_break in ("lex", "revlex"):
-            plan = G._factor_plan(w, tie_break)
-            kernels = [None if factor_kernel is None else factor_kernel(
-                G.datum, plan.order, plan.neg_strip, plan.pos_strip, "<scalar mutant>",
-                member=member, scalar=True) for member in (False, True)]
-            for mat in rows:
-                got = [scalar_state(factor_scalar, G, mat, plan, member, kernel)
-                       for member, kernel in zip((False, True), kernels)]
-                want = [scalar_state(factor_scalars_ref, G, mat, plan),
-                        scalar_state(fused_scalar_ref, G, mat, plan)]
-                g = GroupElement(G, mat, None)
-                if factor_kernel is None and g._ints is None:
-                    got.append(scalar_state(fact_parts, G.iwahori_factorize, g, w, tie_break))
-                    want.append(want[1])
-                    got.append((g.satisfies_group_relation(), G.in_iwahori(g)))
-                    want.append((relation_scalar_ref(g), in_iwahori_scalar_ref(g)))
-                if got != want:
-                    return w.name, tie_break, mat
+        plan = G._factor_plan(w)
+        kernels = [None if factor_kernel is None else factor_kernel(
+            G.datum, plan.order, plan.neg_strip, plan.pos_strip, "<scalar mutant>",
+            member=member, scalar=True) for member in (False, True)]
+        for mat in rows:
+            got = [scalar_state(factor_scalar, G, mat, plan, member, kernel)
+                   for member, kernel in zip((False, True), kernels)]
+            want = [scalar_state(factor_scalars_ref, G, mat, plan),
+                    scalar_state(fused_scalar_ref, G, mat, plan)]
+            g = GroupElement(G, mat, None)
+            if factor_kernel is None and g._ints is None:
+                got.append(scalar_state(fact_parts, G.iwahori_factorize, g, w))
+                want.append(want[1])
+                got.append((g.satisfies_group_relation(), G.in_iwahori(g)))
+                want.append((relation_scalar_ref(g), in_iwahori_scalar_ref(g)))
+            if got != want:
+                return w.name, mat
     return None
 
 
@@ -700,6 +699,19 @@ def test_every_group_compares_its_scalar_relation_at_most_at_n():
         assert g.satisfies_group_relation() and flat.satisfies_group_relation()
         assert G.in_iwahori(g) and relation_scalar_ref(g)
 
+
+def test_a_scalar_strip_keeps_the_precision_of_its_entries():
+    # diag(1 + p^3, 1, ..., (1 + p^3)^-1) with every entry inexact at
+    # precision 5 above N = 3: a root parameter keeps its entries' precision,
+    # so the factorization decides omega 3 as the oracle does (a strip begun
+    # from the ring's one and zero at N read >= 7/3 on sl3, >= 9/4 on sp4)
+    for name, p in (("sl3", 5), ("sp4", 7)):
+        G = ChevalleyGroup(name, p, 3)
+        diag = [1 + p ** 3] + [1] * (G.n - 2) + [pow(1 + p ** 3, -1, p ** 5)]
+        g = GroupElement(G, tuple(tuple(PadicScalar(G.ring, diag[i] if i == j else 0, 5, False)
+                                        for j in range(G.n)) for i in range(G.n)))
+        assert g._ints is None
+        assert G.p_valuation(g) == G.p_valuation_by_conjugation(g) == PValue.finite(3)
 
 
 # -- the generated products and inverses against the former loops --------------
@@ -858,29 +870,34 @@ def test_omega_conjugation_invariance():
             assert G.p_valuation(h * g * h.inv()) == G.p_valuation(g)
 
 
-def test_compatibility_under_alternative_order():
-    # the within-batch tie break is allowed to change without affecting omega
-    G = group("sp4")
-    rng = random.Random(23)
-    for _ in range(5):
-        g = sample(G, rng)
-        pv = G.p_valuation(g)
-        for w in G.datum.weyl_group()[:3]:
-            f = G.iwahori_factorize(g, w, tie_break="revlex")
-            vals = [v for v in (pv_value(G, f)) if v is not None]
-            assert min(vals) == pv.value
+def swapped_ties(G, strip):
+    """A plan's strip with each run of steps whose positive roots share a
+    height reversed; each run has two steps on these groups, so this is the
+    height-then-revlex order of the positive roots."""
+    runs = {}
+    for root, step in zip(G.datum.positive_roots, strip):
+        runs.setdefault(G.datum.height(root), []).append(step)
+    return tuple(step for ht in sorted(runs) for step in reversed(runs[ht]))
 
 
-def pv_value(G, fact):
-    h = G.coxeter_number
-    out = []
-    for r, x in fact.negative + fact.positive:
-        v = x.val()
-        out.append(None if v in (None, INF) else v + Fraction(G.datum.height(r), h))
-    for d in fact.torus_diagonal:
-        v = (d - 1).val()
-        out.append(None if v in (None, INF) else v)
-    return out
+def test_compatibility_under_alternative_order(monkeypatch):
+    # omega does not depend on the order of the basis within a height: a
+    # kernel built on each twist's strips with the equal-height roots swapped
+    # gives p_valuation on every sample
+    monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
+    for name in ("sl3", "sp4"):
+        G = group(name)
+        rng = random.Random(23)
+        samples = [sample(G, rng) for _ in range(5)]
+        assert all(g._ints is not None for g in samples)
+        for w in G.datum.weyl_group():
+            plan = G._factor_plan(w)
+            strips = [swapped_ties(G, strip) for strip in (plan.neg_strip, plan.pos_strip)]
+            assert strips[0] != plan.neg_strip and strips[1] != plan.pos_strip
+            swapped = plan._replace(kernel=groups._factor_kernel(
+                G.datum, plan.order, *strips, f"<swapped ties {name} w={w.name}>"))
+            for g in samples:
+                assert G._factor_ints(g._ints, swapped)[4] == G.p_valuation(g), (w.name, g)
 
 
 def test_group_inverse_and_power():

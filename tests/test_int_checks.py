@@ -158,7 +158,7 @@ def draw_rows_ref(G, coords, w):
     """The former int rows of ``from_coordinates``: from the identity, its
     ``rmul_batch`` loop (right multiplication by u_root(x)) on both batches,
     and each torus coordinate c entering as exp_int(p c)."""
-    plan = G._factor_plan(w, "lex")
+    plan = G._factor_plan(w)
     p, mod = G.ring.p, G._mod
     a, b = len(plan.neg_batch), len(plan.neg_batch) + G.datum.rank
     rows = [[int(i == j) for j in range(G.n)] for i in range(G.n)]
@@ -327,7 +327,7 @@ def kernel_mismatches(factor_kernel):
         G = ChevalleyGroup(*config)
         rng = Random(f"kernel-mutant-{config}")
         for w in G.datum.weyl_group():
-            plan = G._factor_plan(w, "lex")
+            plan = G._factor_plan(w)
             for short in (plan, plan._replace(neg_strip=plan.neg_strip[:-1]),
                           plan._replace(pos_strip=plan.pos_strip[:-1])):
                 kernel = factor_kernel(G.datum, short.order, short.neg_strip, short.pos_strip,
@@ -370,7 +370,7 @@ def test_a_dropped_lattice_equation_is_caught(monkeypatch):
     error = (groups.InternalError, "torus diagonal is not in the cocharacter lattice")
     for name, p in (("sl2", 5), ("sl3", 5), ("sp4", 7)):
         G = ChevalleyGroup(name, p, 3)
-        plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+        plan = G._factor_plan(G.datum.identity_weyl())
         diag = [1 + p] + [1] * (G.n - 1)  # pro-p, off the torus
         rows = tuple(tuple(d if i == j else 0 for j in range(G.n)) for i, d in enumerate(diag))
         assert value_or_error(factor_loops_ref, G, rows, plan) == error
@@ -411,13 +411,13 @@ def membership_mismatches():
     for config in MEMBERSHIP_CONFIGS:
         G = ChevalleyGroup(*config)
         w = G.datum.identity_weyl()
-        plan = G._factor_plan(w, "lex")
+        plan = G._factor_plan(w)
         for ints in membership_inputs(G, Random(f"member-{config}")):
             g = GroupElement(G, None, ints)
             if ((g.satisfies_group_relation(), G.in_iwahori(g))
                     != (relation_ints_ref(G, ints), in_iwahori_ints_ref(G, ints))
                     or value_or_error(G._factor_ints, ints, plan)
-                    != value_or_error(fused_ref, G, ints, w, "lex")):
+                    != value_or_error(fused_ref, G, ints, w)):
                 bad.append((config, ints))
     return bad
 
@@ -446,7 +446,7 @@ def test_membership_generator_mutants_are_caught(old, new, monkeypatch):
 
 def omega_mismatches(G, rng):
     d = len(G.dirs) + G.datum.rank
-    plan = G._factor_plan(G.datum.identity_weyl(), "lex")
+    plan = G._factor_plan(G.datum.identity_weyl())
     elements = [G.from_coordinates(c) for c in coordinate_vectors(G, d, rng)]
     bad = []
     for g in elements + [flatten(g) for _name, g in omega_inputs(G)]:
